@@ -6,12 +6,11 @@ sparsely (two-level resonance map, polynomial in chain length) or exactly
 theory for non-resonant transitions.
 """
 
-from .model import BasisState, ChainParams, energy, larmor_frequency, load_chain_params, transition_frequency
+from .model import BasisState, ChainParams, energy, larmor_frequency, transition_frequency
 from .protocol import Pulse, PulseSequence, cn_remote_protocol, cn_trajectory, ground_branch_detunings
 from .propagator import (
     AMPLITUDE_FLOOR,
     Census,
-    PairUpdate,
     RunReport,
     SparseState,
     apply_pulse,
@@ -44,7 +43,6 @@ __all__ = [
     "DenseState",
     "ErrorBudget",
     "HILBERT_CAP",
-    "PairUpdate",
     "Pulse",
     "PulseSequence",
     "RunReport",
@@ -60,7 +58,6 @@ __all__ = [
     "ground_branch_detunings",
     "integrate_tdse",
     "larmor_frequency",
-    "load_chain_params",
     "n1",
     "p1_target",
     "p1_total",

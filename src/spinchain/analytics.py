@@ -202,20 +202,6 @@ def error_budget(L: int, Omega: float, J: float = 1.0, P0: float = 1e-6) -> Erro
     )
 
 
-def write_error_budget_csv(budgets: list[ErrorBudget], path) -> None:
-    """One CSV row per (L, Omega) with every budget field."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["L", "Omega", "eps", "eps_prime", "N1", "P1", "P1cal",
-                         "E", "Gamma", "regime"])
-        for b in budgets:
-            writer.writerow([b.L, repr(b.Omega), repr(b.eps), repr(b.eps_prime),
-                             b.N1, repr(b.P1), repr(b.P1cal), repr(b.E),
-                             repr(b.Gamma), b.regime])
-
-
 def suppression_windows(P0: float, deltas: tuple[float, ...] = (2.0, 4.0),
                         omega_lo: float = 0.02, omega_hi: float = 0.6,
                         samples: int = 200_000) -> list[tuple[float, float]]:
@@ -232,12 +218,7 @@ def suppression_windows(P0: float, deltas: tuple[float, ...] = (2.0, 4.0),
         return max(epsilon(om, d, tau) for d in deltas)
 
     grid = np.linspace(omega_lo, omega_hi, samples)
-    tau = math.pi / grid
-    vals = np.zeros_like(grid)
-    for d in deltas:
-        lam = np.hypot(grid, d)
-        vals = np.maximum(vals, (grid / lam) ** 2 * np.sin(0.5 * lam * tau) ** 2)
-    below = vals < P0
+    below = [worst(om) < P0 for om in grid.tolist()]
     windows = []
     i = 0
     while i < grid.size:

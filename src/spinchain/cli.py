@@ -9,7 +9,9 @@ initial=<bitstring>, or alpha=/beta= for the superposition
 alpha|0...0> + beta|10...0> on the control qubit.  Sweep keys:
 omega_min/omega_max/omega_steps and deltas=d1,d2 (sweep-omega);
 L_min/L_max/L_step (sweep-length).  Verification: cap, tvd_threshold.
-census_threshold overrides the reporting floor (defaults to P0).
+census_threshold overrides the reporting floor (defaults to P0).  Any
+other key is rejected, as is a value that does not parse or a float that
+is not finite; the error names the key.
 
 preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
 (J=1, Omega=0.0906 or 0.20844, P0=1e-6); explicit keys override a preset.
@@ -26,20 +28,20 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .analytics import epsilon, error_budget, p1_target, p1_total, write_error_budget_csv
+from .analytics import ErrorBudget, epsilon, error_budget
 from .exact import HILBERT_CAP, DenseState, evolve_exact
-from .model import BasisState, ChainParams, parse_keyval_file
+from .model import BasisState, ChainParams
 from .propagator import (
+    Census,
+    RunReport,
     SparseState,
     run_protocol,
     total_variation_distance,
     unwanted_census,
-    write_report_csv,
-    write_state_csv,
 )
-from .protocol import cn_remote_protocol, write_protocol_csv
+from .protocol import PulseSequence, cn_remote_protocol
 
 PRESETS: dict[str, dict[str, str]] = {
     "fig1": {"J": "1", "omega_min": "0.02", "omega_max": "0.6",
@@ -56,40 +58,44 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
+# every key the module docstring documents; load_config rejects any other
+KEYS = frozenset({
+    "L", "J", "omega0", "delta_omega", "Omega", "P_drop", "P0",
+    "initial", "alpha", "beta", "omega_min", "omega_max", "omega_steps", "deltas",
+    "L_min", "L_max", "L_step", "cap", "tvd_threshold", "census_threshold", "preset",
+})
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict[str, str]
     outdir: str = "."
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
+    def get(self, key: str, parse, default):
+        """Value of `key` read by `parse`; a default of None makes the key
+        required.  Errors name the key."""
+        if key not in self.raw:
+            if default is None:
+                raise ValueError(f"config key {key!r} is required for this command")
+            return default
+        try:
+            return parse(self.raw[key])
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: bad value {self.raw[key]!r} ({exc})") from None
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        if key in self.raw:
-            return float(self.raw[key])
-        if default is None:
-            raise ValueError(f"config key {key!r} is required for this command")
-        return default
+        value = self.get(key, float, default)
+        if not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {value}")
+        return value
 
     def get_int(self, key: str, default: int | None = None) -> int:
-        if key in self.raw:
-            return int(self.raw[key])
-        if default is None:
-            raise ValueError(f"config key {key!r} is required for this command")
-        return default
+        return self.get(key, int, default)
 
     def chain_params(self, L: int | None = None) -> ChainParams:
-        kwargs = {}
-        if L is not None:
-            kwargs["L"] = L
-        elif "L" in self.raw:
-            kwargs["L"] = int(self.raw["L"])
-        else:
-            raise ValueError("config key 'L' is required for this command")
-        for key in ("J", "omega0", "delta_omega"):
-            if key in self.raw:
-                kwargs[key] = float(self.raw[key])
-        return ChainParams(**kwargs)
+        fields = {key: self.get_float(key)
+                  for key in ("J", "omega0", "delta_omega") if key in self.raw}
+        return ChainParams(L=self.get_int("L") if L is None else L, **fields)
 
     def initial_state(self, params: ChainParams) -> SparseState:
         if "initial" in self.raw and ("alpha" in self.raw or "beta" in self.raw):
@@ -101,7 +107,7 @@ class ExperimentConfig:
             control = BasisState(1 << (params.L - 1), params.L)
             return SparseState.from_superposition([(ground, alpha), (control, beta)])
         if "initial" in self.raw:
-            state = BasisState.from_string(self.raw["initial"])
+            state = self.get("initial", BasisState.from_string, None)
             if state.L != params.L:
                 raise ValueError(
                     f"initial state has {state.L} bits but L={params.L}")
@@ -109,8 +115,31 @@ class ExperimentConfig:
         return SparseState.from_basis(BasisState.ground(params.L))
 
 
+def parse_keyval_file(path) -> dict[str, str]:
+    """Parse a plain-text key=value file into a string dict.
+
+    '#' starts a comment; blank lines are skipped; whitespace around keys
+    and values is ignored.
+    """
+    out: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            out[key.strip()] = value.strip()
+    return out
+
+
 def load_config(path: str, outdir: str) -> ExperimentConfig:
     raw = parse_keyval_file(path)
+    unknown = sorted(set(raw) - KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key {unknown[0]!r}; "
+                         f"known keys: {', '.join(sorted(KEYS))}")
     preset = raw.pop("preset", None)
     if preset is not None:
         if preset not in PRESETS:
@@ -119,6 +148,59 @@ def load_config(path: str, outdir: str) -> ExperimentConfig:
         merged.update(raw)
         raw = merged
     return ExperimentConfig(raw=raw, outdir=outdir)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows as CSV with Unix line ends.  Callers render
+    floats with repr, so identical inputs give byte-identical files."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_protocol_csv(seq: PulseSequence, path) -> None:
+    """Export a pulse table: index,nu,Omega,tau,phase,flip_qubit,from_state,to_state.
+
+    Pulse indices are 1-based; states render as bitstrings b_{L-1}...b_0.
+    """
+    if seq.flip_qubits is None or seq.trajectory is None:
+        raise ValueError("sequence carries no annotations to export")
+    write_csv(path, ["index", "nu", "Omega", "tau", "phase",
+                     "flip_qubit", "from_state", "to_state"],
+              ([i + 1, repr(pulse.nu), repr(pulse.Omega), repr(pulse.tau), repr(pulse.phase),
+                k, str(seq.trajectory[i]), str(seq.trajectory[i + 1])]
+               for i, (pulse, k) in enumerate(zip(seq.pulses, seq.flip_qubits))))
+
+
+def write_state_csv(state: SparseState, path) -> None:
+    """Final-state table: state,probability,amplitude_re,amplitude_im,
+    sorted by descending probability."""
+    rows = [(format(s, f"0{state.L}b"), c.real * c.real + c.imag * c.imag, c)
+            for s, c in state.amplitudes.items()]
+    rows.sort(key=lambda r: (-r[1], r[0]))
+    write_csv(path, ["state", "probability", "amplitude_re", "amplitude_im"],
+              ([label, repr(p), repr(c.real), repr(c.imag)] for label, p, c in rows))
+
+
+def write_report_csv(report: RunReport, path) -> None:
+    """Run report: pulse_index,active_states,dropped_cumulative (1-based)."""
+    write_csv(path, ["pulse_index", "active_states", "dropped_cumulative"],
+              ([i + 1, n, repr(d)] for i, (n, d) in
+               enumerate(zip(report.active_states, report.dropped_cumulative))))
+
+
+def write_error_budget_csv(budgets: list[ErrorBudget], path) -> None:
+    """One CSV row per (L, Omega) with every budget field."""
+    write_csv(path, ["L", "Omega", "eps", "eps_prime", "N1", "P1", "P1cal",
+                     "E", "Gamma", "regime"],
+              ([b.L, repr(b.Omega), repr(b.eps), repr(b.eps_prime), b.N1, repr(b.P1),
+                repr(b.P1cal), repr(b.E), repr(b.Gamma), b.regime] for b in budgets))
+
+
+def _write_census_csv(census: Census, path) -> None:
+    write_csv(path, ["state", "probability"],
+              ([str(state), repr(p)] for state, p in census.table))
 
 
 def _out(cfg: ExperimentConfig, name: str) -> str:
@@ -155,34 +237,24 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _write_census_csv(census, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["state", "probability"])
-        for state, p in census.table:
-            writer.writerow([str(state), repr(p)])
-
-
 def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     J = cfg.get_float("J", 1.0)
-    deltas = tuple(float(x) for x in cfg.raw.get("deltas", "2,4").split(","))
+    deltas = cfg.get("deltas", lambda v: tuple(float(x) for x in v.split(",")), (2.0, 4.0))
     if len(deltas) != 2:
         raise ValueError(f"deltas must list exactly two detunings, got {deltas}")
     P0 = cfg.get_float("P0", 1e-6)
     lo = cfg.get_float("omega_min")
     hi = cfg.get_float("omega_max")
     steps = cfg.get_int("omega_steps")
+    rows = []
+    for i in range(steps):
+        om = lo if steps == 1 else lo + (hi - lo) * i / (steps - 1)
+        tau = math.pi / om
+        e1 = epsilon(om, deltas[0] * J, tau)
+        e2 = epsilon(om, deltas[1] * J, tau)
+        rows.append([repr(om), repr(e1), repr(e2), int(e1 < P0 and e2 < P0)])
     path = _out(cfg, "sweep_omega.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Omega", "eps", "eps_prime", "below_P0"])
-        for i in range(steps):
-            om = lo if steps == 1 else lo + (hi - lo) * i / (steps - 1)
-            tau = math.pi / om
-            e1 = epsilon(om, deltas[0] * J, tau)
-            e2 = epsilon(om, deltas[1] * J, tau)
-            writer.writerow([repr(om), repr(e1), repr(e2),
-                             int(e1 < P0 and e2 < P0)])
+    write_csv(path, ["Omega", "eps", "eps_prime", "below_P0"], rows)
     print(f"wrote {path}: {steps} points")
     return 0
 
@@ -195,7 +267,6 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     lmax = cfg.get_int("L_max", 100)
     lstep = cfg.get_int("L_step", 1)
     J = cfg.get_float("J", 1.0)
-    eps = epsilon(Omega, 2.0 * J, math.pi / Omega)
     rows = []
     budgets = []
     wall = 0.0
@@ -205,17 +276,14 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
         final, report = run_protocol(
             SparseState.from_basis(BasisState.ground(L)), seq, params, P_drop=P_drop)
         census = unwanted_census(final, threshold=P0)
-        rows.append([L, p1_total(L, eps).exact, census.p1_total,
-                     p1_target(L, eps).exact, census.p1_target, census.count])
-        budgets.append(error_budget(L, Omega, J=J, P0=P0))
+        budget = error_budget(L, Omega, J=J, P0=P0)
+        rows.append([L, repr(budget.P1), repr(census.p1_total),
+                     repr(budget.P1cal), repr(census.p1_target), census.count])
+        budgets.append(budget)
         wall += report.wall_time
     path = _out(cfg, "sweep_length.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["L", "P1_analytic", "P1_numeric",
-                         "P1cal_analytic", "P1cal_numeric", "N_unwanted"])
-        for L, p1a, p1n, pca, pcn, n in rows:
-            writer.writerow([L, repr(p1a), repr(p1n), repr(pca), repr(pcn), n])
+    write_csv(path, ["L", "P1_analytic", "P1_numeric",
+                     "P1cal_analytic", "P1cal_numeric", "N_unwanted"], rows)
     write_error_budget_csv(budgets, _out(cfg, "budgets.csv"))
     print(f"wrote {path}: {len(rows)} lengths, total propagation wall={wall:.3f}s")
     return 0
@@ -247,11 +315,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     seq = cn_remote_protocol(params, Omega)
     initial = cfg.initial_state(params)
     final, _ = run_protocol(initial, seq, params, P_drop=0.0)
-    dense0 = DenseState.from_basis(BasisState.ground(params.L))
-    dense0.amplitudes[:] = 0.0
-    for bits, amp in initial.amplitudes.items():
-        dense0.amplitudes[bits] = amp
-    exact_final = evolve_exact(dense0, seq, params, cap=cap)
+    exact_final = evolve_exact(DenseState.from_sparse(initial), seq, params, cap=cap)
     p_map = final.probabilities()
     p_exact = exact_final.probabilities()
     tvd = total_variation_distance(p_map, p_exact)
@@ -263,11 +327,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     rows.sort(key=lambda r: (-r[3], r[0]))
     max_gap = rows[0][3] if rows else 0.0
     path = _out(cfg, "verify.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["state", "p_resonance", "p_exact", "abs_gap"])
-        for label, pm, pe, gap in rows:
-            writer.writerow([label, repr(pm), repr(pe), repr(gap)])
+    write_csv(path, ["state", "p_resonance", "p_exact", "abs_gap"],
+              ([label, repr(pm), repr(pe), repr(gap)] for label, pm, pe, gap in rows))
     status = "PASS" if tvd <= threshold else "FAIL"
     print(f"verify: TVD={tvd:.6e} max_gap={max_gap:.6e} threshold={threshold:g} "
           f"-> {status}")

@@ -42,24 +42,20 @@ class DenseState:
         amps[state.bits] = 1.0
         return cls(amplitudes=amps, L=state.L)
 
+    @classmethod
+    def from_sparse(cls, state) -> "DenseState":
+        """Dense copy of a `SparseState`'s amplitudes, at the same time t."""
+        amps = np.zeros(1 << state.L, dtype=complex)
+        for bits, amp in state.amplitudes.items():
+            amps[bits] = amp
+        return cls(amplitudes=amps, L=state.L, t=state.t)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> dict[int, float]:
         p = np.abs(self.amplitudes) ** 2
         return {s: float(p[s]) for s in range(p.size)}
-
-    def to_sparse(self, threshold: float = 0.0):
-        """Sparse view of the same amplitudes, e.g. for the state-table CSV
-        export shared with the resonance propagator."""
-        from .propagator import SparseState
-
-        p = np.abs(self.amplitudes) ** 2
-        amps = {s: complex(self.amplitudes[s]) for s in range(p.size)
-                if p[s] >= threshold and self.amplitudes[s] != 0}
-        kept = sum(p[s] for s in amps)
-        return SparseState(amplitudes=amps, L=self.L, t=self.t,
-                           dropped=float(p.sum() - kept))
 
 
 def _diagonal_terms(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:

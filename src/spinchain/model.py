@@ -18,6 +18,7 @@ addresses at most one spin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -38,14 +39,20 @@ class ChainParams:
     def __post_init__(self):
         if self.L < 2:
             raise ValueError(f"need at least 2 qubits, got L={self.L}")
-        if self.J <= 0:
-            raise ValueError(f"Ising constant must be positive, got J={self.J}")
+        if not (math.isfinite(self.J) and self.J > 0):
+            raise ValueError(f"Ising constant J must be finite and positive, got J={self.J}")
         if self.omega0 is None:
             object.__setattr__(self, "omega0", 100.0 * self.J)
         if self.delta_omega is None:
             object.__setattr__(self, "delta_omega", 20.0 * self.J)
-        if self.delta_omega <= 0:
-            raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
+        for name in ("omega0", "delta_omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.omega0 <= 2 * self.J:
+            raise ValueError(
+                f"omega0={self.omega0} must exceed 2*J={2 * self.J} "
+                "so that every flip gap is positive"
+            )
         if self.delta_omega <= 4 * self.J:
             raise ValueError(
                 f"delta_omega={self.delta_omega} must exceed 4*J={4 * self.J} "
@@ -127,8 +134,7 @@ def _signed_gap(bits: int, k: int, params: ChainParams) -> float:
 
     Depends only on the neighbour bits of k, so O(1):
     gap = omega_k + 2J * (m_{k-1} + m_{k+1}), edge spins having one
-    neighbour term.  Positive whenever omega_k > 2J, i.e. for any sane
-    field configuration.
+    neighbour term.  Positive, because `ChainParams` enforces omega0 > 2J.
     """
     g = params.omega0 + k * params.delta_omega
     if k > 0:
@@ -142,45 +148,11 @@ def transition_frequency(state: BasisState, k: int, params: ChainParams) -> floa
     """Level spacing |E(state with bit k flipped) - E(state)| for spin k.
 
     Symmetric in the flip direction: both members of a flip pair report
-    the same spacing.
+    the same spacing.  `ChainParams` enforces omega0 > 2J, so the signed
+    gap is always positive.
     """
     if not 0 <= k < params.L:
         raise IndexError(f"qubit {k} out of range for L={params.L}")
     if state.L != params.L:
         raise ValueError(f"state has L={state.L}, params have L={params.L}")
-    return abs(_signed_gap(state.bits, k, params))
-
-
-def load_chain_params(path) -> ChainParams:
-    """Read ChainParams from a key=value text file.
-
-    Recognised keys: L, J, omega0, delta_omega.  Values are decimal numbers
-    in units of J; '#' starts a comment; blank lines are skipped.
-    """
-    raw = parse_keyval_file(path)
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "L":
-            kwargs["L"] = int(value)
-        elif key in ("J", "omega0", "delta_omega"):
-            kwargs[key] = float(value)
-        else:
-            raise ValueError(f"unknown chain parameter {key!r}")
-    if "L" not in kwargs:
-        raise ValueError(f"config {path} does not define L")
-    return ChainParams(**kwargs)
-
-
-def parse_keyval_file(path) -> dict[str, str]:
-    """Parse a plain-text key=value file into a string dict."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+    return _signed_gap(state.bits, k, params)

@@ -19,7 +19,6 @@ hardcoded, which pins them unambiguously to the Hamiltonian conventions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +36,9 @@ class Pulse:
     phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("nu", "Omega", "tau", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"pulse {name} must be finite, got {getattr(self, name)}")
         # Omega=0 (free evolution) and tau=0 (identity) are degenerate but
         # legal; negative values are not.
         if self.Omega < 0:
@@ -109,8 +111,8 @@ def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
     pulse carrier equals the level spacing of that flip on the current
     control-branch state, tau = pi/Omega and phase 0.
     """
-    if Omega <= 0:
-        raise ValueError(f"Rabi frequency must be positive, got {Omega}")
+    if not (math.isfinite(Omega) and Omega > 0):
+        raise ValueError(f"Rabi frequency Omega must be finite and positive, got {Omega}")
     traj = cn_trajectory(params)
     tau = math.pi / Omega
     pulses = []
@@ -138,22 +140,3 @@ def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[flo
         abs(transition_frequency(ground, k, params) - pulse.nu)
         for pulse, k in zip(seq.pulses, seq.flip_qubits)
     ]
-
-
-def write_protocol_csv(seq: PulseSequence, path) -> None:
-    """Export a pulse table: index,nu,Omega,tau,phase,flip_qubit,from_state,to_state.
-
-    Pulse indices are 1-based; states render as bitstrings b_{L-1}...b_0.
-    """
-    if seq.flip_qubits is None or seq.trajectory is None:
-        raise ValueError("sequence carries no annotations to export")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "nu", "Omega", "tau", "phase",
-                         "flip_qubit", "from_state", "to_state"])
-        for i, (pulse, k) in enumerate(zip(seq.pulses, seq.flip_qubits)):
-            writer.writerow([
-                i + 1,
-                repr(pulse.nu), repr(pulse.Omega), repr(pulse.tau), repr(pulse.phase),
-                k, str(seq.trajectory[i]), str(seq.trajectory[i + 1]),
-            ])

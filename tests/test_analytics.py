@@ -15,7 +15,7 @@ from spinchain import (
     suppression_windows,
     u3_table,
 )
-from spinchain.analytics import write_error_budget_csv
+from spinchain.cli import write_error_budget_csv
 
 
 def test_epsilon_published_anchors():

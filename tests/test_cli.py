@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from spinchain import epsilon, n1, suppression_rabi
-from spinchain.cli import main
+from spinchain import ChainParams, epsilon, n1, suppression_rabi
+from spinchain.cli import load_config, main
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -158,6 +158,33 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     cfg4 = write_cfg(tmp_path, "L=5\nOmega=0.1\nalpha=1\nbeta=1\n", "norm.cfg")
     assert main(["run", "--config", cfg4, "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+
+
+def test_config_chain_params(tmp_path):
+    cfg = write_cfg(tmp_path, "# demo chain\nL = 6\nJ=1.5\nomega0=90\ndelta_omega = 30\n")
+    assert load_config(cfg, str(tmp_path)).chain_params() == ChainParams(
+        L=6, J=1.5, omega0=90.0, delta_omega=30.0)
+
+    bad = write_cfg(tmp_path, "L=4\nfoo=1\n", "bad.cfg")
+    with pytest.raises(ValueError, match="'foo'"):
+        load_config(bad, str(tmp_path))
+    no_l = write_cfg(tmp_path, "J=1\n", "noL.cfg")
+    with pytest.raises(ValueError, match="'L'"):
+        load_config(no_l, str(tmp_path)).chain_params()
+
+
+@pytest.mark.parametrize("text,key", [
+    ("L=5\nOmega=0.1\nomega0=1\n", "omega0"),
+    ("L=5\nOmega=nan\n", "Omega"),
+    ("L=5\nOmega=inf\n", "Omega"),
+    ("L=5\nOmega=abc\n", "Omega"),
+    ("preset=fig3\nL=5\nOmgea=0.1\n", "Omgea"),
+])
+def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, text, key):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "final_state.csv").exists()
 
 
 def test_bad_command_line_exits_one(capsys):

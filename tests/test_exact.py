@@ -151,18 +151,14 @@ def test_exact_agrees_with_tdse_battery(L, n_pulses, seed):
     assert np.max(np.abs(rotating.amplitudes - stepped.amplitudes)) < 1e-7
 
 
-def test_dense_state_exports_like_sparse(tmp_path, params5):
-    from spinchain.propagator import write_state_csv
-
-    seq = cn_remote_protocol(params5, 0.0906)
-    dense = evolve_exact(DenseState.from_basis(BasisState.ground(5)), seq, params5)
-    sparse = dense.to_sparse(threshold=1e-12)
-    assert sparse.total_probability() + sparse.dropped == pytest.approx(1.0, abs=1e-10)
-    path = tmp_path / "exact_state.csv"
-    write_state_csv(sparse, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "state,probability,amplitude_re,amplitude_im"
-    assert lines[1].startswith("00000,0.99")
+def test_dense_state_from_sparse():
+    sparse = SparseState(amplitudes={0b00110: 0.6 + 0.0j, 0b10001: 0.8j}, L=5, t=3.7)
+    dense = DenseState.from_sparse(sparse)
+    expect = np.zeros(32, dtype=complex)
+    expect[0b00110] = 0.6
+    expect[0b10001] = 0.8j
+    assert np.array_equal(dense.amplitudes, expect)
+    assert dense.L == 5 and dense.t == 3.7
 
 
 def test_tvd_to_sparse_decreases_with_rabi(params5):

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinchain import BasisState, ChainParams, energy, larmor_frequency, transition_frequency
-from spinchain.model import load_chain_params
-
 from oracles import energy_bruteforce
 
 
@@ -108,6 +106,12 @@ def test_chain_params_validation():
         ChainParams(L=4, delta_omega=-1.0)
     with pytest.raises(ValueError):
         ChainParams(L=4, J=1.0, delta_omega=4.0)  # needs > 4J
+    with pytest.raises(ValueError):
+        ChainParams(L=4, J=1.0, omega0=2.0)  # needs > 2J
+    for field in ("J", "omega0", "delta_omega"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                ChainParams(L=4, **{field: bad})
 
 
 def test_chain_params_defaults_scale_with_J():
@@ -128,17 +132,3 @@ def test_basis_state_parsing_and_rendering():
         BasisState(bits=4, L=2)
     with pytest.raises(IndexError):
         s.bit(5)
-
-
-def test_load_chain_params(tmp_path):
-    cfg = tmp_path / "chain.cfg"
-    cfg.write_text("# demo chain\nL = 6\nJ=1.5\nomega0=90\ndelta_omega = 30\n")
-    p = load_chain_params(cfg)
-    assert p == ChainParams(L=6, J=1.5, omega0=90.0, delta_omega=30.0)
-
-    (tmp_path / "bad.cfg").write_text("L=4\nfoo=1\n")
-    with pytest.raises(ValueError):
-        load_chain_params(tmp_path / "bad.cfg")
-    (tmp_path / "noL.cfg").write_text("J=1\n")
-    with pytest.raises(ValueError):
-        load_chain_params(tmp_path / "noL.cfg")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinchain import pair_update
-from spinchain.propagator import PairUpdate
+from spinchain.propagator import pair_coefficients
 
 from oracles import pair_map_closed_form, two_level_ode
 
@@ -83,9 +83,11 @@ def test_update_is_unitary(cm, cp, Delta, Omega, tau, t0):
 
 @settings(max_examples=200)
 @given(Delta=freq, Omega=st.floats(0.0, 10.0), tau=pos, t0=st.floats(0.0, 100.0))
-def test_uvw_on_unit_sphere(Delta, Omega, tau, t0):
-    pu = PairUpdate.create(Delta, Omega, tau, t0)
-    assert pu.u**2 + pu.v**2 + pu.w**2 == pytest.approx(1.0, abs=1e-12)
+def test_pair_coefficients_are_unitary(Delta, Omega, tau, t0):
+    K_mm, K_mp, K_pm, K_pp = pair_coefficients(Delta, Omega, tau, t0)
+    assert abs(K_mm) ** 2 + abs(K_pm) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(K_mp) ** 2 + abs(K_pp) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(K_mm * K_mp.conjugate() + K_pm * K_pp.conjugate()) < 1e-12
 
 
 @settings(max_examples=100)

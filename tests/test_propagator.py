@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from spinchain import (
@@ -10,15 +11,18 @@ from spinchain import (
     apply_pulse,
     cn_remote_protocol,
     cn_trajectory,
+    energy,
     epsilon,
     first_order_states,
+    larmor_frequency,
+    pair_update,
     resonant_spin,
     run_protocol,
     suppression_windows,
     total_variation_distance,
     unwanted_census,
 )
-from spinchain.propagator import write_report_csv, write_state_csv
+from spinchain.cli import write_report_csv, write_state_csv
 from spinchain.protocol import Pulse
 
 
@@ -63,6 +67,41 @@ def test_absent_partner_enters_with_zero_amplitude(params5):
     upper = BasisState.from_string("11000")
     out = apply_pulse(SparseState.from_basis(upper), seq.pulses[0], params5, P_drop=0.0)
     assert out.probability(BasisState.from_string("10000")) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_pulse_is_pair_update_at_every_spin(L):
+    # every spin, both edges included (the CN protocol never addresses
+    # k = L-1); Delta comes from energy differences, not from the neighbour
+    # bits the propagator indexes its pair maps by
+    params = ChainParams(L=L)
+    rng = np.random.default_rng(L)
+    for k in range(L):
+        for _ in range(3):
+            nu = larmor_frequency(k, params) + rng.uniform(-2.0, 2.0) * params.J
+            pulse = Pulse(nu=nu, Omega=rng.uniform(0.05, 1.0), tau=rng.uniform(0.5, 30.0))
+            support = [s for s in range(1 << L) if rng.random() < 0.6] or [0]
+            amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+            amps /= np.linalg.norm(amps)
+            state = SparseState(amplitudes=dict(zip(support, amps.tolist())), L=L,
+                                t=rng.uniform(0.0, 10.0))
+            out = apply_pulse(state, pulse, params, P_drop=0.0)
+            mask = 1 << k
+            for lo in range(1 << L):
+                if lo & mask:
+                    continue
+                hi = lo | mask
+                e_lo = energy(BasisState(lo, L), params)
+                e_hi = energy(BasisState(hi, L), params)
+                c_lo = state.amplitudes.get(lo, 0j)
+                c_hi = state.amplitudes.get(hi, 0j)
+                if c_lo == 0 and c_hi == 0:
+                    assert lo not in out.amplitudes and hi not in out.amplitudes
+                    continue
+                expect = pair_update(c_lo, c_hi, e_hi - e_lo - nu, pulse.Omega,
+                                     pulse.tau, state.t)
+                assert out.amplitudes[lo] == pytest.approx(expect[0], abs=1e-12)
+                assert out.amplitudes[hi] == pytest.approx(expect[1], abs=1e-12)
 
 
 def test_phase_not_supported(params5):

@@ -15,7 +15,8 @@ from spinchain import (
     run_protocol,
 )
 from spinchain.model import energy
-from spinchain.protocol import Pulse, PulseSequence, write_protocol_csv
+from spinchain.cli import write_protocol_csv
+from spinchain.protocol import Pulse, PulseSequence
 
 
 def test_trajectory_L3():
@@ -115,6 +116,14 @@ def test_pulse_validation():
         Pulse(nu=100.0, Omega=-0.1, tau=1.0)
     with pytest.raises(ValueError):
         Pulse(nu=100.0, Omega=0.1, tau=-1.0)
+    for field in ("nu", "Omega", "tau", "phase"):
+        for bad in (math.nan, math.inf):
+            fields = {"nu": 100.0, "Omega": 0.1, "tau": 1.0, "phase": 0.0, field: bad}
+            with pytest.raises(ValueError, match=field):
+                Pulse(**fields)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="Omega"):
+            cn_remote_protocol(ChainParams(L=4), bad)
     Pulse(nu=100.0, Omega=0.0, tau=0.0)  # degenerate but legal
 
 
