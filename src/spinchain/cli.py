@@ -10,8 +10,8 @@ alpha|0...0> + beta|10...0> on the control qubit.  Sweep keys:
 omega_min/omega_max/omega_steps and deltas=d1,d2 (sweep-omega);
 L_min/L_max/L_step (sweep-length).  Verification: cap, tvd_threshold.
 census_threshold overrides the reporting floor (defaults to P0).  Any
-other key is rejected, as is a value that does not parse or a float that
-is not finite; the error names the key.
+other key is rejected, as is a key given twice, a value that does not
+parse or a float that is not finite; the error names the key.
 
 preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
 (J=1, Omega=0.0906 or 0.20844, P0=1e-6); explicit keys override a preset.
@@ -119,9 +119,10 @@ def parse_keyval_file(path) -> dict[str, str]:
     """Parse a plain-text key=value file into a string dict.
 
     '#' starts a comment; blank lines are skipped; whitespace around keys
-    and values is ignored.
+    and values is ignored.  A key given twice is rejected, naming both lines.
     """
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -129,8 +130,12 @@ def parse_keyval_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} given twice "
+                                 f"(lines {first_line[key]} and {lineno})")
+            out[key] = value
+            first_line[key] = lineno
     return out
 
 
@@ -176,9 +181,9 @@ def write_protocol_csv(seq: PulseSequence, path) -> None:
 def write_state_csv(state: SparseState, path) -> None:
     """Final-state table: state,probability,amplitude_re,amplitude_im,
     sorted by descending probability."""
-    rows = [(format(s, f"0{state.L}b"), c.real * c.real + c.imag * c.imag, c)
-            for s, c in state.amplitudes.items()]
-    rows.sort(key=lambda r: (-r[1], r[0]))
+    rows = sorted(zip((format(s, f"0{state.L}b") for s in state.states()),
+                      state.probability_array().tolist(), state.amps.tolist()),
+                  key=lambda r: (-r[1], r[0]))
     write_csv(path, ["state", "probability", "amplitude_re", "amplitude_im"],
               ([label, repr(p), repr(c.real), repr(c.imag)] for label, p, c in rows))
 
@@ -226,7 +231,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                                  P_drop=cfg.get_float("P_drop", 1e-6))
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
-    print(f"run: {len(seq)} pulses, {len(final.amplitudes)} active states, "
+    print(f"run: {len(seq)} pulses, {len(final.amps)} active states, "
           f"dropped={final.dropped:.3e}, wall={report.wall_time:.3f}s")
     if from_ground:
         threshold = cfg.get_float("census_threshold", cfg.get_float("P0", 1e-6))

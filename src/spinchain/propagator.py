@@ -26,18 +26,42 @@ outside that condition: (0.0906/20)^2 = 2.1e-5 against eps = 4.8e-5, and
 the exact dense propagator's total unwanted probability there is 1.3 to 1.8
 times the map's at L = 4-8.
 
-The state map is pruned after every pulse: amplitudes with |C|^2 below the
+The state is pruned after every pulse: amplitudes with |C|^2 below the
 pruning threshold are removed and their probability is accounted in a
 `dropped` ledger, never renormalised away.  This keeps the active set
 polynomial in L while making the approximation cost visible.
+
+Storage.  A `SparseState` holds its n active basis states as an (n, W)
+uint64 bitset array, W = ceil(L/64), with bit k of a state at bit k % 64 of
+word k // 64, and a matching (n,) complex128 amplitude array.  The dict view
+`SparseState.amplitudes` is derived from the arrays on first access.
+
+Grouping.  `apply_pulse` at spin k clears bit k of every key to get its pair
+key and sorts the states by it (`np.lexsort` over the words), so the two
+members of a flip pair become neighbours.  A state's bits k-1, k
+and k+1 (the neighbours may sit in the previous or the next word) pick one
+column of a 2x8 table, built from the pulse's at most four pair maps, that
+holds what the state adds to its pair's lower and upper amplitude.  The
+second member of a pair adds its share to the first and is zeroed, so all
+pairs are updated by array arithmetic, and pruning is one mask.
+
+Determinism.  The output lists the kept lower members in ascending
+pair-key order, then the kept upper members in the same order.  That order
+depends only on the keys, not on the input order or on how the sort breaks
+ties, and a pair's two shares meet in one commutative addition, so equal
+inputs give bit-identical outputs.  The census sums its totals with
+`math.fsum`, which does not depend on the order either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import BasisState, ChainParams, _signed_gap
 from .protocol import Pulse, PulseSequence
@@ -48,23 +72,60 @@ from .protocol import Pulse, PulseSequence
 # Removed probability still lands in the dropped ledger.
 AMPLITUDE_FLOOR = 1e-30
 
+# |sum |C|^2 + dropped| may drift from its initial value by rounding only;
+# run_protocol raises beyond this.
+NORM_LEDGER_TOLERANCE = 1e-12
 
-@dataclass
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
+
+
+def _pack(states, L: int) -> np.ndarray:
+    """(n, ceil(L/64)) uint64 bitset rows of packed basis states."""
+    W = (L + _WORD - 1) // _WORD
+    rows = [[(s >> (_WORD * j)) & _WORD_MASK for j in range(W)] for s in states]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), W)
+
+
+def _unpack(keys: np.ndarray) -> list[int]:
+    """Packed basis states (Python ints) of bitset rows."""
+    states = keys[:, 0].tolist()
+    for j in range(1, keys.shape[1]):
+        states = [s | (word << (_WORD * j)) for s, word in zip(states, keys[:, j].tolist())]
+    return states
+
+
+@dataclass(eq=False)
 class SparseState:
-    """Map from packed basis states to interaction-picture amplitudes.
+    """Active basis states and their interaction-picture amplitudes.
 
-    Invariant: sum |C|^2 + dropped = 1 (pair updates are unitary; only
-    pruning removes norm, and what it removes is added to `dropped`).
+    `keys` is an (n, ceil(L/64)) uint64 bitset array, `amps` the matching
+    (n,) complex128 array; neither is modified after construction.
+
+    Invariant: sum |C|^2 + dropped is constant (pair updates are unitary;
+    only pruning removes norm, and what it removes is added to `dropped`).
     """
 
-    amplitudes: dict[int, complex]
+    keys: np.ndarray
+    amps: np.ndarray
     L: int
     t: float = 0.0
     dropped: float = 0.0
 
     @classmethod
+    def from_amplitudes(cls, amplitudes: dict[int, complex], L: int,
+                        t: float = 0.0) -> "SparseState":
+        """State from a {packed basis state: amplitude} map."""
+        for s in amplitudes:
+            if not 0 <= s < (1 << L):
+                raise ValueError(f"state {s} out of range for L={L}")
+        return cls(keys=_pack(amplitudes, L),
+                   amps=np.array(list(amplitudes.values()), dtype=np.complex128),
+                   L=L, t=t)
+
+    @classmethod
     def from_basis(cls, state: BasisState) -> "SparseState":
-        return cls(amplitudes={state.bits: 1.0 + 0.0j}, L=state.L)
+        return cls.from_amplitudes({state.bits: 1.0 + 0.0j}, state.L)
 
     @classmethod
     def from_superposition(cls, terms: dict[BasisState, complex] | list[tuple[BasisState, complex]]) -> "SparseState":
@@ -82,7 +143,20 @@ class SparseState:
         norm = sum(abs(a) ** 2 for a in amps.values())
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"superposition norm deviates from 1 by {abs(norm - 1.0):.2e}")
-        return cls(amplitudes=amps, L=L)
+        return cls.from_amplitudes(amps, L)
+
+    def states(self) -> list[int]:
+        """Packed basis states, in array order."""
+        return _unpack(self.keys)
+
+    def probability_array(self) -> np.ndarray:
+        """|C|^2 of every active state, in array order."""
+        return self.amps.real * self.amps.real + self.amps.imag * self.amps.imag
+
+    @functools.cached_property
+    def amplitudes(self) -> dict[int, complex]:
+        """{packed basis state: amplitude}, derived from the arrays."""
+        return dict(zip(self.states(), self.amps.tolist()))
 
     def probability(self, state: BasisState | int) -> float:
         bits = state.bits if isinstance(state, BasisState) else state
@@ -90,10 +164,10 @@ class SparseState:
         return 0.0 if c is None else (c.real * c.real + c.imag * c.imag)
 
     def probabilities(self) -> dict[int, float]:
-        return {s: c.real * c.real + c.imag * c.imag for s, c in self.amplitudes.items()}
+        return dict(zip(self.states(), self.probability_array().tolist()))
 
     def total_probability(self) -> float:
-        return sum(c.real * c.real + c.imag * c.imag for c in self.amplitudes.values())
+        return float(self.probability_array().sum())
 
 
 def pair_coefficients(Delta: float, Omega: float, tau: float,
@@ -119,8 +193,8 @@ def pair_coefficients(Delta: float, Omega: float, tau: float,
     ph = complex(math.cos(0.5 * Delta * tau), -math.sin(0.5 * Delta * tau))
     e0 = complex(math.cos(Delta * t_start), -math.sin(Delta * t_start))
     e1 = complex(math.cos(Delta * t1), math.sin(Delta * t1))
-    return (ph * complex(u, v), ph * 1j * w * e0, ph * 1j * w * e1,
-            ph * complex(u, -v) * e0 * e1)
+    cross = ph * 1j * w
+    return (ph * complex(u, v), cross * e0, cross * e1, ph * complex(u, -v) * e0 * e1)
 
 
 def pair_update(C_m: complex, C_p: complex, Delta: float, Omega: float,
@@ -154,6 +228,46 @@ def resonant_spin(nu: float, params: ChainParams) -> int:
     return min(max(k, 0), params.L - 1)
 
 
+def _neighbourhood(keys: np.ndarray, k: int) -> np.ndarray:
+    """Bits k-1, k and k+1 of every key as the code b_{k-1} + 2 b_k + 4 b_{k+1};
+    bits outside the chain read 0 (the words hold no bit at or above L)."""
+    word, bit = divmod(k, _WORD)
+    col = keys[:, word]
+    code = (col >> (bit - 1)) & 7 if bit else (col << 1) & 7
+    if bit == 0 and word > 0:
+        code |= keys[:, word - 1] >> 63
+    elif bit == _WORD - 1 and word + 1 < keys.shape[1]:
+        code |= (keys[:, word + 1] & 1) << 2
+    return code.view(np.int64)
+
+
+def _pair_table(k: int, pulse: Pulse, params: ChainParams, t_start: float) -> np.ndarray:
+    """(2, 8) table: column `code` (see _neighbourhood) holds what a state
+    of unit amplitude adds to its pair's lower and upper amplitude.
+
+    The flip gap depends only on the neighbour bits k-1 and k+1 (absent at
+    the chain's edges, where _signed_gap ignores them), so a pulse has at
+    most four pair maps, and patterns with equal gaps share one.  Every gap
+    is positive (ChainParams enforces omega0 > 2J): the bit-k-clear member
+    of a pair is its lower level.
+    """
+    below = 1 << (k - 1) if k else 0
+    above = 1 << (k + 1)
+    maps: dict[float, tuple[complex, complex, complex, complex]] = {}
+    by_pattern = []
+    for pattern in (0, below, above, below | above):
+        Delta = _signed_gap(pattern, k, params) - pulse.nu
+        if Delta not in maps:
+            maps[Delta] = pair_coefficients(Delta, pulse.Omega, pulse.tau, t_start)
+        by_pattern.append(maps[Delta])
+    # code = b_{k-1} + 2 b_k + 4 b_{k+1}; a state with bit k clear enters as
+    # C_m (column K_mm, K_pm), with bit k set as C_p (column K_mp, K_pp)
+    K0, Kb, Ka, Kba = by_pattern
+    return np.array(((K0[0], Kb[0], K0[1], Kb[1], Ka[0], Kba[0], Ka[1], Kba[1]),
+                     (K0[2], Kb[2], K0[3], Kb[3], Ka[2], Kba[2], Ka[3], Kba[3])),
+                    dtype=np.complex128)
+
+
 def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
                 P_drop: float = 1e-6) -> SparseState:
     """Advance a sparse state through one pulse in the two-level approximation.
@@ -170,43 +284,32 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     if pulse.phase != 0.0:
         raise ValueError("only phase-0 pulses are supported")
     k = resonant_spin(pulse.nu, params)
-    mask = 1 << k
-    # The flip gap depends only on the neighbour bits k-1 and k+1 (absent at
-    # the chain's edges), so a pulse has at most four pair maps.  Every gap
-    # is positive (ChainParams enforces omega0 > 2J): the bit-k-clear member
-    # of a pair is its lower level.
-    below = mask >> 1
-    above = (mask << 1) & ((1 << params.L) - 1)
-    neighbours = below | above
-    maps = {
-        pattern: pair_coefficients(_signed_gap(pattern, k, params) - pulse.nu,
-                                   pulse.Omega, pulse.tau, state.t)
-        for pattern in {0, below, above, neighbours}
-    }
-    old = state.amplitudes
-    new: dict[int, complex] = {}
-    for s in old:
-        q = s ^ mask
-        if q < s and q in old:
-            continue  # pair already handled from its partner
-        lo_s = s & ~mask
-        hi_s = lo_s | mask
-        K_mm, K_mp, K_pm, K_pp = maps[s & neighbours]
-        C_m = old.get(lo_s, 0.0 + 0.0j)
-        C_p = old.get(hi_s, 0.0 + 0.0j)
-        new[lo_s] = K_mm * C_m + K_mp * C_p
-        new[hi_s] = K_pm * C_m + K_pp * C_p
-    threshold = max(P_drop, AMPLITUDE_FLOOR)
-    dropped = state.dropped
-    kept: dict[int, complex] = {}
-    for s, c in new.items():
-        p = c.real * c.real + c.imag * c.imag
-        if p < threshold:
-            dropped += p
-        else:
-            kept[s] = c
-    return SparseState(amplitudes=kept, L=state.L, t=state.t + pulse.tau,
-                       dropped=dropped)
+    word, bit = divmod(k, _WORD)
+    keys = state.keys
+    # out[:, i]: what state i adds to the lower and upper amplitude of its pair
+    out = _pair_table(k, pulse, params, state.t).take(_neighbourhood(keys, k), axis=1)
+    out *= state.amps
+    # sort by pair key (bit k cleared) so that partners become neighbours
+    columns = list(keys.T)
+    columns[word] = columns[word] & (_WORD_MASK ^ 1 << bit)
+    order = np.lexsort(columns)
+    pair_keys = keys.take(order, axis=0)
+    pair_keys[:, word] = columns[word].take(order)
+    out = out.take(order, axis=1)
+    rows = pair_keys.view(f"V{8 * len(columns)}").ravel()  # one value per key
+    second = out[:, 1:] * (rows[1:] == rows[:-1])
+    out[:, :-1] += second
+    out[:, 1:] -= second  # exactly zero: pruned below at no cost to the ledger
+    p = (out * out.conj()).real  # |C|^2 in two array operations
+    keep = p >= max(P_drop, AMPLITUDE_FLOOR)
+    dropped = state.dropped + float(p[~keep].sum())
+    # kept lower members in pair-key order, then kept upper members
+    upper, pair = np.nonzero(keep)
+    out_keys = pair_keys.take(pair, axis=0)
+    lower = np.count_nonzero(keep[0])
+    out_keys[lower:, word] |= 1 << bit
+    return SparseState(keys=out_keys, amps=out[keep], L=state.L,
+                       t=state.t + pulse.tau, dropped=dropped)
 
 
 @dataclass
@@ -223,15 +326,26 @@ class RunReport:
 
 def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
                  P_drop: float = 1e-6) -> tuple[SparseState, RunReport]:
-    """Apply every pulse of a sequence in order, collecting diagnostics."""
+    """Apply every pulse of a sequence in order, collecting diagnostics.
+
+    Raises RuntimeError when the norm ledger sum |C|^2 + dropped ends more
+    than NORM_LEDGER_TOLERANCE away from the initial state's own value.
+    """
     report = RunReport()
     t0 = time.perf_counter()
     state = initial
     for pulse in seq.pulses:
         state = apply_pulse(state, pulse, params, P_drop=P_drop)
-        report.active_states.append(len(state.amplitudes))
+        report.active_states.append(len(state.amps))
         report.dropped_cumulative.append(state.dropped)
     report.wall_time = time.perf_counter() - t0
+    defect = ((state.total_probability() + state.dropped)
+              - (initial.total_probability() + initial.dropped))
+    if not abs(defect) <= NORM_LEDGER_TOLERANCE:
+        raise RuntimeError(
+            f"norm ledger defect {defect:.3e} after {len(seq.pulses)} pulses: "
+            f"sum |C|^2 + dropped moved by more than {NORM_LEDGER_TOLERANCE:g}, "
+            "so a pair map is not unitary or pruning lost probability")
     return state, report
 
 
@@ -259,22 +373,17 @@ def unwanted_census(final: SparseState, L: int | None = None,
         L = final.L
     elif L != final.L:
         raise ValueError(f"census L={L} does not match state L={final.L}")
-    rows = []
-    p1 = 0.0
-    p1cal = 0.0
     control_mask = 1 << (L - 1)
     target_bits = control_mask | 1
-    for bits, c in final.amplitudes.items():
-        if bits == 0 or bits == target_bits:
-            continue
-        p = c.real * c.real + c.imag * c.imag
-        if p < threshold:
-            continue
-        rows.append((BasisState(bits, L), p))
-        p1 += p
-        if (bits & 1) and not (bits & control_mask):
-            p1cal += p
+    p = final.probability_array()
+    reported = p >= threshold
+    rows = [(BasisState(bits, L), q)
+            for bits, q in zip(_unpack(final.keys[reported]), p[reported].tolist())
+            if bits != 0 and bits != target_bits]
     rows.sort(key=lambda item: (-item[1], str(item[0])))
+    p1 = math.fsum(q for _, q in rows)
+    p1cal = math.fsum(q for state, q in rows
+                      if (state.bits & 1) and not (state.bits & control_mask))
     return Census(count=len(rows), p1_total=p1, p1_target=p1cal, table=rows)
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from spinchain.model import _signed_gap
+from spinchain.propagator import AMPLITUDE_FLOOR, pair_coefficients, resonant_spin
+
 
 def bits_of(state: int, L: int) -> list[int]:
     return [(state >> k) & 1 for k in range(L)]
@@ -56,3 +59,48 @@ def pair_map_closed_form(Delta: float, Omega: float, tau: float,
     cm = (np.cos(half) + 1j * (Delta / lam) * np.sin(half)) * np.exp(-1j * tau * Delta / 2.0)
     cp = 1j * (Omega / lam) * np.sin(half) * np.exp(1j * t_start * Delta + 1j * tau * Delta / 2.0)
     return complex(cm), complex(cp)
+
+
+def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
+                     P_drop: float) -> tuple[dict[int, complex], float]:
+    """One pulse of the sparse resonance map on a {packed state: amplitude}
+    dict, one flip pair at a time; returns (kept amplitudes, dropped).
+
+    This is the dict loop that the array kernel
+    `spinchain.propagator.apply_pulse` replaced, kept as its reference.  It
+    shares the pair map (`pair_coefficients`) and the flip gap with the
+    package, so agreement checks the kernel's grouping into flip pairs, its
+    choice of map by the neighbour bits and its pruning.
+    """
+    k = resonant_spin(pulse.nu, params)
+    mask = 1 << k
+    below = mask >> 1
+    above = (mask << 1) & ((1 << params.L) - 1)
+    neighbours = below | above
+    maps = {
+        pattern: pair_coefficients(_signed_gap(pattern, k, params) - pulse.nu,
+                                   pulse.Omega, pulse.tau, t)
+        for pattern in {0, below, above, neighbours}
+    }
+    new: dict[int, complex] = {}
+    for s in amplitudes:
+        q = s ^ mask
+        if q < s and q in amplitudes:
+            continue  # pair already handled from its partner
+        lo_s = s & ~mask
+        hi_s = lo_s | mask
+        K_mm, K_mp, K_pm, K_pp = maps[s & neighbours]
+        C_m = amplitudes.get(lo_s, 0.0 + 0.0j)
+        C_p = amplitudes.get(hi_s, 0.0 + 0.0j)
+        new[lo_s] = K_mm * C_m + K_mp * C_p
+        new[hi_s] = K_pm * C_m + K_pp * C_p
+    threshold = max(P_drop, AMPLITUDE_FLOOR)
+    dropped = 0.0
+    kept: dict[int, complex] = {}
+    for s, c in new.items():
+        p = c.real * c.real + c.imag * c.imag
+        if p < threshold:
+            dropped += p
+        else:
+            kept[s] = c
+    return kept, dropped

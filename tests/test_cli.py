@@ -179,12 +179,19 @@ def test_config_chain_params(tmp_path):
     ("L=5\nOmega=inf\n", "Omega"),
     ("L=5\nOmega=abc\n", "Omega"),
     ("preset=fig3\nL=5\nOmgea=0.1\n", "Omgea"),
+    ("preset=fig4\nOmega=0.1\nOmega=0.20844\n", "Omega"),
 ])
 def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, text, key):
     cfg = write_cfg(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "final_state.csv").exists()
+
+
+def test_repeated_config_key_names_both_lines(tmp_path):
+    cfg = write_cfg(tmp_path, "preset=fig4\nOmega=0.1\n# again\nOmega=0.20844\n")
+    with pytest.raises(ValueError, match=r"'Omega' given twice \(lines 2 and 4\)"):
+        load_config(cfg, str(tmp_path))
 
 
 def test_bad_command_line_exits_one(capsys):

@@ -152,7 +152,7 @@ def test_exact_agrees_with_tdse_battery(L, n_pulses, seed):
 
 
 def test_dense_state_from_sparse():
-    sparse = SparseState(amplitudes={0b00110: 0.6 + 0.0j, 0b10001: 0.8j}, L=5, t=3.7)
+    sparse = SparseState.from_amplitudes({0b00110: 0.6 + 0.0j, 0b10001: 0.8j}, L=5, t=3.7)
     dense = DenseState.from_sparse(sparse)
     expect = np.zeros(32, dtype=complex)
     expect[0b00110] = 0.6

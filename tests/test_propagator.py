@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spinchain.propagator
 from spinchain import (
     BasisState,
     ChainParams,
@@ -24,6 +26,8 @@ from spinchain import (
 )
 from spinchain.cli import write_report_csv, write_state_csv
 from spinchain.protocol import Pulse
+
+from oracles import apply_pulse_dict
 
 
 def ground_run(L, Omega, P_drop=1e-6):
@@ -83,8 +87,8 @@ def test_pulse_is_pair_update_at_every_spin(L):
             support = [s for s in range(1 << L) if rng.random() < 0.6] or [0]
             amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
             amps /= np.linalg.norm(amps)
-            state = SparseState(amplitudes=dict(zip(support, amps.tolist())), L=L,
-                                t=rng.uniform(0.0, 10.0))
+            state = SparseState.from_amplitudes(dict(zip(support, amps.tolist())), L,
+                                                t=rng.uniform(0.0, 10.0))
             out = apply_pulse(state, pulse, params, P_drop=0.0)
             mask = 1 << k
             for lo in range(1 << L):
@@ -102,6 +106,78 @@ def test_pulse_is_pair_update_at_every_spin(L):
                                      pulse.tau, state.t)
                 assert out.amplitudes[lo] == pytest.approx(expect[0], abs=1e-12)
                 assert out.amplitudes[hi] == pytest.approx(expect[1], abs=1e-12)
+
+
+# spins next to the 64-bit word boundaries, where a neighbour bit sits in
+# the previous or the next word
+WORD_EDGE_SPINS = (0, 62, 63, 64, 65, 127)
+
+
+@st.composite
+def pulse_on_sparse_state(draw):
+    L = draw(st.one_of(st.integers(2, 140), st.sampled_from([64, 65, 66, 128, 129, 140])))
+    k = draw(st.one_of(st.sampled_from([s for s in WORD_EDGE_SPINS if s < L] + [L - 1]),
+                       st.integers(0, L - 1)))
+    # random keys over all L bits, with the neighbour bits of k, the partner
+    # at k and single-bit relatives (equal in all words but one) mixed in, so
+    # that every map pattern, lone and paired states, and keys that tie on
+    # some words all occur
+    rnd = draw(st.randoms(use_true_random=False))
+    nearby = [1 << j for j in (k - 1, k + 1) if 0 <= j < L]
+    support = set()
+    for _ in range(draw(st.integers(1, 8))):
+        key = rnd.getrandbits(L)
+        for j in nearby:
+            if draw(st.booleans()):
+                key ^= j
+        family = {key} | {key ^ (1 << rnd.randrange(L))
+                          for _ in range(draw(st.integers(0, 2)))}
+        support |= family
+        if draw(st.booleans()):
+            support |= {s ^ (1 << k) for s in family}
+    parts = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                          min_size=len(support), max_size=len(support)))
+    amps = np.array([complex(re, im) for re, im in parts]) + 1e-3
+    amps /= np.linalg.norm(amps)
+    params = ChainParams(L=L)
+    pulse = Pulse(nu=larmor_frequency(k, params) + draw(st.floats(-1.99, 1.99)) * params.J,
+                  Omega=draw(st.floats(0.01, 1.0)), tau=draw(st.floats(0.1, 60.0)))
+    return (params, pulse, dict(zip(sorted(support), amps.tolist())),
+            draw(st.floats(0.0, 1e3)), draw(st.sampled_from([0.0, 1e-6])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pulse_on_sparse_state())
+def test_kernel_matches_dict_oracle(case):
+    params, pulse, amplitudes, t, P_drop = case
+    out = apply_pulse(SparseState.from_amplitudes(amplitudes, params.L, t=t),
+                      pulse, params, P_drop=P_drop)
+    expect, dropped = apply_pulse_dict(amplitudes, t, pulse, params, P_drop)
+    assert out.keys.shape == (len(expect), (params.L + 63) // 64)
+    assert set(out.amplitudes) == set(expect)
+    for s, c in expect.items():
+        assert abs(out.amplitudes[s] - c) <= 1e-14
+    assert abs(out.dropped - dropped) <= 1e-15
+    assert out.t == t + pulse.tau
+
+
+def test_run_protocol_asserts_norm_ledger(params5, monkeypatch):
+    exact = spinchain.propagator.pair_coefficients
+    monkeypatch.setattr(spinchain.propagator, "pair_coefficients",
+                        lambda *args: tuple(1.001 * K for K in exact(*args)))
+    seq = cn_remote_protocol(params5, 0.0906)
+    with pytest.raises(RuntimeError, match="norm ledger defect"):
+        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5)
+
+
+def test_norm_ledger_measured_from_initial_norm(params5):
+    # from_superposition accepts a start state off by up to 1e-9 in norm
+    seq = cn_remote_protocol(params5, 0.0906)
+    off = math.sqrt(1 + 5e-10)
+    initial = SparseState.from_superposition([(BasisState.ground(5), 0.6 * off),
+                                              (BasisState.from_string("10000"), 0.8 * off)])
+    final, _ = run_protocol(initial, seq, params5, P_drop=1e-6)
+    assert abs(final.total_probability() + final.dropped - (1 + 5e-10)) <= 1e-12
 
 
 def test_phase_not_supported(params5):
