@@ -119,9 +119,6 @@ def p1_target(L: int, eps: float) -> P1Estimate:
     return P1Estimate(exact=exact, approx=gamma * (1.0 - gamma))
 
 
-REGIMES = ("below-eps1", "eps1-eps2", "eps2-eps3", "above-eps3")
-
-
 def regime(eps: float, P0: float) -> str:
     """Classify eps against the visibility thresholds of the floor P0.
 
@@ -202,20 +199,19 @@ def error_budget(L: int, Omega: float, J: float = 1.0, P0: float = 1e-6) -> Erro
     )
 
 
-def suppression_windows(P0: float, deltas: tuple[float, ...] = (2.0, 4.0),
-                        omega_lo: float = 0.02, omega_hi: float = 0.6,
+def suppression_windows(P0: float, omega_lo: float = 0.02, omega_hi: float = 0.6,
                         samples: int = 200_000) -> list[tuple[float, float]]:
-    """Omega intervals where a pi-pulse is errorless to floor P0 at every
-    detuning in `deltas` simultaneously.
+    """Omega intervals where a pi-pulse is errorless to floor P0 at both
+    protocol detunings, 2J and 4J (J = 1), simultaneously.
 
     Located by a dense scan and refined by bisection on the window edges;
-    the returned (lo, hi) pairs bracket max_delta eps(Omega) < P0.
+    the returned (lo, hi) pairs bracket max(eps, eps') < P0.
     """
     import numpy as np
 
     def worst(om):
         tau = math.pi / om
-        return max(epsilon(om, d, tau) for d in deltas)
+        return max(epsilon(om, 2.0, tau), epsilon(om, 4.0, tau))
 
     grid = np.linspace(omega_lo, omega_hi, samples)
     below = [worst(om) < P0 for om in grid.tolist()]
@@ -237,10 +233,9 @@ def suppression_windows(P0: float, deltas: tuple[float, ...] = (2.0, 4.0),
     return windows
 
 
-def _bisect_edge(worst, P0: float, a: float, b: float, rising: bool,
-                 iters: int = 60) -> float:
-    """Bisect the crossing of worst(Omega) = P0 inside [a, b]."""
-    for _ in range(iters):
+def _bisect_edge(worst, P0: float, a: float, b: float, rising: bool) -> float:
+    """Bisect the crossing of worst(Omega) = P0 inside [a, b] in 60 halvings."""
+    for _ in range(60):
         mid = 0.5 * (a + b)
         inside = worst(mid) < P0
         if inside == rising:

@@ -7,11 +7,11 @@ Configs are plain key=value text.  Chain keys: L, J, omega0, delta_omega.
 Drive and accounting keys: Omega, P_drop, P0.  Initial state: either
 initial=<bitstring>, or alpha=/beta= for the superposition
 alpha|0...0> + beta|10...0> on the control qubit.  Sweep keys:
-omega_min/omega_max/omega_steps and deltas=d1,d2 (sweep-omega);
-L_min/L_max/L_step (sweep-length).  Verification: cap, tvd_threshold.
-census_threshold overrides the reporting floor (defaults to P0).  Any
-other key is rejected, as is a key given twice, a value that does not
-parse or a float that is not finite; the error names the key.
+omega_min/omega_max/omega_steps (sweep-omega; eps at detuning 2J, eps'
+at 4J); L_min/L_max/L_step (sweep-length).  census_threshold overrides
+the reporting floor (defaults to P0).  Any other key is rejected, as is a
+key given twice, a value that does not parse, a float that is not finite
+or an unphysical sweep grid; the error names the key.
 
 preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
 (J=1, Omega=0.0906 or 0.20844, P0=1e-6); explicit keys override a preset.
@@ -45,7 +45,7 @@ from .protocol import PulseSequence, cn_remote_protocol
 
 PRESETS: dict[str, dict[str, str]] = {
     "fig1": {"J": "1", "omega_min": "0.02", "omega_max": "0.6",
-             "omega_steps": "2901", "deltas": "2,4", "P0": "1e-6"},
+             "omega_steps": "2901", "P0": "1e-6"},
     "fig2": {"J": "1", "Omega": "0.0906", "P_drop": "1e-6", "P0": "1e-6",
              "L_min": "4", "L_max": "100", "L_step": "1"},
     "fig3": {"J": "1", "Omega": "0.20844", "P_drop": "1e-6", "P0": "1e-6",
@@ -61,9 +61,12 @@ PRESETS: dict[str, dict[str, str]] = {
 # every key the module docstring documents; load_config rejects any other
 KEYS = frozenset({
     "L", "J", "omega0", "delta_omega", "Omega", "P_drop", "P0",
-    "initial", "alpha", "beta", "omega_min", "omega_max", "omega_steps", "deltas",
-    "L_min", "L_max", "L_step", "cap", "tvd_threshold", "census_threshold", "preset",
+    "initial", "alpha", "beta", "omega_min", "omega_max", "omega_steps",
+    "L_min", "L_max", "L_step", "census_threshold", "preset",
 })
+
+# verify passes at a TVD between the sparse map and the exact propagator up to this
+VERIFY_TVD_BOUND = 1e-3
 
 
 @dataclass
@@ -91,6 +94,11 @@ class ExperimentConfig:
 
     def get_int(self, key: str, default: int | None = None) -> int:
         return self.get(key, int, default)
+
+    def require(self, key: str, ok: bool, rule: str) -> None:
+        """Reject the value of `key` unless `ok`; `rule` says what it must be."""
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {rule}, got {self.raw[key]!r}")
 
     def chain_params(self, L: int | None = None) -> ChainParams:
         fields = {key: self.get_float(key)
@@ -244,19 +252,19 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     J = cfg.get_float("J", 1.0)
-    deltas = cfg.get("deltas", lambda v: tuple(float(x) for x in v.split(",")), (2.0, 4.0))
-    if len(deltas) != 2:
-        raise ValueError(f"deltas must list exactly two detunings, got {deltas}")
     P0 = cfg.get_float("P0", 1e-6)
     lo = cfg.get_float("omega_min")
     hi = cfg.get_float("omega_max")
     steps = cfg.get_int("omega_steps")
+    cfg.require("omega_min", lo > 0, "> 0")
+    cfg.require("omega_max", hi > 0, "> 0")
+    cfg.require("omega_steps", steps >= 0, ">= 0")
     rows = []
     for i in range(steps):
         om = lo if steps == 1 else lo + (hi - lo) * i / (steps - 1)
         tau = math.pi / om
-        e1 = epsilon(om, deltas[0] * J, tau)
-        e2 = epsilon(om, deltas[1] * J, tau)
+        e1 = epsilon(om, 2.0 * J, tau)
+        e2 = epsilon(om, 4.0 * J, tau)
         rows.append([repr(om), repr(e1), repr(e2), int(e1 < P0 and e2 < P0)])
     path = _out(cfg, "sweep_omega.csv")
     write_csv(path, ["Omega", "eps", "eps_prime", "below_P0"], rows)
@@ -271,6 +279,7 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     lmin = cfg.get_int("L_min", 4)
     lmax = cfg.get_int("L_max", 100)
     lstep = cfg.get_int("L_step", 1)
+    cfg.require("L_step", lstep >= 1, ">= 1")
     J = cfg.get_float("J", 1.0)
     rows = []
     budgets = []
@@ -312,15 +321,13 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
-    cap = cfg.get_int("cap", HILBERT_CAP)
-    if params.L > cap:
-        raise ValueError(f"L={params.L} exceeds the dense-propagation cap {cap}")
+    if params.L > HILBERT_CAP:
+        raise ValueError(f"L={params.L} exceeds the dense-propagation cap {HILBERT_CAP}")
     Omega = cfg.get_float("Omega")
-    threshold = cfg.get_float("tvd_threshold", 1e-3)
     seq = cn_remote_protocol(params, Omega)
     initial = cfg.initial_state(params)
     final, _ = run_protocol(initial, seq, params, P_drop=0.0)
-    exact_final = evolve_exact(DenseState.from_sparse(initial), seq, params, cap=cap)
+    exact_final = evolve_exact(DenseState.from_sparse(initial), seq, params)
     p_map = final.probabilities()
     p_exact = exact_final.probabilities()
     tvd = total_variation_distance(p_map, p_exact)
@@ -334,10 +341,10 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     path = _out(cfg, "verify.csv")
     write_csv(path, ["state", "p_resonance", "p_exact", "abs_gap"],
               ([label, repr(pm), repr(pe), repr(gap)] for label, pm, pe, gap in rows))
-    status = "PASS" if tvd <= threshold else "FAIL"
-    print(f"verify: TVD={tvd:.6e} max_gap={max_gap:.6e} threshold={threshold:g} "
-          f"-> {status}")
-    return 0 if tvd <= threshold else 2
+    passed = tvd <= VERIFY_TVD_BOUND
+    print(f"verify: TVD={tvd:.6e} max_gap={max_gap:.6e} threshold={VERIFY_TVD_BOUND:g} "
+          f"-> {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 2
 
 
 COMMANDS = {

@@ -72,16 +72,15 @@ def _diagonal_terms(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
     return E, M
 
 
-def rotating_frame_generator(pulse: Pulse, params: ChainParams,
-                             cap: int = HILBERT_CAP) -> np.ndarray:
+def rotating_frame_generator(pulse: Pulse, params: ChainParams) -> np.ndarray:
     """Time-independent generator in the frame rotating at the pulse carrier.
 
     Real symmetric 2^L x 2^L matrix: diagonal entries E_p + nu*M_p, and
     -Omega/2 on every single-flip pair (phase 0).
     """
     L = params.L
-    if L > cap:
-        raise ValueError(f"L={L} exceeds the dense-propagation cap {cap}")
+    if L > HILBERT_CAP:
+        raise ValueError(f"L={L} exceeds the dense-propagation cap {HILBERT_CAP}")
     if pulse.phase != 0.0:
         raise ValueError("only phase-0 pulses are supported")
     E, M = _diagonal_terms(params)
@@ -94,8 +93,7 @@ def rotating_frame_generator(pulse: Pulse, params: ChainParams,
     return H
 
 
-def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams,
-                 cap: int = HILBERT_CAP) -> DenseState:
+def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -> DenseState:
     """Propagate through a pulse sequence, exact to machine roundoff.
 
     Per pulse: rotate in, apply exp(-i H_rot tau) via eigendecomposition,
@@ -104,14 +102,14 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams,
     L = initial.L
     if L != params.L:
         raise ValueError(f"state has L={L}, params have L={params.L}")
-    if L > cap:
-        raise ValueError(f"L={L} exceeds the dense-propagation cap {cap}")
+    if L > HILBERT_CAP:
+        raise ValueError(f"L={L} exceeds the dense-propagation cap {HILBERT_CAP}")
     E, M = _diagonal_terms(params)
     C = initial.amplitudes.astype(complex).copy()
     t = initial.t
     for pulse in seq.pulses:
         d = E + pulse.nu * M
-        H = rotating_frame_generator(pulse, params, cap=cap)
+        H = rotating_frame_generator(pulse, params)
         w, U = np.linalg.eigh(H)
         phi = np.exp(-1j * d * t) * C
         phi = U @ (np.exp(-1j * w * pulse.tau) * (U.T @ phi))

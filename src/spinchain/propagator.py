@@ -128,11 +128,10 @@ class SparseState:
         return cls.from_amplitudes({state.bits: 1.0 + 0.0j}, state.L)
 
     @classmethod
-    def from_superposition(cls, terms: dict[BasisState, complex] | list[tuple[BasisState, complex]]) -> "SparseState":
-        items = terms.items() if isinstance(terms, dict) else terms
+    def from_superposition(cls, terms: list[tuple[BasisState, complex]]) -> "SparseState":
         amps: dict[int, complex] = {}
         L = None
-        for state, amp in items:
+        for state, amp in terms:
             if L is None:
                 L = state.L
             elif state.L != L:
@@ -320,9 +319,6 @@ class RunReport:
     dropped_cumulative: list[float] = field(default_factory=list)
     wall_time: float = 0.0
 
-    def max_active(self) -> int:
-        return max(self.active_states) if self.active_states else 0
-
 
 def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
                  P_drop: float = 1e-6) -> tuple[SparseState, RunReport]:
@@ -358,8 +354,7 @@ class Census(NamedTuple):
     table: list[tuple[BasisState, float]]  # sorted by descending probability
 
 
-def unwanted_census(final: SparseState, L: int | None = None,
-                    threshold: float = 1e-6) -> Census:
+def unwanted_census(final: SparseState, threshold: float = 1e-6) -> Census:
     """Count and total the unwanted states left behind by the protocol.
 
     Reports every state with probability at or above the reporting
@@ -369,10 +364,7 @@ def unwanted_census(final: SparseState, L: int | None = None,
     carries no weight, so this reduces to counting everything but the
     ground state.
     """
-    if L is None:
-        L = final.L
-    elif L != final.L:
-        raise ValueError(f"census L={L} does not match state L={final.L}")
+    L = final.L
     control_mask = 1 << (L - 1)
     target_bits = control_mask | 1
     p = final.probability_array()

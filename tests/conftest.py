@@ -1,6 +1,6 @@
 import pytest
 
-from spinchain import ChainParams
+from spinchain.model import ChainParams
 
 
 @pytest.fixture

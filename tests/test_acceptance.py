@@ -47,26 +47,24 @@ import math
 
 import pytest
 
-from spinchain import (
-    BasisState,
-    ChainParams,
-    DenseState,
-    SparseState,
-    cn_remote_protocol,
-    cn_trajectory,
+from spinchain.analytics import (
     epsilon,
-    evolve_exact,
     first_order_states,
-    ground_branch_detunings,
     n1,
     p1_target,
-    pair_update,
-    run_protocol,
     suppression_rabi,
     suppression_windows,
+)
+from spinchain.exact import DenseState, evolve_exact
+from spinchain.model import BasisState, ChainParams
+from spinchain.propagator import (
+    SparseState,
+    pair_update,
+    run_protocol,
     total_variation_distance,
     unwanted_census,
 )
+from spinchain.protocol import cn_remote_protocol, cn_trajectory, ground_branch_detunings
 
 from oracles import two_level_ode
 
@@ -119,7 +117,7 @@ def test_criterion_2_suppression_windows():
     _check(failures, worst < 1e-20,
            "eps at Omega_k = |Delta|/sqrt(4k^2-1) < 1e-20 for k=1..20",
            f"worst {worst:.2e}")
-    windows = suppression_windows(P0=P0, deltas=(2.0, 4.0),
+    windows = suppression_windows(P0=P0,
                                   omega_lo=0.02, omega_hi=0.6, samples=2_000_000)
     _check(failures, len(windows) >= 1,
            "scan over Omega in (0.02, 0.6) finds windows with eps, eps' < P0",
@@ -300,7 +298,7 @@ def test_criterion_8_gate_correctness():
            f"worst 1-p = {1 - worst_p:.2e} at L={arg}")
 
     # sub-eps1 regime: deepest double-suppression window near Omega = 0.02
-    windows = suppression_windows(P0=P0, deltas=(2.0, 4.0),
+    windows = suppression_windows(P0=P0,
                                   omega_lo=0.0199, omega_hi=0.0205, samples=40_000)
     lo, hi = windows[0]
     omega = 0.5 * (lo + hi)

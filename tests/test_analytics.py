@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinchain import (
+from spinchain.analytics import (
     epsilon,
     error_budget,
     first_order_states,
@@ -174,7 +174,7 @@ def test_error_budget_csv(tmp_path):
 
 
 def test_suppression_windows_near_first_dip():
-    windows = suppression_windows(P0=1e-6, deltas=(2.0, 4.0),
+    windows = suppression_windows(P0=1e-6,
                                   omega_lo=0.0199, omega_hi=0.0205,
                                   samples=20_000)
     assert len(windows) >= 1

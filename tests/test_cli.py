@@ -2,11 +2,14 @@ import csv
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from spinchain import ChainParams, epsilon, n1, suppression_rabi
+import spinchain
+from spinchain.analytics import epsilon, n1, suppression_rabi
 from spinchain.cli import load_config, main
+from spinchain.model import ChainParams
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -173,19 +176,35 @@ def test_config_chain_params(tmp_path):
         load_config(no_l, str(tmp_path)).chain_params()
 
 
-@pytest.mark.parametrize("text,key", [
-    ("L=5\nOmega=0.1\nomega0=1\n", "omega0"),
-    ("L=5\nOmega=nan\n", "Omega"),
-    ("L=5\nOmega=inf\n", "Omega"),
-    ("L=5\nOmega=abc\n", "Omega"),
-    ("preset=fig3\nL=5\nOmgea=0.1\n", "Omgea"),
-    ("preset=fig4\nOmega=0.1\nOmega=0.20844\n", "Omega"),
-])
-def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, text, key):
+BAD_CONFIGS = [
+    ("run", "L=5\nOmega=0.1\nomega0=1\n", "omega0"),
+    ("run", "L=5\nOmega=nan\n", "Omega"),
+    ("run", "L=5\nOmega=inf\n", "Omega"),
+    ("run", "L=5\nOmega=abc\n", "Omega"),
+    ("run", "preset=fig3\nL=5\nOmgea=0.1\n", "Omgea"),
+    ("run", "preset=fig4\nOmega=0.1\nOmega=0.20844\n", "Omega"),
+    # eps and eps' are fixed at detunings 2J and 4J, the verify cap and bound
+    # are constants: these keys are unknown
+    ("sweep-omega", "preset=fig1\ndeltas=2,nan\n", "deltas"),
+    ("verify", "L=5\nOmega=0.0906\ncap=13\n", "cap"),
+    ("verify", "L=5\nOmega=0.0906\ntvd_threshold=1e-2\n", "tvd_threshold"),
+    # unphysical sweep grids
+    ("sweep-omega", "omega_min=0\nomega_max=0.2\nomega_steps=3\n", "omega_min"),
+    ("sweep-omega", "omega_min=-0.1\nomega_max=-0.05\nomega_steps=3\n", "omega_min"),
+    ("sweep-omega", "omega_min=0.1\nomega_max=0.2\nomega_steps=-1\n", "omega_steps"),
+    ("sweep-length", "preset=fig2\nL_min=4\nL_max=6\nL_step=0\n", "L_step"),
+]
+
+
+@pytest.mark.parametrize("command,text,key", BAD_CONFIGS,
+                         ids=[f"{text}-{key}" for _, text, key in BAD_CONFIGS])
+def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, command, text, key):
     cfg = write_cfg(tmp_path, text)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "final_state.csv").exists()
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_repeated_config_key_names_both_lines(tmp_path):
@@ -212,9 +231,11 @@ def test_identical_config_gives_identical_bytes(tmp_path):
 
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, "L=4\nOmega=0.0906\n")
+    # run from the directory holding the package under test, so the child
+    # imports it whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "spinchain", "protocol",
          "--config", cfg, "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=Path(spinchain.__file__).parents[1])
     assert proc.returncode == 0
     assert "5 pulses" in proc.stdout

@@ -4,21 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spinchain import (
-    BasisState,
-    ChainParams,
-    DenseState,
-    SparseState,
-    cn_remote_protocol,
-    energy,
-    evolve_exact,
-    integrate_tdse,
-    pair_update,
-    rotating_frame_generator,
-    run_protocol,
-    total_variation_distance,
-)
-from spinchain.protocol import Pulse, PulseSequence
+from spinchain.exact import DenseState, evolve_exact, integrate_tdse, rotating_frame_generator
+from spinchain.model import BasisState, ChainParams, energy
+from spinchain.propagator import SparseState, pair_update, run_protocol, total_variation_distance
+from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol
 
 
 def test_generator_diagonal_matches_energies(params5):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from spinchain import BasisState, ChainParams, energy, larmor_frequency, transition_frequency
+from spinchain.model import BasisState, ChainParams, energy, larmor_frequency, transition_frequency
 from oracles import energy_bruteforce
 
 

@@ -4,8 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinchain import pair_update
-from spinchain.propagator import pair_coefficients
+from spinchain.propagator import pair_coefficients, pair_update
 
 from oracles import pair_map_closed_form, two_level_ode
 

@@ -3,20 +3,16 @@ import math
 
 import pytest
 
-from spinchain import (
-    BasisState,
-    ChainParams,
-    SparseState,
+from spinchain.cli import write_protocol_csv
+from spinchain.model import BasisState, ChainParams, energy, larmor_frequency
+from spinchain.propagator import SparseState, resonant_spin, run_protocol
+from spinchain.protocol import (
+    Pulse,
+    PulseSequence,
     cn_remote_protocol,
     cn_trajectory,
     ground_branch_detunings,
-    larmor_frequency,
-    resonant_spin,
-    run_protocol,
 )
-from spinchain.model import energy
-from spinchain.cli import write_protocol_csv
-from spinchain.protocol import Pulse, PulseSequence
 
 
 def test_trajectory_L3():
