@@ -10,8 +10,9 @@ alpha|0...0> + beta|10...0> on the control qubit.  Sweep keys:
 omega_min/omega_max/omega_steps (sweep-omega; eps at detuning 2J, eps'
 at 4J); L_min/L_max/L_step (sweep-length).  census_threshold overrides
 the reporting floor (defaults to P0).  Any other key is rejected, as is a
-key given twice, a value that does not parse, a float that is not finite
-or an unphysical sweep grid; the error names the key.
+key given twice, a value that does not parse, a float that is not
+finite, an unphysical sweep grid, or a P0 or census_threshold outside
+(0, 1); the error names the key.
 
 preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
 (J=1, Omega=0.0906 or 0.20844, P0=1e-6); explicit keys override a preset.
@@ -100,6 +101,12 @@ class ExperimentConfig:
         if not ok:
             raise ValueError(f"config key {key!r} must be {rule}, got {self.raw[key]!r}")
 
+    def get_probability(self, key: str, default: float) -> float:
+        """A probability floor, which must lie in (0, 1)."""
+        value = self.get_float(key, default)
+        self.require(key, 0.0 < value < 1.0, "in (0, 1)")
+        return value
+
     def chain_params(self, L: int | None = None) -> ChainParams:
         fields = {key: self.get_float(key)
                   for key in ("J", "omega0", "delta_omega") if key in self.raw}
@@ -173,15 +180,14 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def write_protocol_csv(seq: PulseSequence, path) -> None:
-    """Export a pulse table: index,nu,Omega,tau,phase,flip_qubit,from_state,to_state.
+    """Export a pulse table: index,nu,Omega,tau,flip_qubit,from_state,to_state.
 
     Pulse indices are 1-based; states render as bitstrings b_{L-1}...b_0.
     """
-    if seq.flip_qubits is None or seq.trajectory is None:
+    if seq.trajectory is None:
         raise ValueError("sequence carries no annotations to export")
-    write_csv(path, ["index", "nu", "Omega", "tau", "phase",
-                     "flip_qubit", "from_state", "to_state"],
-              ([i + 1, repr(pulse.nu), repr(pulse.Omega), repr(pulse.tau), repr(pulse.phase),
+    write_csv(path, ["index", "nu", "Omega", "tau", "flip_qubit", "from_state", "to_state"],
+              ([i + 1, repr(pulse.nu), repr(pulse.Omega), repr(pulse.tau),
                 k, str(seq.trajectory[i]), str(seq.trajectory[i + 1])]
                for i, (pulse, k) in enumerate(zip(seq.pulses, seq.flip_qubits))))
 
@@ -235,6 +241,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     seq = cn_remote_protocol(params, cfg.get_float("Omega"))
     initial = cfg.initial_state(params)
     from_ground = initial.amplitudes == {0: 1.0 + 0.0j}
+    threshold = cfg.get_probability("census_threshold", cfg.get_probability("P0", 1e-6))
     final, report = run_protocol(initial, seq, params,
                                  P_drop=cfg.get_float("P_drop", 1e-6))
     write_state_csv(final, _out(cfg, "final_state.csv"))
@@ -242,7 +249,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     print(f"run: {len(seq)} pulses, {len(final.amps)} active states, "
           f"dropped={final.dropped:.3e}, wall={report.wall_time:.3f}s")
     if from_ground:
-        threshold = cfg.get_float("census_threshold", cfg.get_float("P0", 1e-6))
         census = unwanted_census(final, threshold=threshold)
         _write_census_csv(census, _out(cfg, "census.csv"))
         print(f"census: {census.count} unwanted states, P1={census.p1_total:.6e}, "
@@ -252,7 +258,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     J = cfg.get_float("J", 1.0)
-    P0 = cfg.get_float("P0", 1e-6)
+    P0 = cfg.get_probability("P0", 1e-6)
     lo = cfg.get_float("omega_min")
     hi = cfg.get_float("omega_max")
     steps = cfg.get_int("omega_steps")
@@ -275,7 +281,7 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
 def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     Omega = cfg.get_float("Omega")
     P_drop = cfg.get_float("P_drop", 1e-6)
-    P0 = cfg.get_float("P0", 1e-6)
+    P0 = cfg.get_probability("P0", 1e-6)
     lmin = cfg.get_int("L_min", 4)
     lmax = cfg.get_int("L_max", 100)
     lstep = cfg.get_int("L_step", 1)
@@ -307,10 +313,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
     Omega = cfg.get_float("Omega")
     seq = cn_remote_protocol(params, Omega)
+    threshold = cfg.get_probability("census_threshold", cfg.get_probability("P0", 1e-6))
     final, report = run_protocol(
         SparseState.from_basis(BasisState.ground(params.L)), seq, params,
         P_drop=cfg.get_float("P_drop", 1e-8))
-    threshold = cfg.get_float("census_threshold", cfg.get_float("P0", 1e-6))
     census = unwanted_census(final, threshold=threshold)
     path = _out(cfg, "spectrum.csv")
     _write_census_csv(census, path)

@@ -12,8 +12,9 @@ is exactly time independent, and one dense matrix exponential per pulse is
 exact (here via eigendecomposition of the real symmetric H_rot).  Frame
 boundaries carry the phases e^{-i(E_p + nu*M_p) t} relating rotating-frame
 amplitudes to the interaction picture, where M_p is the total I^z of state
-p; these conventions are pinned by agreement with integrate_tdse, a direct
-fixed-step integration of the lab-frame amplitude equations.
+p.  The tests pin these conventions against `chain_ode` in tests/oracles.py,
+a solve_ivp integration of the interaction-picture amplitude equations that
+computes its energies on its own.
 """
 
 from __future__ import annotations
@@ -76,13 +77,11 @@ def rotating_frame_generator(pulse: Pulse, params: ChainParams) -> np.ndarray:
     """Time-independent generator in the frame rotating at the pulse carrier.
 
     Real symmetric 2^L x 2^L matrix: diagonal entries E_p + nu*M_p, and
-    -Omega/2 on every single-flip pair (phase 0).
+    -Omega/2 on every single-flip pair.
     """
     L = params.L
     if L > HILBERT_CAP:
         raise ValueError(f"L={L} exceeds the dense-propagation cap {HILBERT_CAP}")
-    if pulse.phase != 0.0:
-        raise ValueError("only phase-0 pulses are supported")
     E, M = _diagonal_terms(params)
     dim = 1 << L
     H = np.zeros((dim, dim))
@@ -117,78 +116,3 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
         C = np.exp(1j * d * t) * phi
     return DenseState(amplitudes=C, L=L, t=t)
 
-
-def _tdse_rhs_factory(pulse: Pulse, params: ChainParams):
-    """Vectorised RHS of the interaction-picture amplitude equations,
-
-        i dC_p/dt = sum_m V_pm e^{i(E_p - E_m) t + i r_pm nu t} C_m,
-
-    with V_pm = -Omega/2 on single-flip pairs and r_pm = -1 (+1) for
-    E_p > E_m (E_p < E_m): the slow co-rotating combination, exact for a
-    circularly polarised drive.
-    """
-    L = params.L
-    E, _ = _diagonal_terms(params)
-    p_idx = []
-    m_idx = []
-    expo = []
-    for s in range(1 << L):
-        for k in range(L):
-            q = s ^ (1 << k)
-            gap = E[s] - E[q]
-            p_idx.append(s)
-            m_idx.append(q)
-            expo.append(gap - np.sign(gap) * pulse.nu)
-    p_idx = np.array(p_idx)
-    m_idx = np.array(m_idx)
-    expo = np.array(expo)
-    coef = 1j * (pulse.Omega / 2.0)
-
-    def rhs(t: float, C: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(C)
-        np.add.at(out, p_idx, coef * np.exp(1j * expo * t) * C[m_idx])
-        return out
-
-    return rhs
-
-
-def _rk4(rhs, C: np.ndarray, t0: float, tau: float, steps: int) -> np.ndarray:
-    h = tau / steps
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(t, C)
-        k2 = rhs(t + 0.5 * h, C + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, C + 0.5 * h * k2)
-        k4 = rhs(t + h, C + h * k3)
-        C = C + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return C
-
-
-def integrate_tdse(initial: DenseState, pulse: Pulse, params: ChainParams,
-                   steps: int = 2000, tol: float = 1e-8) -> DenseState:
-    """Propagate one pulse by direct RK4 integration of the amplitude ODEs.
-
-    Sign-convention referee for the rotating-frame path; restricted to
-    L <= 3 where the fixed-step cost is trivial.  Convergence is verified
-    by halving the step (comparing `steps` against 2*steps); one further
-    doubling is attempted before giving up.
-    """
-    L = initial.L
-    if L > 3:
-        raise ValueError(f"integrate_tdse is a small-chain referee, L={L} > 3")
-    if L != params.L:
-        raise ValueError(f"state has L={L}, params have L={params.L}")
-    if pulse.tau == 0.0:
-        return DenseState(amplitudes=initial.amplitudes.copy(), L=L, t=initial.t)
-    rhs = _tdse_rhs_factory(pulse, params)
-    coarse = _rk4(rhs, initial.amplitudes.astype(complex), initial.t, pulse.tau, steps)
-    for _ in range(2):
-        steps *= 2
-        fine = _rk4(rhs, initial.amplitudes.astype(complex), initial.t, pulse.tau, steps)
-        if np.max(np.abs(fine - coarse)) <= tol:
-            return DenseState(amplitudes=fine, L=L, t=initial.t + pulse.tau)
-        coarse = fine
-    raise RuntimeError(
-        f"RK4 did not converge to {tol} after step doubling (last steps={steps})"
-    )

@@ -280,8 +280,6 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     """
     if not 0.0 <= P_drop < 1.0:
         raise ValueError(f"P_drop must be in [0, 1), got {P_drop}")
-    if pulse.phase != 0.0:
-        raise ValueError("only phase-0 pulses are supported")
     k = resonant_spin(pulse.nu, params)
     word, bit = divmod(k, _WORD)
     keys = state.keys

@@ -20,23 +20,22 @@ hardcoded, which pins them unambiguously to the Hamiltonian conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import BasisState, ChainParams, transition_frequency
 
 
 @dataclass(frozen=True)
 class Pulse:
-    """One rectangular rf pulse: carrier nu, Rabi frequency Omega, duration
-    tau, phase in radians.  pi-pulses satisfy Omega*tau = pi exactly."""
+    """One rectangular rf pulse of phase 0: carrier nu, Rabi frequency
+    Omega, duration tau.  pi-pulses satisfy Omega*tau = pi exactly."""
 
     nu: float
     Omega: float
     tau: float
-    phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("nu", "Omega", "tau", "phase"):
+        for name in ("nu", "Omega", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"pulse {name} must be finite, got {getattr(self, name)}")
         # Omega=0 (free evolution) and tau=0 (identity) are degenerate but
@@ -49,19 +48,14 @@ class Pulse:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulse list, optionally annotated with the intended flipped
-    qubit and (from, to) control-branch states for each pulse."""
+    """Ordered pulse list, optionally annotated with the control-branch
+    trajectory: the (from, to) states of each pulse."""
 
     pulses: tuple[Pulse, ...]
-    flip_qubits: tuple[int, ...] | None = None
     trajectory: tuple[BasisState, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
-        if self.flip_qubits is not None:
-            object.__setattr__(self, "flip_qubits", tuple(self.flip_qubits))
-            if len(self.flip_qubits) != len(self.pulses):
-                raise ValueError("one flip annotation per pulse required")
         if self.trajectory is not None:
             object.__setattr__(self, "trajectory", tuple(self.trajectory))
             if len(self.trajectory) != len(self.pulses) + 1:
@@ -70,8 +64,14 @@ class PulseSequence:
                 diff = a.bits ^ b.bits
                 if diff == 0 or (diff & (diff - 1)) != 0:
                     raise ValueError(f"trajectory step {i} is not a single-bit flip")
-                if self.flip_qubits is not None and diff != 1 << self.flip_qubits[i]:
-                    raise ValueError(f"trajectory step {i} disagrees with flip_qubits")
+
+    @property
+    def flip_qubits(self) -> tuple[int, ...] | None:
+        """The qubit each pulse flips, read off the trajectory."""
+        if self.trajectory is None:
+            return None
+        return tuple((a.bits ^ b.bits).bit_length() - 1
+                     for a, b in zip(self.trajectory, self.trajectory[1:]))
 
     def __len__(self) -> int:
         return len(self.pulses)
@@ -109,20 +109,17 @@ def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
 
     For each consecutive pair of trajectory states flipping qubit k, the
     pulse carrier equals the level spacing of that flip on the current
-    control-branch state, tau = pi/Omega and phase 0.
+    control-branch state and tau = pi/Omega.
     """
     if not (math.isfinite(Omega) and Omega > 0):
         raise ValueError(f"Rabi frequency Omega must be finite and positive, got {Omega}")
     traj = cn_trajectory(params)
     tau = math.pi / Omega
     pulses = []
-    flips = []
     for a, b in zip(traj, traj[1:]):
         k = (a.bits ^ b.bits).bit_length() - 1
         pulses.append(Pulse(nu=transition_frequency(a, k, params), Omega=Omega, tau=tau))
-        flips.append(k)
-    return PulseSequence(pulses=tuple(pulses), flip_qubits=tuple(flips),
-                         trajectory=tuple(traj))
+    return PulseSequence(pulses=tuple(pulses), trajectory=tuple(traj))
 
 
 def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:

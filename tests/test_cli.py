@@ -193,6 +193,11 @@ BAD_CONFIGS = [
     ("sweep-omega", "omega_min=-0.1\nomega_max=-0.05\nomega_steps=3\n", "omega_min"),
     ("sweep-omega", "omega_min=0.1\nomega_max=0.2\nomega_steps=-1\n", "omega_steps"),
     ("sweep-length", "preset=fig2\nL_min=4\nL_max=6\nL_step=0\n", "L_step"),
+    # probability floors outside (0, 1)
+    ("sweep-omega", "preset=fig1\nP0=2\n", "P0"),
+    ("run", "L=5\nOmega=0.1\nP0=-1\n", "P0"),
+    ("run", "L=5\nOmega=0.1\ncensus_threshold=-1\n", "census_threshold"),
+    ("spectrum", "L=5\nOmega=0.1\ncensus_threshold=0\n", "census_threshold"),
 ]
 
 

@@ -173,10 +173,27 @@ def test_norm_ledger_measured_from_initial_norm(params5):
     assert abs(final.total_probability() + final.dropped - (1 + 5e-10)) <= 1e-12
 
 
-def test_phase_not_supported(params5):
-    bad = Pulse(nu=params5.omega0, Omega=0.1, tau=1.0, phase=0.3)
-    with pytest.raises(ValueError):
-        apply_pulse(SparseState.from_basis(BasisState.ground(5)), bad, params5)
+@pytest.mark.parametrize("Omega", [0.0906, 0.20844])
+def test_shorter_chain_is_a_prefix_of_the_longest(Omega):
+    # pulse i of every chain flips the same spin, counted from the control
+    # end, at the same detunings, and spins beyond a shorter chain's end are
+    # never flipped: chain L after each of its pulses is chain 70 after the
+    # same pulse, keys shifted right by 70 - L, bit for bit
+    longest = ChainParams(L=70)
+    state = SparseState.from_basis(BasisState.ground(70))
+    snapshots = []
+    for pulse in cn_remote_protocol(longest, Omega):
+        state = apply_pulse(state, pulse, longest, P_drop=1e-6)
+        snapshots.append(state)
+    for L in (3, 4, 10, 63, 64, 65):
+        params = ChainParams(L=L)
+        shift = 70 - L
+        state = SparseState.from_basis(BasisState.ground(L))
+        for pulse, big in zip(cn_remote_protocol(params, Omega), snapshots):
+            state = apply_pulse(state, pulse, params, P_drop=1e-6)
+            assert all(s & ((1 << shift) - 1) == 0 for s in big.amplitudes)
+            assert state.amplitudes == {s >> shift: c for s, c in big.amplitudes.items()}
+            assert state.t == big.t and state.dropped == big.dropped
 
 
 def test_p_drop_validation(params5):

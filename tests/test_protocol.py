@@ -48,7 +48,6 @@ def test_protocol_is_pi_pulses_with_zero_phase(params5):
     assert len(seq) == 2 * params5.L - 3
     for pulse in seq:
         assert pulse.Omega * pulse.tau == pytest.approx(math.pi, abs=0)
-        assert pulse.phase == 0.0
 
 
 @pytest.mark.parametrize("L", [5, 8])
@@ -112,9 +111,9 @@ def test_pulse_validation():
         Pulse(nu=100.0, Omega=-0.1, tau=1.0)
     with pytest.raises(ValueError):
         Pulse(nu=100.0, Omega=0.1, tau=-1.0)
-    for field in ("nu", "Omega", "tau", "phase"):
+    for field in ("nu", "Omega", "tau"):
         for bad in (math.nan, math.inf):
-            fields = {"nu": 100.0, "Omega": 0.1, "tau": 1.0, "phase": 0.0, field: bad}
+            fields = {"nu": 100.0, "Omega": 0.1, "tau": 1.0, field: bad}
             with pytest.raises(ValueError, match=field):
                 Pulse(**fields)
     for bad in (math.nan, math.inf):
@@ -125,8 +124,6 @@ def test_pulse_validation():
 
 def test_sequence_annotation_validation(params5):
     seq = cn_remote_protocol(params5, 0.1)
-    with pytest.raises(ValueError):
-        PulseSequence(pulses=seq.pulses, flip_qubits=seq.flip_qubits[:-1])
     with pytest.raises(ValueError):
         PulseSequence(pulses=seq.pulses, trajectory=seq.trajectory[:-1])
     bad_traj = list(seq.trajectory)
@@ -141,11 +138,10 @@ def test_protocol_csv_export(tmp_path, params5):
     write_protocol_csv(seq, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "nu", "Omega", "tau", "phase",
-                       "flip_qubit", "from_state", "to_state"]
+    assert rows[0] == ["index", "nu", "Omega", "tau", "flip_qubit", "from_state", "to_state"]
     assert len(rows) - 1 == 2 * params5.L - 3
     assert rows[1][0] == "1"
-    assert rows[1][6] == "10000" and rows[1][7] == "11000"
+    assert rows[1][5] == "10000" and rows[1][6] == "11000"
     assert float(rows[3][1]) == pytest.approx(larmor_frequency(3, params5) - 2)
     # byte-identical on re-export
     path2 = tmp_path / "protocol2.csv"
