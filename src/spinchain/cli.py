@@ -9,13 +9,16 @@ initial=<bitstring>, or alpha=/beta= for the superposition
 alpha|0...0> + beta|10...0> on the control qubit.  Sweep keys:
 omega_min/omega_max/omega_steps (sweep-omega; eps at detuning 2J, eps'
 at 4J); L_min/L_max/L_step (sweep-length).  census_threshold overrides
-the reporting floor (defaults to P0).  Any other key is rejected, as is a
-key given twice, a value that does not parse, a float that is not
-finite, an unphysical sweep grid, or a P0 or census_threshold outside
-(0, 1); the error names the key.
+the reporting floor (defaults to P0).  Each command reads only its own
+keys (`COMMANDS`) and rejects any other, naming it and the command; it
+also rejects a key given twice, a value that does not parse, a float that
+is not finite, an unphysical sweep grid (L_min below 3 included), a P0 or
+census_threshold outside (0, 1), or a P_drop outside [0, 1); the error
+names the key.
 
 preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
-(J=1, Omega=0.0906 or 0.20844, P0=1e-6); explicit keys override a preset.
+(J=1, Omega=0.0906 or 0.20844, P0=1e-6); explicit keys override a preset,
+and preset keys that the command does not read are ignored.
 
 Exit codes: 0 ok, 1 bad input, 2 verification failure.  Every command is
 deterministic: identical config gives byte-identical CSV; wall times are
@@ -29,7 +32,10 @@ import csv
 import math
 import os
 import sys
+from collections import ChainMap
 from dataclasses import dataclass
+
+import numpy as np
 
 from .analytics import ErrorBudget, epsilon, error_budget
 from .exact import HILBERT_CAP, DenseState, evolve_exact
@@ -58,21 +64,13 @@ PRESETS: dict[str, dict[str, str]] = {
              "P0": "1e-6", "census_threshold": "1e-8"},
 }
 
-
-# every key the module docstring documents; load_config rejects any other
-KEYS = frozenset({
-    "L", "J", "omega0", "delta_omega", "Omega", "P_drop", "P0",
-    "initial", "alpha", "beta", "omega_min", "omega_max", "omega_steps",
-    "L_min", "L_max", "L_step", "census_threshold", "preset",
-})
-
 # verify passes at a TVD between the sparse map and the exact propagator up to this
 VERIFY_TVD_BOUND = 1e-3
 
 
 @dataclass
 class ExperimentConfig:
-    raw: dict[str, str]
+    raw: ChainMap[str, str]  # the keys given in the file, over the preset's
     outdir: str = "."
 
     def get(self, key: str, parse, default):
@@ -105,6 +103,12 @@ class ExperimentConfig:
         """A probability floor, which must lie in (0, 1)."""
         value = self.get_float(key, default)
         self.require(key, 0.0 < value < 1.0, "in (0, 1)")
+        return value
+
+    def get_drop(self, default: float) -> float:
+        """The pruning threshold P_drop, which must lie in [0, 1)."""
+        value = self.get_float("P_drop", default)
+        self.require("P_drop", 0.0 <= value < 1.0, "in [0, 1)")
         return value
 
     def chain_params(self, L: int | None = None) -> ChainParams:
@@ -155,19 +159,17 @@ def parse_keyval_file(path) -> dict[str, str]:
 
 
 def load_config(path: str, outdir: str) -> ExperimentConfig:
+    """Config of a file whose keys some command reads, over its preset."""
     raw = parse_keyval_file(path)
-    unknown = sorted(set(raw) - KEYS)
+    known = set().union(*(reads for _, reads in COMMANDS.values()), {"preset"})
+    unknown = sorted(set(raw) - known)
     if unknown:
         raise ValueError(f"{path}: unknown config key {unknown[0]!r}; "
-                         f"known keys: {', '.join(sorted(KEYS))}")
+                         f"known keys: {', '.join(sorted(known))}")
     preset = raw.pop("preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        merged = dict(PRESETS[preset])
-        merged.update(raw)
-        raw = merged
-    return ExperimentConfig(raw=raw, outdir=outdir)
+    if preset is not None and preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    return ExperimentConfig(raw=ChainMap(raw, PRESETS.get(preset, {})), outdir=outdir)
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -238,12 +240,13 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
-    seq = cn_remote_protocol(params, cfg.get_float("Omega"))
+    Omega = cfg.get_float("Omega")
     initial = cfg.initial_state(params)
     from_ground = initial.amplitudes == {0: 1.0 + 0.0j}
     threshold = cfg.get_probability("census_threshold", cfg.get_probability("P0", 1e-6))
-    final, report = run_protocol(initial, seq, params,
-                                 P_drop=cfg.get_float("P_drop", 1e-6))
+    P_drop = cfg.get_drop(1e-6)
+    seq = cn_remote_protocol(params, Omega)
+    final, report = run_protocol(initial, seq, params, P_drop=P_drop)
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
     print(f"run: {len(seq)} pulses, {len(final.amps)} active states, "
@@ -280,11 +283,12 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     Omega = cfg.get_float("Omega")
-    P_drop = cfg.get_float("P_drop", 1e-6)
+    P_drop = cfg.get_drop(1e-6)
     P0 = cfg.get_probability("P0", 1e-6)
     lmin = cfg.get_int("L_min", 4)
     lmax = cfg.get_int("L_max", 100)
     lstep = cfg.get_int("L_step", 1)
+    cfg.require("L_min", lmin >= 3, ">= 3, the remote-CN protocol's shortest chain")
     cfg.require("L_step", lstep >= 1, ">= 1")
     J = cfg.get_float("J", 1.0)
     rows = []
@@ -312,11 +316,11 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
     Omega = cfg.get_float("Omega")
-    seq = cn_remote_protocol(params, Omega)
     threshold = cfg.get_probability("census_threshold", cfg.get_probability("P0", 1e-6))
+    P_drop = cfg.get_drop(1e-8)
+    seq = cn_remote_protocol(params, Omega)
     final, report = run_protocol(
-        SparseState.from_basis(BasisState.ground(params.L)), seq, params,
-        P_drop=cfg.get_float("P_drop", 1e-8))
+        SparseState.from_basis(BasisState.ground(params.L)), seq, params, P_drop=P_drop)
     census = unwanted_census(final, threshold=threshold)
     path = _out(cfg, "spectrum.csv")
     _write_census_csv(census, path)
@@ -330,36 +334,42 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     if params.L > HILBERT_CAP:
         raise ValueError(f"L={params.L} exceeds the dense-propagation cap {HILBERT_CAP}")
     Omega = cfg.get_float("Omega")
-    seq = cn_remote_protocol(params, Omega)
     initial = cfg.initial_state(params)
+    seq = cn_remote_protocol(params, Omega)
     final, _ = run_protocol(initial, seq, params, P_drop=0.0)
     exact_final = evolve_exact(DenseState.from_sparse(initial), seq, params)
-    p_map = final.probabilities()
-    p_exact = exact_final.probabilities()
+    # the map's own |C|^2, scattered: squaring a dense copy would move last ulps
+    p_map = np.zeros(1 << params.L)
+    p_map[final.states()] = final.probability_array()
+    p_exact = exact_final.probability_array()
+    gap = np.abs(p_map - p_exact)
     tvd = total_variation_distance(p_map, p_exact)
-    rows = []
-    for s in sorted(set(p_map) | set(p_exact)):
-        pm = p_map.get(s, 0.0)
-        pe = p_exact.get(s, 0.0)
-        rows.append((format(s, f"0{params.L}b"), pm, pe, abs(pm - pe)))
-    rows.sort(key=lambda r: (-r[3], r[0]))
-    max_gap = rows[0][3] if rows else 0.0
+    order = np.argsort(-gap, kind="stable")  # largest gap first, ties by state
     path = _out(cfg, "verify.csv")
     write_csv(path, ["state", "p_resonance", "p_exact", "abs_gap"],
-              ([label, repr(pm), repr(pe), repr(gap)] for label, pm, pe, gap in rows))
+              ([format(s, f"0{params.L}b"), repr(pm), repr(pe), repr(g)]
+               for s, pm, pe, g in zip(order.tolist(), p_map[order].tolist(),
+                                       p_exact[order].tolist(), gap[order].tolist())))
     passed = tvd <= VERIFY_TVD_BOUND
-    print(f"verify: TVD={tvd:.6e} max_gap={max_gap:.6e} threshold={VERIFY_TVD_BOUND:g} "
+    print(f"verify: TVD={tvd:.6e} max_gap={gap.max():.6e} threshold={VERIFY_TVD_BOUND:g} "
           f"-> {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2
 
 
+_FIELDS = {"J", "omega0", "delta_omega"}
+_DRIVE = {"L", "Omega", *_FIELDS}
+_START = {"initial", "alpha", "beta"}
+_CENSUS = {"P_drop", "P0", "census_threshold"}
+
+# each command and the config keys it reads
 COMMANDS = {
-    "protocol": cmd_protocol,
-    "run": cmd_run,
-    "sweep-omega": cmd_sweep_omega,
-    "sweep-length": cmd_sweep_length,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
+    "protocol": (cmd_protocol, _DRIVE),
+    "run": (cmd_run, _DRIVE | _START | _CENSUS),
+    "sweep-omega": (cmd_sweep_omega, {"J", "P0", "omega_min", "omega_max", "omega_steps"}),
+    "sweep-length": (cmd_sweep_length,
+                     _FIELDS | {"Omega", "P_drop", "P0", "L_min", "L_max", "L_step"}),
+    "spectrum": (cmd_spectrum, _DRIVE | _CENSUS),
+    "verify": (cmd_verify, _DRIVE | _START),
 }
 
 
@@ -379,7 +389,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.out)
-        return COMMANDS[args.command](cfg)
+        command, reads = COMMANDS[args.command]
+        unread = ", ".join(repr(key) for key in sorted(set(cfg.raw.maps[0]) - reads))
+        if unread:
+            raise ValueError(f"{args.command} does not read config key {unread}; "
+                             f"it reads {', '.join(sorted(reads))}")
+        return command(cfg)
     except (ValueError, OSError) as exc:
         print(f"spinchain: error: {exc}", file=sys.stderr)
         return 1

@@ -47,16 +47,15 @@ class DenseState:
     def from_sparse(cls, state) -> "DenseState":
         """Dense copy of a `SparseState`'s amplitudes, at the same time t."""
         amps = np.zeros(1 << state.L, dtype=complex)
-        for bits, amp in state.amplitudes.items():
-            amps[bits] = amp
+        amps[state.states()] = state.amps
         return cls(amplitudes=amps, L=state.L, t=state.t)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def probabilities(self) -> dict[int, float]:
-        p = np.abs(self.amplitudes) ** 2
-        return {s: float(p[s]) for s in range(p.size)}
+    def probability_array(self) -> np.ndarray:
+        """|C|^2 of every basis state, indexed by packed basis state."""
+        return np.abs(self.amplitudes) ** 2
 
 
 def _diagonal_terms(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:

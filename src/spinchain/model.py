@@ -101,40 +101,19 @@ class BasisState:
         return format(self.bits, f"0{self.L}b")
 
 
-def larmor_frequency(k: int, params: ChainParams) -> float:
-    """NMR frequency of spin k on the linear ramp, omega0 + k*delta_omega."""
-    if not 0 <= k < params.L:
-        raise IndexError(f"qubit {k} out of range for L={params.L}")
-    return params.omega0 + k * params.delta_omega
-
-
 def _m(bit: int) -> float:
     """I^z eigenvalue for one bit: +1/2 for spin up (0), -1/2 for down (1)."""
     return 0.5 if bit == 0 else -0.5
 
 
-def energy(state: BasisState, params: ChainParams) -> float:
-    """Diagonal energy  E = -sum_k omega_k m_k - 2J sum_k m_k m_{k+1}.
-
-    The Ising sum runs over the L-1 bonds of the open chain.
-    """
-    if state.L != params.L:
-        raise ValueError(f"state has L={state.L}, params have L={params.L}")
-    bits = state.bits
-    e = 0.0
-    for k in range(params.L):
-        e -= larmor_frequency(k, params) * _m((bits >> k) & 1)
-    for k in range(params.L - 1):
-        e -= 2.0 * params.J * _m((bits >> k) & 1) * _m((bits >> (k + 1)) & 1)
-    return e
-
-
-def _signed_gap(bits: int, k: int, params: ChainParams) -> float:
-    """E(bit k set) - E(bit k cleared) for the flip pair containing `bits`.
+def flip_gap(bits: int, k: int, params: ChainParams) -> float:
+    """E(bit k set) - E(bit k cleared) for the flip pair containing `bits`,
+    the transition frequency of spin k.
 
     Depends only on the neighbour bits of k, so O(1):
-    gap = omega_k + 2J * (m_{k-1} + m_{k+1}), edge spins having one
-    neighbour term.  Positive, because `ChainParams` enforces omega0 > 2J.
+    gap = omega0 + k*delta_omega + 2J * (m_{k-1} + m_{k+1}), edge spins
+    having one neighbour term.  Positive, because `ChainParams` enforces
+    omega0 > 2J.
     """
     g = params.omega0 + k * params.delta_omega
     if k > 0:
@@ -142,17 +121,3 @@ def _signed_gap(bits: int, k: int, params: ChainParams) -> float:
     if k < params.L - 1:
         g += 2.0 * params.J * _m((bits >> (k + 1)) & 1)
     return g
-
-
-def transition_frequency(state: BasisState, k: int, params: ChainParams) -> float:
-    """Level spacing |E(state with bit k flipped) - E(state)| for spin k.
-
-    Symmetric in the flip direction: both members of a flip pair report
-    the same spacing.  `ChainParams` enforces omega0 > 2J, so the signed
-    gap is always positive.
-    """
-    if not 0 <= k < params.L:
-        raise IndexError(f"qubit {k} out of range for L={params.L}")
-    if state.L != params.L:
-        raise ValueError(f"state has L={state.L}, params have L={params.L}")
-    return _signed_gap(state.bits, k, params)

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import BasisState, ChainParams, _signed_gap
+from .model import BasisState, ChainParams, flip_gap
 from .protocol import Pulse, PulseSequence
 
 # Amplitudes with |C|^2 below this floor are discarded even when pruning is
@@ -162,9 +162,6 @@ class SparseState:
         c = self.amplitudes.get(bits)
         return 0.0 if c is None else (c.real * c.real + c.imag * c.imag)
 
-    def probabilities(self) -> dict[int, float]:
-        return dict(zip(self.states(), self.probability_array().tolist()))
-
     def total_probability(self) -> float:
         return float(self.probability_array().sum())
 
@@ -245,7 +242,7 @@ def _pair_table(k: int, pulse: Pulse, params: ChainParams, t_start: float) -> np
     of unit amplitude adds to its pair's lower and upper amplitude.
 
     The flip gap depends only on the neighbour bits k-1 and k+1 (absent at
-    the chain's edges, where _signed_gap ignores them), so a pulse has at
+    the chain's edges, where flip_gap ignores them), so a pulse has at
     most four pair maps, and patterns with equal gaps share one.  Every gap
     is positive (ChainParams enforces omega0 > 2J): the bit-k-clear member
     of a pair is its lower level.
@@ -255,7 +252,7 @@ def _pair_table(k: int, pulse: Pulse, params: ChainParams, t_start: float) -> np
     maps: dict[float, tuple[complex, complex, complex, complex]] = {}
     by_pattern = []
     for pattern in (0, below, above, below | above):
-        Delta = _signed_gap(pattern, k, params) - pulse.nu
+        Delta = flip_gap(pattern, k, params) - pulse.nu
         if Delta not in maps:
             maps[Delta] = pair_coefficients(Delta, pulse.Omega, pulse.tau, t_start)
         by_pattern.append(maps[Delta])
@@ -273,7 +270,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
 
     Every active basis state is paired with its single-flip partner at the
     resonant spin; each disjoint pair evolves once under its own detuning,
-    computed from energy differences.  Absent partners enter with amplitude
+    its flip gap less the carrier.  Absent partners enter with amplitude
     zero.  After the update, amplitudes with |C|^2 < max(P_drop,
     AMPLITUDE_FLOOR) are removed and their probability added to the dropped
     ledger.
@@ -377,7 +374,7 @@ def unwanted_census(final: SparseState, threshold: float = 1e-6) -> Census:
     return Census(count=len(rows), p1_total=p1, p1_target=p1cal, table=rows)
 
 
-def total_variation_distance(p: dict[int, float], q: dict[int, float]) -> float:
-    """TVD between two probability maps over basis states, 1/2 sum |p - q|."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(s, 0.0) - q.get(s, 0.0)) for s in keys)
+def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """TVD between two dense probability arrays over basis states,
+    1/2 sum |p - q|, summed exactly (`math.fsum`)."""
+    return 0.5 * math.fsum(np.abs(p - q).tolist())

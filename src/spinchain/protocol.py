@@ -13,8 +13,9 @@ every transition is resonant; on the all-zeros branch the same pulses are
 detuned by 2J (4J for the third pulse), which is the source of all the
 error analytics in this package.
 
-Carrier frequencies are synthesised from energy differences rather than
-hardcoded, which pins them unambiguously to the Hamiltonian conventions.
+Carrier frequencies are synthesised from the flip gap `model.flip_gap`, an
+energy difference of the chain Hamiltonian, rather than hardcoded, which
+pins them unambiguously to the Hamiltonian conventions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BasisState, ChainParams, transition_frequency
+from .model import BasisState, ChainParams, flip_gap
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
     pulses = []
     for a, b in zip(traj, traj[1:]):
         k = (a.bits ^ b.bits).bit_length() - 1
-        pulses.append(Pulse(nu=transition_frequency(a, k, params), Omega=Omega, tau=tau))
+        pulses.append(Pulse(nu=flip_gap(a.bits, k, params), Omega=Omega, tau=tau))
     return PulseSequence(pulses=tuple(pulses), trajectory=tuple(traj))
 
 
@@ -132,8 +133,5 @@ def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[flo
     """
     if seq.flip_qubits is None:
         raise ValueError("sequence carries no flip annotations")
-    ground = BasisState.ground(params.L)
-    return [
-        abs(transition_frequency(ground, k, params) - pulse.nu)
-        for pulse, k in zip(seq.pulses, seq.flip_qubits)
-    ]
+    return [abs(flip_gap(0, k, params) - pulse.nu)
+            for pulse, k in zip(seq.pulses, seq.flip_qubits)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from spinchain.model import _signed_gap
+from spinchain.model import flip_gap
 from spinchain.propagator import AMPLITUDE_FLOOR, pair_coefficients, resonant_spin
 
 
@@ -106,7 +106,7 @@ def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
     above = (mask << 1) & ((1 << params.L) - 1)
     neighbours = below | above
     maps = {
-        pattern: pair_coefficients(_signed_gap(pattern, k, params) - pulse.nu,
+        pattern: pair_coefficients(flip_gap(pattern, k, params) - pulse.nu,
                                    pulse.Omega, pulse.tau, t)
         for pattern in {0, below, above, neighbours}
     }

@@ -262,7 +262,8 @@ def test_criterion_7_oracle_equivalence():
         sparse, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
                                  seq, params, P_drop=0.0)
         dense = evolve_exact(DenseState.from_basis(BasisState.ground(L)), seq, params)
-        tvd = total_variation_distance(sparse.probabilities(), dense.probabilities())
+        tvd = total_variation_distance(DenseState.from_sparse(sparse).probability_array(),
+                                       dense.probability_array())
         _check(failures, tvd <= 1e-3,
                f"L={L}: TVD(resonance, exact) <= 1e-3 over the CN protocol",
                f"TVD {tvd:.2e}")
@@ -315,7 +316,8 @@ def test_criterion_8_gate_correctness():
         gap_t = abs(final.probability(target) - beta**2)
         _check(failures, gap_t <= 1e-8,
                f"L={L}: P(target) = |beta|^2 within 1e-8", f"gap {gap_t:.2e}")
-        sector = sum(p for s, p in final.probabilities().items() if s >> (L - 1))
+        sector = sum(p for s, p in zip(final.states(), final.probability_array().tolist())
+                     if s >> (L - 1))
         gap_s = abs(sector - beta**2)
         _check(failures, gap_s <= 1e-8,
                f"L={L}: control-1 sector total = |beta|^2 within 1e-8",

@@ -144,6 +144,22 @@ def test_verify_pass_and_fail(tmp_path):
     assert main(["verify", "--config", bad, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("Omega,code", [(0.0906, 0), (10.0, 2)])
+def test_verify_csv_contract(tmp_path, Omega, code):
+    L = 4
+    cfg = write_cfg(tmp_path, f"L={L}\nOmega={Omega}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == code
+    header, *rows = read_csv(tmp_path / "verify.csv")
+    assert header == ["state", "p_resonance", "p_exact", "abs_gap"]
+    states = [int(r[0], 2) for r in rows]
+    assert all(len(r[0]) == L for r in rows) and sorted(states) == list(range(1 << L))
+    p_map, p_exact, gap = ([float(r[i]) for r in rows] for i in (1, 2, 3))
+    assert list(zip(gap, states)) == sorted(zip(gap, states), key=lambda r: (-r[0], r[1]))
+    assert all(g == abs(pm - pe) for g, pm, pe in zip(gap, p_map, p_exact))
+    assert abs(math.fsum(p_exact) - 1.0) <= 1e-12
+    assert code == (0 if 0.5 * math.fsum(gap) <= 1e-3 else 2)
+
+
 def test_verify_rejects_chain_over_cap(tmp_path):
     cfg = write_cfg(tmp_path, "L=13\nOmega=0.0906\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -198,6 +214,15 @@ BAD_CONFIGS = [
     ("run", "L=5\nOmega=0.1\nP0=-1\n", "P0"),
     ("run", "L=5\nOmega=0.1\ncensus_threshold=-1\n", "census_threshold"),
     ("spectrum", "L=5\nOmega=0.1\ncensus_threshold=0\n", "census_threshold"),
+    # P_drop outside [0, 1), and a sweep starting below the protocol's three spins
+    ("run", "L=5\nOmega=0.1\nP_drop=1\n", "P_drop"),
+    ("sweep-length", "preset=fig2\nL_min=4\nL_max=6\nP_drop=-1e-6\n", "P_drop"),
+    ("spectrum", "L=5\nOmega=0.1\nP_drop=1.5\n", "P_drop"),
+    ("sweep-length", "preset=fig2\nL_min=2\nL_max=6\n", "L_min"),
+    # keys that some command reads, given to one that does not
+    ("verify", "L=5\nOmega=0.0906\nP_drop=0.5\nP0=0.5\nL_max=3\n", "P_drop"),
+    ("protocol", "L=5\nOmega=0.0906\nP0=7\n", "P0"),
+    ("sweep-omega", "preset=fig1\nOmega=0.3\nP_drop=0.9\n", "Omega"),
 ]
 
 
@@ -210,6 +235,12 @@ def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, command, text, ke
     assert key in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unread_key_names_the_command(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "L=5\nOmega=0.0906\nP_drop=0.5\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "verify does not read config key 'P_drop'" in capsys.readouterr().err
 
 
 def test_repeated_config_key_names_both_lines(tmp_path):

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from spinchain.exact import DenseState, evolve_exact, rotating_frame_generator
-from spinchain.model import BasisState, ChainParams, energy
+from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, pair_update, run_protocol, total_variation_distance
 from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol
 
-from oracles import chain_ode
+from oracles import chain_ode, energy_bruteforce
 
 
 def test_generator_diagonal_matches_energies(params5):
     pulse = Pulse(nu=130.0, Omega=0.0, tau=1.0)
     H = rotating_frame_generator(pulse, params5)
-    for s in range(1 << params5.L):
-        state = BasisState(s, params5.L)
-        m_total = sum(0.5 if state.bit(k) == 0 else -0.5 for k in range(params5.L))
-        assert H[s, s] == pytest.approx(energy(state, params5) + pulse.nu * m_total)
+    L = params5.L
+    for s in range(1 << L):
+        m_total = L / 2 - bin(s).count("1")
+        E = energy_bruteforce(s, L, params5.J, params5.omega0, params5.delta_omega)
+        assert H[s, s] == pytest.approx(E + pulse.nu * m_total)
     assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
 
 
@@ -137,7 +138,7 @@ def test_tvd_to_sparse_decreases_with_rabi(params5):
         sparse, _ = run_protocol(SparseState.from_basis(BasisState.ground(5)),
                                  seq, params5, P_drop=0.0)
         dense = evolve_exact(DenseState.from_basis(BasisState.ground(5)), seq, params5)
-        tvds.append(total_variation_distance(sparse.probabilities(),
-                                             dense.probabilities()))
+        tvds.append(total_variation_distance(
+            DenseState.from_sparse(sparse).probability_array(), dense.probability_array()))
     assert all(b < a for a, b in zip(tvds, tvds[1:]))
     assert tvds[-1] < 1e-4

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import spinchain.propagator
 from spinchain.analytics import epsilon, first_order_states, suppression_windows
 from spinchain.cli import write_report_csv, write_state_csv
-from spinchain.model import BasisState, ChainParams, energy, larmor_frequency
+from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import (
     SparseState,
     apply_pulse,
@@ -20,7 +20,7 @@ from spinchain.propagator import (
 )
 from spinchain.protocol import Pulse, cn_remote_protocol, cn_trajectory
 
-from oracles import apply_pulse_dict
+from oracles import apply_pulse_dict, energy_bruteforce
 
 
 def ground_run(L, Omega, P_drop=1e-6):
@@ -69,13 +69,13 @@ def test_absent_partner_enters_with_zero_amplitude(params5):
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_pulse_is_pair_update_at_every_spin(L):
     # every spin, both edges included (the CN protocol never addresses
-    # k = L-1); Delta comes from energy differences, not from the neighbour
-    # bits the propagator indexes its pair maps by
+    # k = L-1); Delta comes from the energy oracle, not from the flip gap
+    # the propagator indexes its pair maps by
     params = ChainParams(L=L)
     rng = np.random.default_rng(L)
     for k in range(L):
         for _ in range(3):
-            nu = larmor_frequency(k, params) + rng.uniform(-2.0, 2.0) * params.J
+            nu = params.omega0 + k * params.delta_omega + rng.uniform(-2.0, 2.0) * params.J
             pulse = Pulse(nu=nu, Omega=rng.uniform(0.05, 1.0), tau=rng.uniform(0.5, 30.0))
             support = [s for s in range(1 << L) if rng.random() < 0.6] or [0]
             amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
@@ -88,8 +88,8 @@ def test_pulse_is_pair_update_at_every_spin(L):
                 if lo & mask:
                     continue
                 hi = lo | mask
-                e_lo = energy(BasisState(lo, L), params)
-                e_hi = energy(BasisState(hi, L), params)
+                e_lo, e_hi = (energy_bruteforce(s, L, params.J, params.omega0,
+                                                params.delta_omega) for s in (lo, hi))
                 c_lo = state.amplitudes.get(lo, 0j)
                 c_hi = state.amplitudes.get(hi, 0j)
                 if c_lo == 0 and c_hi == 0:
@@ -133,7 +133,8 @@ def pulse_on_sparse_state(draw):
     amps = np.array([complex(re, im) for re, im in parts]) + 1e-3
     amps /= np.linalg.norm(amps)
     params = ChainParams(L=L)
-    pulse = Pulse(nu=larmor_frequency(k, params) + draw(st.floats(-1.99, 1.99)) * params.J,
+    pulse = Pulse(nu=params.omega0 + k * params.delta_omega
+                  + draw(st.floats(-1.99, 1.99)) * params.J,
                   Omega=draw(st.floats(0.01, 1.0)), tau=draw(st.floats(0.1, 60.0)))
     return (params, pulse, dict(zip(sorted(support), amps.tolist())),
             draw(st.floats(0.0, 1e3)), draw(st.sampled_from([0.0, 1e-6])))
@@ -236,7 +237,8 @@ def test_run_protocol_splits_superposition(params5):
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     # no pulse addresses the control spin, so the two sectors never mix
     assert final.probability(BasisState.from_string("10001")) == pytest.approx(beta**2, abs=1e-8)
-    control_sector = sum(p for s, p in final.probabilities().items() if s >> 4)
+    control_sector = sum(p for s, p in zip(final.states(), final.probability_array().tolist())
+                         if s >> 4)
     assert control_sector == pytest.approx(beta**2, abs=1e-12)
 
 
@@ -249,7 +251,8 @@ def test_suppression_window_run_has_no_visible_unwanted_states():
     lo, hi = windows[0]
     omega = 0.5 * (lo + hi)
     final, _ = ground_run(6, omega, P_drop=0.0)
-    unwanted = {s: p for s, p in final.probabilities().items() if s != 0}
+    unwanted = {s: p for s, p in zip(final.states(), final.probability_array().tolist())
+                if s != 0}
     assert unwanted
     assert max(unwanted.values()) < 1e-6
 
@@ -312,9 +315,9 @@ def test_pulse_splitting_composes_exactly(params5):
 
 
 def test_total_variation_distance():
-    assert total_variation_distance({0: 1.0}, {0: 1.0}) == 0.0
-    assert total_variation_distance({0: 1.0}, {1: 1.0}) == 1.0
-    assert total_variation_distance({0: 0.75, 1: 0.25}, {0: 0.5, 1: 0.5}) == pytest.approx(0.25)
+    assert total_variation_distance(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
+    assert total_variation_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
+    assert total_variation_distance(np.array([0.75, 0.25]), np.array([0.5, 0.5])) == 0.25
 
 
 def test_state_and_report_csv(tmp_path):

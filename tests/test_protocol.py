@@ -4,7 +4,7 @@ import math
 import pytest
 
 from spinchain.cli import write_protocol_csv
-from spinchain.model import BasisState, ChainParams, energy, larmor_frequency
+from spinchain.model import ChainParams
 from spinchain.propagator import SparseState, resonant_spin, run_protocol
 from spinchain.protocol import (
     Pulse,
@@ -13,6 +13,8 @@ from spinchain.protocol import (
     cn_trajectory,
     ground_branch_detunings,
 )
+
+from oracles import energy_bruteforce
 
 
 def test_trajectory_L3():
@@ -55,9 +57,9 @@ def test_protocol_landmark_frequencies(L):
     p = ChainParams(L=L)
     seq = cn_remote_protocol(p, Omega=0.1)
     nus = [pulse.nu for pulse in seq.pulses]
-    assert nus[0] == pytest.approx(larmor_frequency(L - 2, p))
-    assert nus[2] == pytest.approx(larmor_frequency(L - 2, p) - 2 * p.J)
-    assert nus[-1] == pytest.approx(larmor_frequency(1, p))  # L >= 4
+    assert nus[0] == pytest.approx(p.omega0 + (L - 2) * p.delta_omega)
+    assert nus[2] == pytest.approx(p.omega0 + (L - 2) * p.delta_omega - 2 * p.J)
+    assert nus[-1] == pytest.approx(p.omega0 + p.delta_omega)  # L >= 4
 
 
 def test_protocol_contains_edge_pulse_frequency(params5):
@@ -76,11 +78,13 @@ def test_ground_branch_detunings_frozen_values():
 def test_ground_branch_detunings_against_energy_oracle(params5):
     # recompute each detuning as |Delta E(flip k of |0...0>)| - nu directly
     seq = cn_remote_protocol(params5, 0.0906)
-    ground = BasisState.ground(params5.L)
-    e0 = energy(ground, params5)
+
+    def energy(s):
+        return energy_bruteforce(s, params5.L, params5.J, params5.omega0, params5.delta_omega)
+
     for det, pulse, k in zip(ground_branch_detunings(seq, params5),
                              seq.pulses, seq.flip_qubits):
-        gap = abs(energy(ground.flipped(k), params5) - e0)
+        gap = abs(energy(1 << k) - energy(0))
         assert det == pytest.approx(abs(gap - pulse.nu), abs=1e-10)
 
 
@@ -94,7 +98,7 @@ def test_every_pulse_addresses_its_annotated_spin(L):
     p = ChainParams(L=L)
     seq = cn_remote_protocol(p, Omega=0.0906)
     for pulse, k in zip(seq.pulses, seq.flip_qubits):
-        assert abs(pulse.nu - larmor_frequency(k, p)) <= 2 * p.J
+        assert abs(pulse.nu - (p.omega0 + k * p.delta_omega)) <= 2 * p.J
         assert resonant_spin(pulse.nu, p) == k
 
 
@@ -142,7 +146,7 @@ def test_protocol_csv_export(tmp_path, params5):
     assert len(rows) - 1 == 2 * params5.L - 3
     assert rows[1][0] == "1"
     assert rows[1][5] == "10000" and rows[1][6] == "11000"
-    assert float(rows[3][1]) == pytest.approx(larmor_frequency(3, params5) - 2)
+    assert float(rows[3][1]) == pytest.approx(params5.omega0 + 3 * params5.delta_omega - 2)
     # byte-identical on re-export
     path2 = tmp_path / "protocol2.csv"
     write_protocol_csv(seq, path2)
