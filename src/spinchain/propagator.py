@@ -51,6 +51,21 @@ depends only on the keys, not on the input order or on how the sort breaks
 ties, and a pair's two shares meet in one commutative addition, so equal
 inputs give bit-identical outputs.  The census sums its totals with
 `math.fsum`, which does not depend on the order either.
+
+Prefix.  Counted from the control end, pulse i of every chain addresses the
+same spin, at the same time i*tau, with the same detunings: a flip gap less
+its carrier is 0, +-2J or +-4J, and the Zeeman part omega0 + k*delta_omega
+cancels.  The spins beyond a shorter chain's end are never flipped in its
+first 2L - 3 pulses, so they stay 0 and their Ising terms drop out of every
+Delta.  Hence chain L after its last pulse is chain L_max after pulse
+2L - 3 with the low L_max - L bits removed (`SparseState.prefix`), bit for
+bit wherever the gaps are exactly representable, as they are for the
+default fields (integer multiples of J).  For other fields the carrier
+rounds at each chain's own magnitude, and the two agree only to rounding
+(rel 3.7e-12 at J = 0.7, omega0 = 100.1, delta_omega = 20.3).  This
+holds for the resonance map only: a map that also drives spins within a
+window around the resonant one stops being exact once its window reaches
+past the shorter chain's last spin.
 """
 
 from __future__ import annotations
@@ -58,8 +73,8 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -164,6 +179,27 @@ class SparseState:
 
     def total_probability(self) -> float:
         return float(self.probability_array().sum())
+
+    def prefix(self, L: int) -> "SparseState":
+        """The state of the chain made of the top L spins of this one.
+
+        Keys shift right by self.L - L, word by word; raises ValueError when
+        a state has one of the removed low spins flipped.
+        """
+        if not 1 <= L <= self.L:
+            raise ValueError(f"prefix length {L} outside [1, {self.L}]")
+        word, bit = divmod(self.L - L, _WORD)
+        keys = self.keys
+        if keys[:, :word].any() or (keys[:, word] & ((1 << bit) - 1)).any():
+            raise ValueError(f"a state flips one of the {self.L - L} spins below the top {L}")
+        keys = keys[:, word:]
+        if bit:
+            shifted = keys >> bit
+            shifted[:, :-1] |= keys[:, 1:] << (_WORD - bit)
+            keys = shifted
+        W = (L + _WORD - 1) // _WORD
+        return SparseState(keys=np.ascontiguousarray(keys[:, :W]), amps=self.amps, L=L,
+                           t=self.t, dropped=self.dropped)
 
 
 def pair_coefficients(Delta: float, Omega: float, tau: float,
@@ -316,62 +352,100 @@ class RunReport:
 
 
 def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
-                 P_drop: float = 1e-6) -> tuple[SparseState, RunReport]:
+                 P_drop: float = 1e-6, snapshot_at: Collection[int] = (),
+                 on_snapshot: Callable[[int, SparseState], None] | None = None,
+                 ) -> tuple[SparseState, RunReport]:
     """Apply every pulse of a sequence in order, collecting diagnostics.
 
-    Raises RuntimeError when the norm ledger sum |C|^2 + dropped ends more
-    than NORM_LEDGER_TOLERANCE away from the initial state's own value.
+    After each pulse count n in `snapshot_at` (1 to len(seq)) the state is
+    handed to on_snapshot(n, state) as it is made, so memory holds one
+    state at a time unless the callback keeps it.  `wall_time` includes the
+    callbacks.
+
+    Raises RuntimeError when the norm ledger sum |C|^2 + dropped moves more
+    than NORM_LEDGER_TOLERANCE away from the initial state's own value, at
+    every snapshot and after the last pulse.
     """
+    snapshot_at = frozenset(snapshot_at)
+    if not snapshot_at <= set(range(1, len(seq) + 1)):
+        raise ValueError(f"snapshot pulse counts {sorted(snapshot_at)} outside "
+                         f"[1, {len(seq)}]")
+    norm = initial.total_probability() + initial.dropped
     report = RunReport()
     t0 = time.perf_counter()
     state = initial
-    for pulse in seq.pulses:
+    for n, pulse in enumerate(seq.pulses, start=1):
         state = apply_pulse(state, pulse, params, P_drop=P_drop)
         report.active_states.append(len(state.amps))
         report.dropped_cumulative.append(state.dropped)
+        if n in snapshot_at:
+            _check_ledger(state, norm, n)
+            on_snapshot(n, state)
     report.wall_time = time.perf_counter() - t0
-    defect = ((state.total_probability() + state.dropped)
-              - (initial.total_probability() + initial.dropped))
-    if not abs(defect) <= NORM_LEDGER_TOLERANCE:
-        raise RuntimeError(
-            f"norm ledger defect {defect:.3e} after {len(seq.pulses)} pulses: "
-            f"sum |C|^2 + dropped moved by more than {NORM_LEDGER_TOLERANCE:g}, "
-            "so a pair map is not unitary or pruning lost probability")
+    _check_ledger(state, norm, len(seq.pulses))
     return state, report
 
 
-class Census(NamedTuple):
-    """Unwanted-state tally of a run started from the all-zeros state."""
+def _check_ledger(state: SparseState, norm: float, pulses: int) -> None:
+    defect = (state.total_probability() + state.dropped) - norm
+    if not abs(defect) <= NORM_LEDGER_TOLERANCE:
+        raise RuntimeError(
+            f"norm ledger defect {defect:.3e} after {pulses} pulses: "
+            f"sum |C|^2 + dropped moved by more than {NORM_LEDGER_TOLERANCE:g}, "
+            "so a pair map is not unitary or pruning lost probability")
+
+
+@dataclass(frozen=True, eq=False)
+class Census:
+    """Unwanted-state tally of a run started from the all-zeros state.
+
+    `keys` and `probabilities` hold the tallied states in array order; the
+    sorted `table` is built from them on first access.
+    """
 
     count: int
     p1_total: float        # total probability of unwanted states >= threshold
     p1_target: float       # subset with target bit 0 = 1 and control bit L-1 = 0
-    table: list[tuple[BasisState, float]]  # sorted by descending probability
+    keys: np.ndarray
+    probabilities: np.ndarray
+    L: int
+
+    @functools.cached_property
+    def table(self) -> list[tuple[BasisState, float]]:
+        """(state, probability) rows by descending probability, ties by
+        bitstring (ascending key, most significant word first)."""
+        order = np.lexsort((*self.keys.T, -self.probabilities))
+        return [(BasisState(bits, self.L), q)
+                for bits, q in zip(_unpack(self.keys[order]),
+                                   self.probabilities[order].tolist())]
 
 
 def unwanted_census(final: SparseState, threshold: float = 1e-6) -> Census:
     """Count and total the unwanted states left behind by the protocol.
 
-    Reports every state with probability at or above the reporting
-    threshold other than the two ideal gate outputs |0...0> and |10...01>,
-    sorted by descending probability (ties broken by bitstring for
-    reproducible output).  On a run started from |0...0> the target state
-    carries no weight, so this reduces to counting everything but the
-    ground state.
+    Tallies every state with probability at or above the reporting
+    threshold other than the two ideal gate outputs |0...0> and |10...01>:
+    a state is unwanted when a bit other than the control bit L-1 and the
+    target bit 0 is set, or when exactly one of those two is.  On a run
+    started from |0...0> the target state carries no weight, so this
+    reduces to counting everything but the ground state.
     """
     L = final.L
-    control_mask = 1 << (L - 1)
-    target_bits = control_mask | 1
     p = final.probability_array()
     reported = p >= threshold
-    rows = [(BasisState(bits, L), q)
-            for bits, q in zip(_unpack(final.keys[reported]), p[reported].tolist())
-            if bits != 0 and bits != target_bits]
-    rows.sort(key=lambda item: (-item[1], str(item[0])))
-    p1 = math.fsum(q for _, q in rows)
-    p1cal = math.fsum(q for state, q in rows
-                      if (state.bits & 1) and not (state.bits & control_mask))
-    return Census(count=len(rows), p1_total=p1, p1_target=p1cal, table=rows)
+    keys, p = final.keys[reported], p[reported]
+    top_word, top_bit = divmod(L - 1, _WORD)
+    target = keys[:, 0] & 1
+    control = (keys[:, top_word] >> top_bit) & 1
+    others = np.full(keys.shape[1], _WORD_MASK, dtype=np.uint64)  # all bits but 0 and L-1
+    others[0] ^= 1
+    others[top_word] ^= 1 << top_bit
+    unwanted = (keys & others).any(axis=1) | (target != control)
+    keys, p = keys[unwanted], p[unwanted]
+    flipped_target = (target[unwanted] == 1) & (control[unwanted] == 0)
+    return Census(count=len(p), p1_total=math.fsum(p.tolist()),
+                  p1_target=math.fsum(p[flipped_target].tolist()),
+                  keys=keys, probabilities=p, L=L)
 
 
 def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:

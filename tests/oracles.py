@@ -7,11 +7,21 @@ integration), so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from spinchain.model import flip_gap
-from spinchain.propagator import AMPLITUDE_FLOOR, pair_coefficients, resonant_spin
+from spinchain.analytics import error_budget
+from spinchain.model import BasisState, ChainParams, flip_gap
+from spinchain.propagator import (
+    AMPLITUDE_FLOOR,
+    SparseState,
+    pair_coefficients,
+    resonant_spin,
+    run_protocol,
+)
+from spinchain.protocol import cn_remote_protocol
 
 
 def bits_of(state: int, L: int) -> list[int]:
@@ -132,3 +142,41 @@ def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
         else:
             kept[s] = c
     return kept, dropped
+
+
+def census_bitstring(final, threshold: float):
+    """(count, p1_total, p1_target, table) of the unwanted states at or above
+    `threshold`, one Python int at a time.
+
+    This is the census that the array census `unwanted_census` replaced:
+    every state but |0...0> and |10...01>, sorted by descending probability
+    with ties broken by bitstring; the totals are `math.fsum`s.
+    """
+    L = final.L
+    control_mask = 1 << (L - 1)
+    target_bits = control_mask | 1
+    rows = [(BasisState(bits, L), q)
+            for bits, q in zip(final.states(), final.probability_array().tolist())
+            if q >= threshold and bits != 0 and bits != target_bits]
+    rows.sort(key=lambda item: (-item[1], str(item[0])))
+    p1 = math.fsum(q for _, q in rows)
+    p1cal = math.fsum(q for state, q in rows
+                      if (state.bits & 1) and not (state.bits & control_mask))
+    return len(rows), p1, p1cal, rows
+
+
+def sweep_length_per_run(lengths, Omega: float, P_drop: float, P0: float,
+                         **fields) -> list[list[str]]:
+    """`sweep_length.csv` rows as read back from the file, from one protocol
+    run and one bitstring census per chain length: the sweep as it was
+    before `sweep-length` took every length from one run of the longest."""
+    rows = []
+    for L in lengths:
+        params = ChainParams(L=L, **fields)
+        final, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
+                                cn_remote_protocol(params, Omega), params, P_drop=P_drop)
+        count, p1, p1cal, _ = census_bitstring(final, P0)
+        budget = error_budget(L, Omega, J=params.J, P0=P0)
+        rows.append([str(L), repr(budget.P1), repr(p1), repr(budget.P1cal), repr(p1cal),
+                     str(count)])
+    return rows

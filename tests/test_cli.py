@@ -11,6 +11,8 @@ from spinchain.analytics import epsilon, n1, suppression_rabi
 from spinchain.cli import load_config, main
 from spinchain.model import ChainParams
 
+from oracles import sweep_length_per_run
+
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -104,6 +106,44 @@ def test_sweep_length_matches_analytics(tmp_path):
         assert float(r[4]) == pytest.approx(float(r[3]), rel=0.05)
     budgets = read_csv(tmp_path / "budgets.csv")
     assert len(budgets) - 1 == 4
+
+
+# (L_min, L_max, L_step): consecutive lengths, a step of 7, a grid across the
+# 64/65 boundary where keys gain a second word, and a grid whose last length
+# (19) is below L_max
+SWEEP_GRIDS = [(4, 20, 1), (4, 70, 7), (60, 70, 1), (4, 20, 5)]
+
+
+@pytest.mark.parametrize("Omega", [0.0906, 0.20844])
+@pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=[f"L{a}-{b}-step{c}" for a, b, c in SWEEP_GRIDS])
+def test_sweep_length_single_run_equals_per_length_runs(tmp_path, Omega, grid):
+    lmin, lmax, lstep = grid
+    cfg = write_cfg(tmp_path, f"Omega={Omega}\nP_drop=1e-6\nP0=1e-6\n"
+                              f"L_min={lmin}\nL_max={lmax}\nL_step={lstep}\n")
+    assert main(["sweep-length", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "sweep_length.csv")[1:]
+    assert rows == sweep_length_per_run(range(lmin, lmax + 1, lstep), Omega,
+                                        P_drop=1e-6, P0=1e-6)
+
+
+def test_sweep_length_single_run_off_integer_fields(tmp_path):
+    # The single run equals per-length runs bit for bit only where the flip
+    # gaps are exactly representable, as with integer multiples of J (the
+    # defaults and every preset).  Here the carrier of a pulse rounds at the
+    # magnitude of each chain's own spin frequencies, so one pulse's detuning
+    # reads 1.3999999999999773 in one chain and 1.400000000000091 in the
+    # other, and the numeric columns agree only to rounding.
+    fields = {"J": 0.7, "omega0": 100.1, "delta_omega": 20.3}
+    cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in fields.items())
+                    + "Omega=0.0906\nP_drop=1e-6\nP0=1e-6\nL_min=4\nL_max=40\n")
+    assert main(["sweep-length", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "sweep_length.csv")[1:]
+    expect = sweep_length_per_run(range(4, 41), 0.0906, P_drop=1e-6, P0=1e-6, **fields)
+    assert len(rows) == len(expect)
+    for got, want in zip(rows, expect):
+        assert [got[i] for i in (0, 1, 3, 5)] == [want[i] for i in (0, 1, 3, 5)]
+        for i in (2, 4):
+            assert float(got[i]) == pytest.approx(float(want[i]), rel=1e-10, abs=0)
 
 
 def test_spectrum_two_bands(tmp_path):
@@ -219,6 +259,7 @@ BAD_CONFIGS = [
     ("sweep-length", "preset=fig2\nL_min=4\nL_max=6\nP_drop=-1e-6\n", "P_drop"),
     ("spectrum", "L=5\nOmega=0.1\nP_drop=1.5\n", "P_drop"),
     ("sweep-length", "preset=fig2\nL_min=2\nL_max=6\n", "L_min"),
+    ("sweep-length", "preset=fig2\nL_min=10\nL_max=9\n", "L_max"),
     # keys that some command reads, given to one that does not
     ("verify", "L=5\nOmega=0.0906\nP_drop=0.5\nP0=0.5\nL_max=3\n", "P_drop"),
     ("protocol", "L=5\nOmega=0.0906\nP0=7\n", "P0"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import spinchain.propagator
 from spinchain.analytics import epsilon, first_order_states, suppression_windows
-from spinchain.cli import write_report_csv, write_state_csv
+from spinchain.cli import main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import (
     SparseState,
@@ -20,7 +20,7 @@ from spinchain.propagator import (
 )
 from spinchain.protocol import Pulse, cn_remote_protocol, cn_trajectory
 
-from oracles import apply_pulse_dict, energy_bruteforce
+from oracles import apply_pulse_dict, census_bitstring, energy_bruteforce
 
 
 def ground_run(L, Omega, P_drop=1e-6):
@@ -155,13 +155,20 @@ def test_kernel_matches_dict_oracle(case):
     assert out.t == t + pulse.tau
 
 
-def test_run_protocol_asserts_norm_ledger(params5, monkeypatch):
+def test_run_protocol_asserts_norm_ledger(params5, monkeypatch, tmp_path):
     exact = spinchain.propagator.pair_coefficients
     monkeypatch.setattr(spinchain.propagator, "pair_coefficients",
                         lambda *args: tuple(1.001 * K for K in exact(*args)))
     seq = cn_remote_protocol(params5, 0.0906)
     with pytest.raises(RuntimeError, match="norm ledger defect"):
         run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5)
+    # a length sweep runs only its longest chain, and checks the ledger at
+    # every length's snapshot: the first fails after chain 4's five pulses
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("preset=fig2\nL_min=4\nL_max=8\n")
+    with pytest.raises(RuntimeError, match="norm ledger defect .* after 5 pulses"):
+        main(["sweep-length", "--config", str(cfg), "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_norm_ledger_measured_from_initial_norm(params5):
@@ -181,20 +188,60 @@ def test_shorter_chain_is_a_prefix_of_the_longest(Omega):
     # never flipped: chain L after each of its pulses is chain 70 after the
     # same pulse, keys shifted right by 70 - L, bit for bit
     longest = ChainParams(L=70)
-    state = SparseState.from_basis(BasisState.ground(70))
-    snapshots = []
-    for pulse in cn_remote_protocol(longest, Omega):
-        state = apply_pulse(state, pulse, longest, P_drop=1e-6)
-        snapshots.append(state)
-    for L in (3, 4, 10, 63, 64, 65):
+    seq = cn_remote_protocol(longest, Omega)
+    snapshots = {}
+    final, _ = run_protocol(SparseState.from_basis(BasisState.ground(70)), seq, longest,
+                            P_drop=1e-6, snapshot_at=range(1, len(seq) + 1),
+                            on_snapshot=snapshots.__setitem__)
+    assert sorted(snapshots) == list(range(1, len(seq) + 1))
+    assert snapshots[len(seq)] is final
+    for L in (3, 4, 6, 10, 63, 64, 65):
         params = ChainParams(L=L)
         shift = 70 - L
         state = SparseState.from_basis(BasisState.ground(L))
-        for pulse, big in zip(cn_remote_protocol(params, Omega), snapshots):
+        for n, pulse in enumerate(cn_remote_protocol(params, Omega), start=1):
             state = apply_pulse(state, pulse, params, P_drop=1e-6)
+            big = snapshots[n]
             assert all(s & ((1 << shift) - 1) == 0 for s in big.amplitudes)
             assert state.amplitudes == {s >> shift: c for s, c in big.amplitudes.items()}
             assert state.t == big.t and state.dropped == big.dropped
+            short = big.prefix(L)
+            assert np.array_equal(short.keys, state.keys)
+            assert np.array_equal(short.amps, state.amps)
+            assert (short.L, short.t, short.dropped) == (L, state.t, state.dropped)
+
+
+def test_run_protocol_rejects_snapshot_outside_the_run(params5):
+    seq = cn_remote_protocol(params5, 0.0906)
+    for n in (0, len(seq) + 1):
+        with pytest.raises(ValueError, match="snapshot"):
+            run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
+                         snapshot_at=[n], on_snapshot=lambda n, state: None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_prefix_is_a_word_wise_shift(data):
+    big = data.draw(st.one_of(st.integers(2, 200), st.sampled_from([64, 65, 128, 129])))
+    L = data.draw(st.one_of(st.integers(1, big),
+                            st.sampled_from([big - s for s in (0, 1, 63, 64, 65, 128)
+                                             if big - s >= 1])))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    shift = big - L
+    states = {rnd.getrandbits(L) << shift for _ in range(data.draw(st.integers(0, 10)))}
+    amps = {s: complex(i + 1, -i) for i, s in enumerate(sorted(states))}
+    state = SparseState(keys=SparseState.from_amplitudes(amps, big).keys,
+                        amps=np.array(list(amps.values()), dtype=np.complex128),
+                        L=big, t=2.5, dropped=1e-7)
+    short = state.prefix(L)
+    assert short.keys.shape == (len(states), (L + 63) // 64)
+    assert short.amplitudes == {s >> shift: c for s, c in amps.items()}
+    assert (short.L, short.t, short.dropped) == (L, 2.5, 1e-7)
+    if shift:
+        low = 1 << rnd.randrange(shift)
+        flipped = SparseState.from_amplitudes({**amps, low: 1j}, big)
+        with pytest.raises(ValueError, match="spins below the top"):
+            flipped.prefix(L)
 
 
 def test_p_drop_validation(params5):
@@ -286,6 +333,41 @@ def test_census_of_resonant_branch_is_empty(params5):
     ground_final, _ = ground_run(5, 0.0906, P_drop=1e-6)
     census2 = unwanted_census(ground_final, threshold=0.9)  # nothing that big
     assert census2.count == 0
+
+
+@st.composite
+def census_case(draw):
+    L = draw(st.one_of(st.sampled_from([63, 64, 65, 129]), st.integers(3, 140)))
+    rnd = draw(st.randoms(use_true_random=False))
+    top = 1 << (L - 1)
+    # the two wanted outputs, the two single flips of control and target,
+    # other single flips, and random keys over all L bits
+    support = set(draw(st.lists(st.sampled_from([0, top | 1, top, 1]), max_size=4)))
+    support |= {1 << rnd.randrange(L) for _ in range(draw(st.integers(0, 3)))}
+    support |= {rnd.getrandbits(L) for _ in range(draw(st.integers(0, 12)))}
+    support = sorted(support or {0})
+    levels = st.sampled_from([1e-7, 1e-6, 3e-6, 1e-3, 0.25])
+
+    def amplitude():
+        if draw(st.booleans()):  # real or imaginary at a level: probabilities tie
+            a = math.sqrt(draw(levels))
+            return complex(a, 0) if draw(st.booleans()) else complex(0, -a)
+        return complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+
+    amps = {s: amplitude() for s in support}
+    rnd.shuffle(support)
+    state = SparseState.from_amplitudes({s: amps[s] for s in support}, L)
+    return state, draw(st.sampled_from([1e-7, 1e-6, 2e-6, 0.01]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(census_case())
+def test_array_census_matches_bitstring_census(case):
+    state, threshold = case
+    count, p1, p1cal, rows = census_bitstring(state, threshold)
+    census = unwanted_census(state, threshold=threshold)
+    assert (census.count, census.p1_total, census.p1_target) == (count, p1, p1cal)
+    assert census.table == rows
 
 
 @pytest.mark.parametrize("L", [25, 50, 100])
