@@ -9,7 +9,7 @@ which vanishes identically at Omega = |Delta|/sqrt(4k^2-1): there the
 detuned pair completes k full precession cycles during the pulse.  On the
 all-zeros branch the protocol sees |Delta| = 2J on every pulse except the
 third, which sees 4J; eps refers to the generic 2J value and eps' to the
-third-pulse 4J value throughout.
+third-pulse 4J value throughout, both from `ground_branch_errors`.
 
 First-order bookkeeping: each of the 2L-3 pulses seeds one unwanted state
 from the ground state, giving the two terminal families (runs of 1s ending
@@ -18,8 +18,8 @@ at the target bit 0, and runs ending at bit 1) and the totals
     P1  = eps * sum_{n=0}^{2L-4} (1 - n*eps)      ~  E(1 - E/2),  E = (2L-3) eps
     P1' = eps + eps * sum_{n=0}^{L-3} (1 - (2n+1) eps)  ~  G(1 - G),  G = (L-2) eps
 
-(P1' counting only the target-flipped family).  The exact sums are primary;
-the quadratic approximations are what gets plotted against sweeps.
+(P1' counting only the target-flipped family).  `p1_total` and `p1_target`
+return the sums; `budgets.csv` carries E and Gamma = G beside them.
 
 Regime thresholds against a measurability floor P0: first-order states are
 visible above eps1 = P0, second-order above eps2 = sqrt(P0), third-order
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import BasisState
 
@@ -42,6 +41,13 @@ def epsilon(Omega: float, Delta: float, tau: float) -> float:
         return 0.0
     s = math.sin(0.5 * lam * tau)
     return (Omega / lam) ** 2 * s * s
+
+
+def ground_branch_errors(Omega: float, J: float) -> tuple[float, float]:
+    """(eps, eps') of a pi-pulse at Rabi frequency Omega on the all-zeros
+    branch: the errors at detunings 2J and 4J."""
+    tau = math.pi / Omega
+    return epsilon(Omega, 2.0 * J, tau), epsilon(Omega, 4.0 * J, tau)
 
 
 def suppression_rabi(Delta: float, k: int) -> float:
@@ -78,35 +84,25 @@ def first_order_states(L: int) -> tuple[list[BasisState], list[BasisState]]:
     return family_a, family_b
 
 
-class P1Estimate(NamedTuple):
-    exact: float
-    approx: float
-
-
-def p1_total(L: int, eps: float) -> P1Estimate:
+def p1_total(L: int, eps: float) -> float:
     """Total first-order unwanted probability after the full protocol.
 
-    Exact first-order sum eps * sum_{n=0}^{2L-4} (1 - n*eps) alongside the
-    closed approximation E(1 - E/2), E = (2L-3) eps.  Both are uniform-eps
-    sums: every pulse is taken to err with eps.  The protocol's third pulse
-    errs with eps' instead, so its own per-pulse first-order total
-    sum_i eps_i prod_{j<i} (1 - eps_j) differs from this one by eps - eps'
-    at first order.
+    The first-order sum eps * sum_{n=0}^{2L-4} (1 - n*eps), about E(1 - E/2)
+    with E = (2L-3) eps.  A uniform-eps sum: every pulse is taken to err
+    with eps.  The protocol's third pulse errs with eps' instead, so its
+    own per-pulse first-order total sum_i eps_i prod_{j<i} (1 - eps_j)
+    differs from this one by eps - eps' at first order.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be a probability, got {eps}")
-    if L < 3:
-        raise ValueError(f"remote-CN protocol needs L >= 3, got {L}")
-    exact = eps * sum(1.0 - n * eps for n in range(2 * L - 3))
-    big_e = (2 * L - 3) * eps
-    return P1Estimate(exact=exact, approx=big_e * (1.0 - 0.5 * big_e))
+    return eps * sum(1.0 - n * eps for n in range(n1(L)))
 
 
-def p1_target(L: int, eps: float) -> P1Estimate:
+def p1_target(L: int, eps: float) -> float:
     """Probability of ending with the target flipped while the control is 0.
 
-    Exact sum eps + eps * sum_{n=0}^{L-3} (1 - (2n+1) eps) over the
-    target-flipped family, with approximation G(1-G), G = (L-2) eps.  A
+    The sum eps + eps * sum_{n=0}^{L-3} (1 - (2n+1) eps) over the
+    target-flipped family, about G(1-G) with G = (L-2) eps.  A
     uniform-eps sum like `p1_total`; here that is exact at first order,
     since the third pulse (error eps') seeds the target-unflipped family.
     """
@@ -114,9 +110,7 @@ def p1_target(L: int, eps: float) -> P1Estimate:
         raise ValueError(f"eps must be a probability, got {eps}")
     if L < 3:
         raise ValueError(f"remote-CN protocol needs L >= 3, got {L}")
-    exact = eps + eps * sum(1.0 - (2 * n + 1) * eps for n in range(L - 2))
-    gamma = (L - 2) * eps
-    return P1Estimate(exact=exact, approx=gamma * (1.0 - gamma))
+    return eps + eps * sum(1.0 - (2 * n + 1) * eps for n in range(L - 2))
 
 
 def regime(eps: float, P0: float) -> str:
@@ -143,7 +137,9 @@ def u3_table(eps: float, eps_prime: float) -> list[tuple[str, float]]:
     """Estimated state populations right after the third protocol pulse.
 
     Four patterns, written control-first with trailing zeros elided; the
-    rows sum to 1 identically for any eps, eps' in [0, 1].
+    rows sum to 1 identically for any eps, eps' in [0, 1].  Rows 3 and 4
+    are incoherent sums of two paths each: the interference term, up to
+    2 eps^(3/2) (1 - eps) in either row, cancels between them.
     """
     if not 0.0 <= eps <= 1.0 or not 0.0 <= eps_prime <= 1.0:
         raise ValueError("eps and eps_prime must be probabilities")
@@ -177,22 +173,17 @@ class ErrorBudget:
 
 
 def error_budget(L: int, Omega: float, J: float = 1.0, P0: float = 1e-6) -> ErrorBudget:
-    """Evaluate the full analytic budget for a pi-pulse protocol at (L, Omega).
-
-    eps is evaluated at |Delta| = 2J and eps' at |Delta| = 4J, matching the
-    detunings the protocol produces on the all-zeros branch.
-    """
-    tau = math.pi / Omega
-    eps = epsilon(Omega, 2.0 * J, tau)
-    eps_prime = epsilon(Omega, 4.0 * J, tau)
+    """Evaluate the full analytic budget for a pi-pulse protocol at (L, Omega);
+    eps and eps' are the `ground_branch_errors` at (Omega, J)."""
+    eps, eps_prime = ground_branch_errors(Omega, J)
     return ErrorBudget(
         L=L,
         Omega=Omega,
         eps=eps,
         eps_prime=eps_prime,
         N1=n1(L),
-        P1=p1_total(L, eps).exact,
-        P1cal=p1_target(L, eps).exact,
+        P1=p1_total(L, eps),
+        P1cal=p1_target(L, eps),
         E=(2 * L - 3) * eps,
         Gamma=(L - 2) * eps,
         regime=regime(eps, P0),
@@ -210,8 +201,7 @@ def suppression_windows(P0: float, omega_lo: float = 0.02, omega_hi: float = 0.6
     import numpy as np
 
     def worst(om):
-        tau = math.pi / om
-        return max(epsilon(om, 2.0, tau), epsilon(om, 4.0, tau))
+        return max(ground_branch_errors(om, 1.0))
 
     grid = np.linspace(omega_lo, omega_hi, samples)
     below = [worst(om) < P0 for om in grid.tolist()]

@@ -4,17 +4,17 @@
               --config <file> [--out <dir>]
 
 Configs are plain key=value text.  Chain keys: L, J, omega0, delta_omega.
-Drive and accounting keys: Omega, P_drop, P0.  Initial state: either
+Drive and accounting keys: Omega, P_drop, and P0, the reporting floor of
+every census and of sweep-omega's below_P0 column.  Initial state: either
 initial=<bitstring>, or alpha=/beta= for the superposition
 alpha|0...0> + beta|10...0> on the control qubit.  Sweep keys:
-omega_min/omega_max/omega_steps (sweep-omega; eps at detuning 2J, eps'
-at 4J); L_min/L_max/L_step (sweep-length).  census_threshold overrides
-the reporting floor (defaults to P0).  Each command reads only its own
-keys (`COMMANDS`) and rejects any other, naming it and the command; it
-also rejects a key given twice, a value that does not parse, a float that
-is not finite, an unphysical sweep grid (L_min below 3 included), a P0 or
-census_threshold outside (0, 1), or a P_drop outside [0, 1); the error
-names the key.
+omega_min/omega_max/omega_steps (sweep-omega; eps and eps' from
+`ground_branch_errors`); L_min/L_max/L_step (sweep-length).  Each command
+reads only its own keys (`COMMANDS`) and rejects any other, naming it and
+the command; it also rejects a key given twice, a value that does not
+parse, a float that is not finite, an unphysical sweep grid (L_min below 3
+included), a P0 outside (0, 1), a P_drop outside [0, 1), or alpha and beta
+whose squares do not sum to 1; the error names the key.
 
 sweep-length runs the remote-CN protocol once, for the longest chain of its
 grid, and takes each length L's census from that run's state after pulse
@@ -23,8 +23,9 @@ is chain L's own final state).  The ledger is checked at each of those
 snapshots.  An empty grid (L_max below L_min) is rejected.
 
 preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
-(J=1, Omega=0.0906 or 0.20844, P0=1e-6); explicit keys override a preset,
-and preset keys that the command does not read are ignored.
+(J=1, Omega=0.0906 or 0.20844, P0=1e-6, or 1e-8 for fig4); explicit keys
+override a preset, and preset keys that the command does not read are
+ignored.
 
 Exit codes: 0 ok, 1 bad input, 2 verification failure.  Every command is
 deterministic: identical config gives byte-identical CSV; wall times are
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ErrorBudget, epsilon, error_budget
+from .analytics import ErrorBudget, error_budget, ground_branch_errors
 from .exact import HILBERT_CAP, DenseState, evolve_exact
 from .model import BasisState, ChainParams
 from .propagator import (
@@ -65,9 +66,7 @@ PRESETS: dict[str, dict[str, str]] = {
              "L_min": "4", "L_max": "100", "L_step": "1"},
     # the spectrum preset resolves the second-order band, so both the
     # pruning threshold and the reporting floor sit below eps^2
-
-    "fig4": {"J": "1", "L": "70", "Omega": "0.20844", "P_drop": "1e-8",
-             "P0": "1e-6", "census_threshold": "1e-8"},
+    "fig4": {"J": "1", "L": "70", "Omega": "0.20844", "P_drop": "1e-8", "P0": "1e-8"},
 }
 
 # verify passes at a TVD between the sparse map and the exact propagator up to this
@@ -128,9 +127,10 @@ class ExperimentConfig:
         if "alpha" in self.raw or "beta" in self.raw:
             alpha = self.get_float("alpha")
             beta = self.get_float("beta")
-            ground = BasisState.ground(params.L)
-            control = BasisState(1 << (params.L - 1), params.L)
-            return SparseState.from_superposition([(ground, alpha), (control, beta)])
+            self.require("alpha", abs(alpha * alpha + beta * beta - 1.0) <= 1e-9,
+                         f"such that alpha^2 + beta^2 = 1 (to 1e-9) with beta = {beta!r}")
+            return SparseState.from_amplitudes(
+                {0: complex(alpha), 1 << (params.L - 1): complex(beta)}, params.L)
         if "initial" in self.raw:
             state = self.get("initial", BasisState.from_string, None)
             if state.L != params.L:
@@ -165,13 +165,8 @@ def parse_keyval_file(path) -> dict[str, str]:
 
 
 def load_config(path: str, outdir: str) -> ExperimentConfig:
-    """Config of a file whose keys some command reads, over its preset."""
+    """Config of a file over its preset (`main` checks the command's keys)."""
     raw = parse_keyval_file(path)
-    known = set().union(*(reads for _, reads in COMMANDS.values()), {"preset"})
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"{path}: unknown config key {unknown[0]!r}; "
-                         f"known keys: {', '.join(sorted(known))}")
     preset = raw.pop("preset", None)
     if preset is not None and preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -244,21 +239,29 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
-    params = cfg.chain_params()
+def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseState,
+                    drop_default: float) -> tuple:
+    """(seq, final, report, census) of run and spectrum: the protocol from
+    `initial` at the config's Omega and P_drop, and the census at the floor
+    P0 if `initial` carries no probability off |0...0> (else None)."""
     Omega = cfg.get_float("Omega")
-    initial = cfg.initial_state(params)
-    from_ground = initial.amplitudes == {0: 1.0 + 0.0j}
-    threshold = cfg.get_probability("census_threshold", cfg.get_probability("P0", 1e-6))
-    P_drop = cfg.get_drop(1e-6)
+    P0 = cfg.get_probability("P0", 1e-6)
+    P_drop = cfg.get_drop(drop_default)
     seq = cn_remote_protocol(params, Omega)
     final, report = run_protocol(initial, seq, params, P_drop=P_drop)
+    from_ground = not initial.amps[initial.keys.any(axis=1)].any()
+    return seq, final, report, unwanted_census(final, threshold=P0) if from_ground else None
+
+
+def cmd_run(cfg: ExperimentConfig) -> int:
+    params = cfg.chain_params()
+    seq, final, report, census = _run_and_census(
+        cfg, params, cfg.initial_state(params), drop_default=1e-6)
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
     print(f"run: {len(seq)} pulses, {len(final.amps)} active states, "
           f"dropped={final.dropped:.3e}, wall={report.wall_time:.3f}s")
-    if from_ground:
-        census = unwanted_census(final, threshold=threshold)
+    if census is not None:
         _write_census_csv(census, _out(cfg, "census.csv"))
         print(f"census: {census.count} unwanted states, P1={census.p1_total:.6e}, "
               f"P1cal={census.p1_target:.6e}")
@@ -277,9 +280,7 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     rows = []
     for i in range(steps):
         om = lo if steps == 1 else lo + (hi - lo) * i / (steps - 1)
-        tau = math.pi / om
-        e1 = epsilon(om, 2.0 * J, tau)
-        e2 = epsilon(om, 4.0 * J, tau)
+        e1, e2 = ground_branch_errors(om, J)
         rows.append([repr(om), repr(e1), repr(e2), int(e1 < P0 and e2 < P0)])
     path = _out(cfg, "sweep_omega.csv")
     write_csv(path, ["Omega", "eps", "eps_prime", "below_P0"], rows)
@@ -325,16 +326,11 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
-    Omega = cfg.get_float("Omega")
-    threshold = cfg.get_probability("census_threshold", cfg.get_probability("P0", 1e-6))
-    P_drop = cfg.get_drop(1e-8)
-    seq = cn_remote_protocol(params, Omega)
-    final, report = run_protocol(
-        SparseState.from_basis(BasisState.ground(params.L)), seq, params, P_drop=P_drop)
-    census = unwanted_census(final, threshold=threshold)
+    _, _, report, census = _run_and_census(
+        cfg, params, SparseState.from_basis(BasisState.ground(params.L)), drop_default=1e-8)
     path = _out(cfg, "spectrum.csv")
     _write_census_csv(census, path)
-    print(f"wrote {path}: {census.count} states above {threshold:g}, "
+    print(f"wrote {path}: {census.count} unwanted states at or above P0, "
           f"wall={report.wall_time:.3f}s")
     return 0
 
@@ -369,7 +365,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 _FIELDS = {"J", "omega0", "delta_omega"}
 _DRIVE = {"L", "Omega", *_FIELDS}
 _START = {"initial", "alpha", "beta"}
-_CENSUS = {"P_drop", "P0", "census_threshold"}
+_CENSUS = {"P_drop", "P0"}
 
 # each command and the config keys it reads
 COMMANDS = {

@@ -142,23 +142,6 @@ class SparseState:
     def from_basis(cls, state: BasisState) -> "SparseState":
         return cls.from_amplitudes({state.bits: 1.0 + 0.0j}, state.L)
 
-    @classmethod
-    def from_superposition(cls, terms: list[tuple[BasisState, complex]]) -> "SparseState":
-        amps: dict[int, complex] = {}
-        L = None
-        for state, amp in terms:
-            if L is None:
-                L = state.L
-            elif state.L != L:
-                raise ValueError("superposition mixes different chain lengths")
-            amps[state.bits] = amps.get(state.bits, 0.0) + complex(amp)
-        if L is None:
-            raise ValueError("empty superposition")
-        norm = sum(abs(a) ** 2 for a in amps.values())
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"superposition norm deviates from 1 by {abs(norm - 1.0):.2e}")
-        return cls.from_amplitudes(amps, L)
-
     def states(self) -> list[int]:
         """Packed basis states, in array order."""
         return _unpack(self.keys)

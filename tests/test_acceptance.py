@@ -171,7 +171,7 @@ def test_criterion_4_fig2_reproduction():
         n = n1(L)
         ref1 = _per_pulse_first_order(L, OMEGA_FIG2)
         allow1 = n * (n - 1) / 2 * eps_max**2
-        ref2 = p1_target(L, eps).exact
+        ref2 = p1_target(L, eps)
         allow2 = L * (L - 2) * eps_max**2
         rows_p1.append((abs(census.p1_total - ref1) / allow1, L,
                         census.p1_total, ref1, allow1))
@@ -307,10 +307,7 @@ def test_criterion_8_gate_correctness():
     for L, check_ground in ((10, True), (50, False)):
         params = ChainParams(L=L)
         seq = cn_remote_protocol(params, omega)
-        initial = SparseState.from_superposition([
-            (BasisState.ground(L), alpha),
-            (BasisState(1 << (L - 1), L), beta),
-        ])
+        initial = SparseState.from_amplitudes({0: alpha, 1 << (L - 1): beta}, L)
         final, _ = run_protocol(initial, seq, params, P_drop=0.0)
         target = BasisState((1 << (L - 1)) | 1, L)
         gap_t = abs(final.probability(target) - beta**2)

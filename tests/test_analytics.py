@@ -7,6 +7,7 @@ from spinchain.analytics import (
     epsilon,
     error_budget,
     first_order_states,
+    ground_branch_errors,
     n1,
     p1_target,
     p1_total,
@@ -16,6 +17,9 @@ from spinchain.analytics import (
     u3_table,
 )
 from spinchain.cli import write_error_budget_csv
+from spinchain.model import BasisState, ChainParams
+from spinchain.propagator import SparseState, apply_pulse
+from spinchain.protocol import cn_remote_protocol
 
 
 def test_epsilon_published_anchors():
@@ -89,41 +93,14 @@ def test_first_order_families_cover_n1(L):
 
 def test_p1_total_hand_sum():
     # L=3, eps=0.1: 0.1*(1 + 0.9 + 0.8) = 0.27
-    assert p1_total(3, 0.1).exact == pytest.approx(0.27)
-    assert p1_total(3, 0.0).exact == 0.0
-    assert p1_total(3, 0.0).approx == 0.0
-
-
-def test_p1_total_approximation_close_at_scale():
-    est = p1_total(100, 4.78e-5)
-    assert est.approx == pytest.approx(est.exact, rel=1e-4)
-
-
-@given(L=st.integers(3, 120), eps=st.floats(1e-8, 1.5e-3))
-def test_p1_total_exact_dominates_approx(L, eps):
-    # exact - approx = eps^2 (2L-3)/2 identically, so the gap is second
-    # order in E = (2L-3) eps and the exact sum always dominates
-    est = p1_total(L, eps)
-    big_e = (2 * L - 3) * eps
-    assert est.exact >= est.approx - 1e-15
-    assert est.exact - est.approx == pytest.approx(eps**2 * (2 * L - 3) / 2, rel=1e-9, abs=1e-18)
-    if big_e <= 0.3:
-        assert abs(est.exact - est.approx) <= big_e**2
+    assert p1_total(3, 0.1) == pytest.approx(0.27)
+    assert p1_total(3, 0.0) == 0.0
 
 
 def test_p1_target_hand_sum():
     # L=4, eps=0.1: 0.1 + 0.1*(0.9 + 0.7) = 0.26
-    assert p1_target(4, 0.1).exact == pytest.approx(0.26)
-    assert p1_target(4, 0.0).exact == 0.0
-
-
-def test_p1_target_approx_close_for_long_chains():
-    # the approximation drops one lone eps term, so the relative gap is
-    # ~1/(L-2): take a chain long enough for 1e-3
-    L, gamma = 5000, 0.1
-    eps = gamma / (L - 2)
-    est = p1_target(L, eps)
-    assert est.approx == pytest.approx(est.exact, rel=1e-3)
+    assert p1_target(4, 0.1) == pytest.approx(0.26)
+    assert p1_target(4, 0.0) == 0.0
 
 
 def test_regime_classification():
@@ -151,6 +128,63 @@ def test_u3_rows_sum_to_one(eps, eps_prime):
     assert sum(p for _, p in u3_table(eps, eps_prime)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("L", [3, 4, 10, 40])
+def test_u3_table_describes_the_first_three_pulses(L):
+    """u3_table against the resonance map after pulses 1-3 from |0...0>.
+
+    Pulse 1 flips spin L-2 and pulse 3 flips it back; pulse 2 flips spin
+    L-3.  From the ground state they err with eps, eps and eps' (detunings
+    2J, 2J, 4J), so |0000...> and |0100...> are fed by one path each and
+    match the table exactly.  |0110...> and |0010...> form the pair that
+    pulse 3 drives at detuning 2J, and each is fed by two paths:
+
+      A = |0110...> after pulse 2: pulse 1 errs (eps), pulse 2 is
+          resonant, so |A|^2 = eps;
+      B = |0010...> after pulse 2: ground survives pulse 1, pulse 2 errs,
+          so |B|^2 = (1 - eps) eps.
+
+    Pulse 3 keeps a fraction 1 - eps of each amplitude in place and moves
+    eps to its partner, so
+
+      P(0110...) = (1-eps)|A|^2 + eps|B|^2 + X = eps(1 - eps^2) + X,
+      P(0010...) = eps|A|^2 + (1-eps)|B|^2 - X = eps(1 - eps + eps^2) - X,
+
+    with the interference term X = 2 sqrt((1-eps) eps |A|^2 |B|^2) cos(phi)
+    = 2 eps^(3/2) (1 - eps) cos(phi), which unitarity makes cancel in the
+    sum.  The table adds the paths incoherently (X = 0), so the sum of the
+    two rows matches to rounding and each row lies within
+    2 eps^(3/2) (1 - eps) of the map.  Over 59 Omegas in [0.02, 0.6] the
+    largest gap is 0.999985 of that allowance: the phase reaches cos = +-1.
+    """
+    params = ChainParams(L=L)
+    for Omega in [0.02 + 0.01 * i for i in range(59)]:
+        seq = cn_remote_protocol(params, Omega)
+        eps, eps_prime = ground_branch_errors(Omega, params.J)
+        state = SparseState.from_basis(BasisState.ground(L))
+        for pulse in seq.pulses[:3]:
+            state = apply_pulse(state, pulse, params, P_drop=0.0)
+        table = dict(u3_table(eps, eps_prime))
+        # patterns are control-first with trailing zeros elided
+        got = {pattern: state.probability(int((pattern.rstrip(".") + "0" * L)[:L], 2))
+               for pattern in table}
+        for pattern in ("0000...", "0100..."):
+            assert got[pattern] == pytest.approx(table[pattern], abs=1e-12)
+        pair = ("0010...", "0110...")
+        assert sum(got[p] for p in pair) == pytest.approx(sum(table[p] for p in pair), abs=1e-12)
+        allowance = 2 * eps**1.5 * (1 - eps)
+        for pattern in pair:
+            assert abs(got[pattern] - table[pattern]) <= allowance, (Omega, pattern)
+
+
+def test_ground_branch_errors_are_eps_at_2J_and_4J():
+    for Omega, J in [(0.0906, 1.0), (0.20844, 0.7)]:
+        tau = math.pi / Omega
+        assert ground_branch_errors(Omega, J) == (epsilon(Omega, 2.0 * J, tau),
+                                                  epsilon(Omega, 4.0 * J, tau))
+    b = error_budget(L=10, Omega=0.20844, J=0.7)
+    assert (b.eps, b.eps_prime) == ground_branch_errors(0.20844, 0.7)
+
+
 def test_error_budget_fields():
     b = error_budget(L=10, Omega=0.0906, J=1.0, P0=1e-6)
     assert b.N1 == 17
@@ -158,8 +192,8 @@ def test_error_budget_fields():
     assert b.eps_prime == pytest.approx(3.23e-5, rel=0.01)
     assert b.E == pytest.approx(17 * b.eps)
     assert b.Gamma == pytest.approx(8 * b.eps)
-    assert b.P1 == pytest.approx(p1_total(10, b.eps).exact)
-    assert b.P1cal == pytest.approx(p1_target(10, b.eps).exact)
+    assert b.P1 == p1_total(10, b.eps)
+    assert b.P1cal == p1_target(10, b.eps)
     assert b.regime == "eps1-eps2"
 
 

@@ -72,6 +72,27 @@ def test_run_superposition(tmp_path):
         assert p == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_run_from_ground_given_as_amplitudes_writes_the_census(tmp_path, alpha):
+    # alpha=+-1, beta=0 is |0...0> up to a global sign: the same census and
+    # report as initial=0...0, byte for byte, and the same final state with
+    # every amplitude times alpha
+    for name, start in (("basis", "initial=0000000000\n"),
+                        ("amplitudes", f"alpha={alpha}\nbeta=0\n")):
+        cfg = write_cfg(tmp_path, f"L=10\nOmega=0.20844\n{start}", f"{name}.cfg")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    basis, amplitudes = tmp_path / "basis", tmp_path / "amplitudes"
+    for name in ("census.csv", "report.csv"):
+        assert (amplitudes / name).read_bytes() == (basis / name).read_bytes()
+    if alpha == 1:
+        assert ((amplitudes / "final_state.csv").read_bytes()
+                == (basis / "final_state.csv").read_bytes())
+    got, want = (read_csv(out / "final_state.csv") for out in (amplitudes, basis))
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    for g, w in zip(got[1:], want[1:]):
+        assert [float(x) for x in g[2:]] == [alpha * float(x) for x in w[2:]]
+
+
 def test_sweep_omega_anchor_and_zeros(tmp_path):
     zero = suppression_rabi(2.0, 11)
     cfg = write_cfg(tmp_path,
@@ -219,14 +240,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_config_chain_params(tmp_path):
+def test_config_chain_params(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "# demo chain\nL = 6\nJ=1.5\nomega0=90\ndelta_omega = 30\n")
     assert load_config(cfg, str(tmp_path)).chain_params() == ChainParams(
         L=6, J=1.5, omega0=90.0, delta_omega=30.0)
 
     bad = write_cfg(tmp_path, "L=4\nfoo=1\n", "bad.cfg")
-    with pytest.raises(ValueError, match="'foo'"):
-        load_config(bad, str(tmp_path))
+    assert main(["protocol", "--config", bad, "--out", str(tmp_path)]) == 1
+    assert "protocol does not read config key 'foo'" in capsys.readouterr().err
     no_l = write_cfg(tmp_path, "J=1\n", "noL.cfg")
     with pytest.raises(ValueError, match="'L'"):
         load_config(no_l, str(tmp_path)).chain_params()
@@ -252,8 +273,11 @@ BAD_CONFIGS = [
     # probability floors outside (0, 1)
     ("sweep-omega", "preset=fig1\nP0=2\n", "P0"),
     ("run", "L=5\nOmega=0.1\nP0=-1\n", "P0"),
-    ("run", "L=5\nOmega=0.1\ncensus_threshold=-1\n", "census_threshold"),
-    ("spectrum", "L=5\nOmega=0.1\ncensus_threshold=0\n", "census_threshold"),
+    ("spectrum", "L=5\nOmega=0.1\nP0=1\n", "P0"),
+    ("spectrum", "L=5\nOmega=0.1\nP0=0\n", "P0"),
+    # a superposition start whose norm is off names both amplitudes
+    ("run", "L=5\nOmega=0.1\nalpha=2\nbeta=0\n", "alpha"),
+    ("run", "L=5\nOmega=0.1\nalpha=2\nbeta=0\n", "beta"),
     # P_drop outside [0, 1), and a sweep starting below the protocol's three spins
     ("run", "L=5\nOmega=0.1\nP_drop=1\n", "P_drop"),
     ("sweep-length", "preset=fig2\nL_min=4\nL_max=6\nP_drop=-1e-6\n", "P_drop"),

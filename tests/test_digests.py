@@ -1,0 +1,61 @@
+"""Byte-identity contract: the standard outputs, pinned by SHA-256 digest.
+
+Every CSV the commands write is deterministic, so a refactor that claims to
+leave the outputs unchanged can be checked byte for byte.  This test
+regenerates the four figure datasets (through scripts/reproduce_figures.py),
+a sparse `run` at L = 100, a failing `verify` and a `protocol` table, and
+compares the full SHA-256 digest of each file with the value recorded here.
+
+A digest may change only together with a line in CHANGES.md that says which
+output moved and why.  Never record a new value just to make this test pass:
+a digest that moves without an explanation is a changed result.
+"""
+
+import hashlib
+import runpy
+from pathlib import Path
+
+from spinchain.cli import main
+
+REPRODUCE = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
+
+FIGURE_DIGESTS = {
+    "fig1/sweep_omega.csv": "65ee435067eacb581e47f5d9ec3de4319befa2fffa22c67a2dc796174f525494",
+    "fig2/sweep_length.csv": "ace9955dc117a99e59061c661c02eed6e0a1c8d359162070c6717eb9401f8c37",
+    "fig2/budgets.csv": "c31f3a7d10e2b5c62f6e02ba33a65e3a5e0c67cf156b85676243865f6dad8361",
+    "fig3/sweep_length.csv": "aa66926ecaaf71574ed0f862d241278559f643eccd5fe556d619621b0d5318d4",
+    "fig3/budgets.csv": "5daedd7551afdcbd506ff9f45378c899de1091a11f58dae3a2bb5333a3443bd9",
+    "fig4/spectrum.csv": "659a74109648eb6fbdc34af5c44f026b85c2254f709ce62185b0438316ad3fe1",
+}
+
+# (command, config, expected exit code, {file: digest})
+COMMAND_DIGESTS = [
+    ("run", "L=100\nOmega=0.20844\nP_drop=1e-8\n", 0, {
+        "census.csv": "5cef1599d49022928eaacc221acf052855206e5246b774caddfd900e9f4402a2",
+        "final_state.csv": "fa354db24a9c6b8be14f8788eee0ad5af990d77552c8fc9ba143db803c8b2165",
+        "report.csv": "8c5b12b000de929a820dc388b644a892f72e96b08abae3b2574670dc424d6d6c",
+    }),
+    ("verify", "L=8\nOmega=0.0906\nalpha=0.7071067811865476\nbeta=0.7071067811865476\n", 2, {
+        "verify.csv": "8f8305d393c64ae73b2a2a1bf949b7f58e9bb0b7681a2d7e3d01037319a93425",
+    }),
+    ("protocol", "L=10\nOmega=0.0906\n", 0, {
+        "protocol.csv": "ba1211e08124622ebe80a255e2b50f69ecfbf85e7cfeefb0653909f1d06b68be",
+    }),
+]
+
+
+def _digests(root: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_outputs_are_byte_identical(tmp_path, capsys):
+    figures = tmp_path / "figures"
+    assert runpy.run_path(str(REPRODUCE))["run"](figures) == 0
+    assert _digests(figures, FIGURE_DIGESTS) == FIGURE_DIGESTS
+    for command, text, code, expect in COMMAND_DIGESTS:
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert _digests(out, expect) == expect, command
+    capsys.readouterr()

@@ -172,11 +172,11 @@ def test_run_protocol_asserts_norm_ledger(params5, monkeypatch, tmp_path):
 
 
 def test_norm_ledger_measured_from_initial_norm(params5):
-    # from_superposition accepts a start state off by up to 1e-9 in norm
+    # a start state off by 5e-10 in norm, inside the 1e-9 that the config
+    # boundary accepts for alpha and beta
     seq = cn_remote_protocol(params5, 0.0906)
     off = math.sqrt(1 + 5e-10)
-    initial = SparseState.from_superposition([(BasisState.ground(5), 0.6 * off),
-                                              (BasisState.from_string("10000"), 0.8 * off)])
+    initial = SparseState.from_amplitudes({0b00000: 0.6 * off, 0b10000: 0.8 * off}, 5)
     final, _ = run_protocol(initial, seq, params5, P_drop=1e-6)
     assert abs(final.total_probability() + final.dropped - (1 + 5e-10)) <= 1e-12
 
@@ -277,10 +277,7 @@ def test_run_protocol_resonant_branch(params5):
 def test_run_protocol_splits_superposition(params5):
     alpha, beta = 0.6, 0.8
     seq = cn_remote_protocol(params5, 0.0906)
-    initial = SparseState.from_superposition([
-        (BasisState.ground(5), alpha),
-        (BasisState.from_string("10000"), beta),
-    ])
+    initial = SparseState.from_amplitudes({0b00000: alpha, 0b10000: beta}, 5)
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     # no pulse addresses the control spin, so the two sectors never mix
     assert final.probability(BasisState.from_string("10001")) == pytest.approx(beta**2, abs=1e-8)
@@ -382,12 +379,8 @@ def test_pulse_splitting_composes_exactly(params5):
     seq = cn_remote_protocol(params5, 0.0906)
     pulse = seq.pulses[0]
     half = Pulse(nu=pulse.nu, Omega=pulse.Omega, tau=pulse.tau / 2)
-    initial = SparseState.from_superposition([
-        (BasisState.ground(5), 0.5),
-        (BasisState.from_string("10000"), 0.5),
-        (BasisState.from_string("01010"), 0.5),
-        (BasisState.from_string("00110"), 0.5),
-    ])
+    initial = SparseState.from_amplitudes(
+        {0b00000: 0.5, 0b10000: 0.5, 0b01010: 0.5, 0b00110: 0.5}, 5)
     once = apply_pulse(initial, pulse, params5, P_drop=0.0)
     twice = apply_pulse(apply_pulse(initial, half, params5, P_drop=0.0),
                         half, params5, P_drop=0.0)
