@@ -77,8 +77,7 @@ def first_order_states(L: int) -> tuple[list[BasisState], list[BasisState]]:
     bit 0, run length 1..L-1.  Family B (target unflipped): a run of 1s
     ending at bit 1, run length 1..L-2.  Sizes L-1 and L-2, totalling 2L-3.
     """
-    if L < 3:
-        raise ValueError(f"remote-CN protocol needs L >= 3, got {L}")
+    n1(L)  # the protocol's L >= 3 rule
     family_a = [BasisState((1 << r) - 1, L) for r in range(1, L)]
     family_b = [BasisState(((1 << r) - 1) << 1, L) for r in range(1, L - 1)]
     return family_a, family_b
@@ -108,8 +107,7 @@ def p1_target(L: int, eps: float) -> float:
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be a probability, got {eps}")
-    if L < 3:
-        raise ValueError(f"remote-CN protocol needs L >= 3, got {L}")
+    n1(L)  # the protocol's L >= 3 rule
     return eps + eps * sum(1.0 - (2 * n + 1) * eps for n in range(L - 2))
 
 

@@ -9,12 +9,14 @@ frequency nu the generator
             - Omega sum_k I_k^x
 
 is exactly time independent, and one dense matrix exponential per pulse is
-exact (here via eigendecomposition of the real symmetric H_rot).  Frame
-boundaries carry the phases e^{-i(E_p + nu*M_p) t} relating rotating-frame
-amplitudes to the interaction picture, where M_p is the total I^z of state
-p.  The tests pin these conventions against `chain_ode` in tests/oracles.py,
-a solve_ivp integration of the interaction-picture amplitude equations that
-computes its energies on its own.
+exact (here via eigendecomposition of the real symmetric H_rot: one per
+distinct carrier, L for the remote-CN protocol, each freed after its last
+pulse).  Frame boundaries carry the phases e^{-i(E_p + nu*M_p) t}
+relating rotating-frame amplitudes to the interaction picture, where M_p is
+the total I^z of state p.  The tests pin these conventions against
+`chain_ode` in tests/oracles.py, a solve_ivp integration of the
+interaction-picture amplitude equations that computes its energies on its
+own.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     """Propagate through a pulse sequence, exact to machine roundoff.
 
     Per pulse: rotate in, apply exp(-i H_rot tau) via eigendecomposition,
-    rotate back to interaction-picture amplitudes.
+    rotate back to interaction-picture amplitudes.  H_rot depends on the
+    pulse through (nu, Omega) only, so each distinct carrier is decomposed
+    once and its spectrum freed after the last pulse that uses it.
     """
     L = initial.L
     if L != params.L:
@@ -105,12 +109,17 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     E, M = _diagonal_terms(params)
     C = initial.amplitudes.astype(complex).copy()
     t = initial.t
-    for pulse in seq.pulses:
+    keys = [(pulse.nu, pulse.Omega) for pulse in seq.pulses]
+    last_use = {key: i for i, key in enumerate(keys)}
+    spectra = {}
+    for i, (pulse, key) in enumerate(zip(seq.pulses, keys)):
         d = E + pulse.nu * M
-        H = rotating_frame_generator(pulse, params)
-        w, U = np.linalg.eigh(H)
+        if key not in spectra:
+            spectra[key] = np.linalg.eigh(rotating_frame_generator(pulse, params))
+        w, U = spectra.pop(key) if last_use[key] == i else spectra[key]
         phi = np.exp(-1j * d * t) * C
         phi = U @ (np.exp(-1j * w * pulse.tau) * (U.T @ phi))
+        del w, U  # an evicted spectrum must not be alive during the next eigh
         t += pulse.tau
         C = np.exp(1j * d * t) * phi
     return DenseState(amplitudes=C, L=L, t=t)

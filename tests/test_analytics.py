@@ -71,6 +71,13 @@ def test_n1_counts():
         n1(2)
 
 
+@pytest.mark.parametrize("call", [n1, first_order_states, lambda L: p1_total(L, 0.1),
+                                  lambda L: p1_target(L, 0.1)])
+def test_short_chain_rejected_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^remote-CN protocol needs L >= 3, got 2$"):
+        call(2)
+
+
 def test_first_order_families_L4():
     family_a, family_b = first_order_states(4)
     assert [str(s) for s in family_a] == ["0001", "0011", "0111"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,6 +119,79 @@ def test_exact_agrees_with_tdse_battery(L, n_pulses, seed):
         rotating = evolve_exact(rotating, PulseSequence(pulses=(pulse,)), params)
         assert rotating.norm() == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(rotating.amplitudes - integrated)) < 1e-7
+
+
+def _record_eigh(monkeypatch) -> list[int]:
+    """Patch np.linalg.eigh to log, per call, the bytes tracemalloc sees alive."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(H):
+        calls.append(tracemalloc.get_traced_memory()[0])
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
+def test_battery_reuses_spectra_by_carrier_and_rabi(monkeypatch):
+    # one call through five pulses: carrier A recurs two pulses later with a
+    # new tau, and once more with a new Omega, which needs its own spectrum
+    params = ChainParams(L=3)
+    nu_a, nu_b = params.omega0 + 21.3, params.omega0 + 0.7
+    pulses = (Pulse(nu=nu_a, Omega=0.6, tau=0.9), Pulse(nu=nu_b, Omega=0.4, tau=0.5),
+              Pulse(nu=nu_a, Omega=0.6, tau=0.35), Pulse(nu=nu_a, Omega=0.25, tau=1.1),
+              Pulse(nu=nu_b, Omega=0.4, tau=0.8))
+    rng = np.random.default_rng(14)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps /= np.linalg.norm(amps)
+    eigh_calls = _record_eigh(monkeypatch)
+    final = evolve_exact(DenseState(amplitudes=amps.copy(), L=3, t=0.2),
+                         PulseSequence(pulses=pulses), params)
+    assert len(eigh_calls) == 3
+    integrated, t = amps.copy(), 0.2
+    for pulse in pulses:
+        integrated = chain_ode(integrated, pulse, params, t_start=t)
+        t += pulse.tau
+    assert final.t == pytest.approx(t)
+    assert np.max(np.abs(final.amplitudes - integrated)) < 1e-7
+
+
+def test_protocol_decomposes_each_carrier_once(monkeypatch):
+    # flip j and unflip j share a carrier, so 2L-3 pulses need L spectra
+    L = 6
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, 0.0906)
+    initial = DenseState.from_basis(BasisState.from_string("100000"))
+    chained = initial
+    for pulse in seq.pulses:
+        chained = evolve_exact(chained, PulseSequence(pulses=(pulse,)), params)
+    eigh_calls = _record_eigh(monkeypatch)
+    final = evolve_exact(initial, seq, params)
+    assert len(seq.pulses) == 2 * L - 3 and len(eigh_calls) == L
+    assert np.array_equal(final.amplitudes, chained.amplitudes)
+    assert final.t == chained.t
+
+
+def test_protocol_frees_each_spectrum_after_its_last_pulse(monkeypatch):
+    # keeping all L spectra costs about 10 matrices at L = 8.  LAPACK's
+    # workspace, which tracemalloc does not see, makes eigh the peak of the
+    # resident set, so at most one spectrum besides the new generator may
+    # be alive there: an evicted one still held would add a matrix
+    L = 8
+    matrix = 8 * 4 ** L
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, 0.0906)
+    initial = DenseState.from_basis(BasisState.ground(L))
+    alive_at_eigh = _record_eigh(monkeypatch)
+    tracemalloc.start()
+    try:
+        evolve_exact(initial, seq, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * matrix
+    assert max(alive_at_eigh) <= 2.5 * matrix
 
 
 def test_dense_state_from_sparse():
