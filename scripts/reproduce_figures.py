@@ -12,6 +12,7 @@ the emitted CSVs are figure-ready:
 Usage: python scripts/reproduce_figures.py [outdir]
 """
 
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -33,7 +34,10 @@ def run(outdir: Path) -> int:
         with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
             fh.write(f"preset={preset}\n")
             cfg = fh.name
-        code = main([command, "--config", cfg, "--out", str(target)])
+        try:
+            code = main([command, "--config", cfg, "--out", str(target)])
+        finally:
+            os.unlink(cfg)
         if code != 0:
             print(f"{preset} failed with exit code {code}", file=sys.stderr)
             return code

@@ -31,6 +31,12 @@ from .protocol import Pulse, PulseSequence
 HILBERT_CAP = 12  # 4096 amplitudes; dense exponentials stay desk-scale
 
 
+def check_dense_cap(L: int) -> None:
+    """Raise ValueError when a chain of L spins is too long to propagate densely."""
+    if L > HILBERT_CAP:
+        raise ValueError(f"L={L} exceeds the dense-propagation cap {HILBERT_CAP}")
+
+
 @dataclass
 class DenseState:
     """All 2^L interaction-picture amplitudes, indexed by packed basis state."""
@@ -81,8 +87,7 @@ def rotating_frame_generator(pulse: Pulse, params: ChainParams) -> np.ndarray:
     -Omega/2 on every single-flip pair.
     """
     L = params.L
-    if L > HILBERT_CAP:
-        raise ValueError(f"L={L} exceeds the dense-propagation cap {HILBERT_CAP}")
+    check_dense_cap(L)
     E, M = _diagonal_terms(params)
     dim = 1 << L
     H = np.zeros((dim, dim))
@@ -104,8 +109,7 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     L = initial.L
     if L != params.L:
         raise ValueError(f"state has L={L}, params have L={params.L}")
-    if L > HILBERT_CAP:
-        raise ValueError(f"L={L} exceeds the dense-propagation cap {HILBERT_CAP}")
+    check_dense_cap(L)
     E, M = _diagonal_terms(params)
     C = initial.amplitudes.astype(complex).copy()
     t = initial.t

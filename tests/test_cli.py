@@ -129,6 +129,25 @@ def test_sweep_length_matches_analytics(tmp_path):
     assert len(budgets) - 1 == 4
 
 
+def test_sweep_length_flags_budgets_that_are_not_probabilities(tmp_path, capsys):
+    # at Omega = 1.5 the truncated first-order P1 reads -0.18 at L = 14, and
+    # P1cal -0.109 at L = 15; the files and the exit code do not change
+    cfg = write_cfg(tmp_path, "Omega=1.5\nL_min=4\nL_max=20\n")
+    assert main(["sweep-length", "--config", cfg, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "P1_analytic first at L=14" in err
+    assert "P1cal_analytic first at L=15" in err
+    rows = read_csv(tmp_path / "sweep_length.csv")
+    assert float(rows[14 - 3][1]) < 0.0 <= float(rows[13 - 3][1])
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_sweep_length_presets_raise_no_budget_warning(tmp_path, capsys, preset):
+    cfg = write_cfg(tmp_path, f"preset={preset}\n")
+    assert main(["sweep-length", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # (L_min, L_max, L_step): consecutive lengths, a step of 7, a grid across the
 # 64/65 boundary where keys gain a second word, and a grid whose last length
 # (19) is below L_max
@@ -221,9 +240,10 @@ def test_verify_csv_contract(tmp_path, Omega, code):
     assert code == (0 if 0.5 * math.fsum(gap) <= 1e-3 else 2)
 
 
-def test_verify_rejects_chain_over_cap(tmp_path):
+def test_verify_rejects_chain_over_cap(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "L=13\nOmega=0.0906\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "L=13 exceeds the dense-propagation cap 12" in capsys.readouterr().err
 
 
 def test_bad_inputs_exit_one(tmp_path, capsys):
@@ -284,6 +304,8 @@ BAD_CONFIGS = [
     ("spectrum", "L=5\nOmega=0.1\nP_drop=1.5\n", "P_drop"),
     ("sweep-length", "preset=fig2\nL_min=2\nL_max=6\n", "L_min"),
     ("sweep-length", "preset=fig2\nL_min=10\nL_max=9\n", "L_max"),
+    # a rule broken by a key's default value names that key
+    ("sweep-length", "Omega=0.0906\nL_min=150\n", "L_max"),
     # keys that some command reads, given to one that does not
     ("verify", "L=5\nOmega=0.0906\nP_drop=0.5\nP0=0.5\nL_max=3\n", "P_drop"),
     ("protocol", "L=5\nOmega=0.0906\nP0=7\n", "P0"),

@@ -20,6 +20,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import spinchain
@@ -57,12 +58,17 @@ def _digests(root: Path, names) -> dict[str, str]:
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_outputs_are_byte_identical(tmp_path, capsys):
+def test_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
     # run from the directory holding the package under test, so the child
     # imports it whether or not it is installed
     src = Path(spinchain.__file__).parents[1]
     figures = tmp_path / "figures"
+    # the script's temporary config files must not outlive the run
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     assert runpy.run_path(str(REPRODUCE))["run"](figures) == 0
+    assert not list(scratch.iterdir())
     assert _digests(figures, FIGURE_DIGESTS) == FIGURE_DIGESTS
     for command, text, code, expect in COMMAND_DIGESTS:
         cfg = tmp_path / f"{command}.cfg"

@@ -12,6 +12,7 @@ from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import (
     SparseState,
     apply_pulse,
+    pair_coefficients,
     pair_update,
     resonant_spin,
     run_protocol,
@@ -20,7 +21,12 @@ from spinchain.propagator import (
 )
 from spinchain.protocol import Pulse, cn_remote_protocol, cn_trajectory
 
-from oracles import apply_pulse_dict, census_bitstring, energy_bruteforce
+from oracles import (
+    apply_pulse_dict,
+    census_bitstring,
+    energy_bruteforce,
+    pair_map_closed_form,
+)
 
 
 def ground_run(L, Omega, P_drop=1e-6):
@@ -153,6 +159,53 @@ def test_kernel_matches_dict_oracle(case):
         assert abs(out.amplitudes[s] - c) <= 1e-14
     assert abs(out.dropped - dropped) <= 1e-15
     assert out.t == t + pulse.tau
+
+
+def _clear_pair_map_caches():
+    spinchain.propagator._rotation.cache_clear()
+    spinchain.propagator._carrier.cache_clear()
+
+
+# one carrier (spin 2 of a 6-spin chain, both neighbours up at J = 1) under
+# pulses that differ only in Omega, only in tau, or in both, and two chains
+# that differ only in J; at J = 1.5 the carrier still addresses spin 2, at
+# other detunings
+CACHE_PARAMS = (ChainParams(L=6, omega0=100.0, delta_omega=20.0),
+                ChainParams(L=6, J=1.5, omega0=100.0, delta_omega=20.0))
+CACHE_PULSES = (Pulse(nu=142.0, Omega=0.0906, tau=math.pi / 0.0906),
+                Pulse(nu=142.0, Omega=0.20844, tau=math.pi / 0.20844),
+                Pulse(nu=142.0, Omega=0.0906, tau=0.5 * math.pi / 0.0906),
+                Pulse(nu=142.0, Omega=0.20844, tau=math.pi / 0.0906))
+
+
+def test_cached_pair_maps_match_cold_calls():
+    # every neighbour pattern of every state is present, so each detuning
+    # of each pulse reaches the output; warm calls interleave pulses that
+    # share a carrier or a detuning, then each is repeated from empty caches
+    amplitudes = {s: complex(1 + s % 5, s % 3 - 1) / 24.0 for s in range(64)}
+    cases = [(params, pulse, t) for t in (0.0, 37.5) for pulse in CACHE_PULSES
+             for params in CACHE_PARAMS]
+    _clear_pair_map_caches()
+    warm = [apply_pulse(SparseState.from_amplitudes(amplitudes, 6, t=t), pulse, params,
+                        P_drop=0.0) for params, pulse, t in cases]
+    for (params, pulse, t), got in zip(cases, warm):
+        _clear_pair_map_caches()
+        cold = apply_pulse(SparseState.from_amplitudes(amplitudes, 6, t=t), pulse, params,
+                           P_drop=0.0)
+        assert got.keys.tobytes() == cold.keys.tobytes()
+        assert got.amps.tobytes() == cold.amps.tobytes()
+        assert got.dropped == cold.dropped
+    # the pair maps themselves, against the cold call and the closed form
+    calls = [(Delta, pulse.Omega, pulse.tau, t) for t in (0.0, 37.5) for pulse in CACHE_PULSES
+             for Delta in (0.0, -2.0, 2.0, 1.0)]
+    _clear_pair_map_caches()
+    warm = [pair_coefficients(*call) for call in calls]
+    for call, got in zip(calls, warm):
+        _clear_pair_map_caches()
+        assert np.array(got).tobytes() == np.array(pair_coefficients(*call)).tobytes()
+        K_mm, _, K_pm, _ = got
+        cm, cp = pair_map_closed_form(*call)
+        assert abs(K_mm - cm) <= 1e-12 and abs(K_pm - cp) <= 1e-12
 
 
 def test_run_protocol_asserts_norm_ledger(params5, monkeypatch, tmp_path):
