@@ -14,7 +14,10 @@ reads only its own keys (`COMMANDS`) and rejects any other, naming it and
 the command; it also rejects a key given twice, a value that does not
 parse, a float that is not finite, an unphysical sweep grid (L_min below 3
 included), a P0 outside (0, 1), a P_drop outside [0, 1), or alpha and beta
-whose squares do not sum to 1; the error names the key.
+whose squares do not sum to 1; the error names the key.  So is a Rabi
+frequency (Omega, omega_min, omega_max) so small that the pulse phases
+overflow; `verify` also rejects, with exit 1, an Omega at which the exact
+propagation is not finite.
 
 sweep-length runs the remote-CN protocol once, for the longest chain of its
 grid, and takes each length L's census from that run's state after pulse
@@ -30,9 +33,10 @@ preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
 override a preset, and preset keys that the command does not read are
 ignored.
 
-Exit codes: 0 ok, 1 bad input, 2 verification failure.  Every command is
-deterministic: identical config gives byte-identical CSV; wall times are
-printed, never written into data files.
+Exit codes: 0 ok, 1 bad input, 2 verification failure (two finite
+propagations that disagree).  Every command is deterministic: identical
+config gives byte-identical CSV; wall times are printed, never written into
+data files.
 """
 
 from __future__ import annotations
@@ -279,12 +283,17 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     lo = cfg.get_float("omega_min")
     hi = cfg.get_float("omega_max")
     steps = cfg.get_int("omega_steps")
-    cfg.require("omega_min", lo, lo > 0, "> 0")
-    cfg.require("omega_max", hi, hi > 0, "> 0")
+    # eps at detuning 4J takes the phase 2J pi/Omega; twice it must be finite
+    for key, value in (("omega_min", lo), ("omega_max", hi)):
+        cfg.require(key, value, value > 0 and math.isfinite(4.0 * J * math.pi / value),
+                    f"> 0 and large enough that 4 pi J/{key} is finite")
     cfg.require("omega_steps", steps, steps >= 0, ">= 0")
     rows = []
     for i in range(steps):
-        om = lo if steps == 1 else lo + (hi - lo) * i / (steps - 1)
+        # the last point is omega_max itself: for omega_max << omega_min,
+        # lo + (hi - lo) rounds to 0
+        om = (lo if i == 0 else hi if i == steps - 1
+              else lo + (hi - lo) * i / (steps - 1))
         e1, e2 = ground_branch_errors(om, J)
         rows.append([repr(om), repr(e1), repr(e2), int(e1 < P0 and e2 < P0)])
     path = _out(cfg, "sweep_omega.csv")
@@ -359,10 +368,16 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     seq = cn_remote_protocol(params, Omega)
     final, _ = run_protocol(initial, seq, params, P_drop=0.0)
     exact_final = evolve_exact(DenseState.from_sparse(initial), seq, params)
+    p_exact = exact_final.probability_array()
+    # exit 2 is for two finite propagations that disagree
+    if not np.isfinite(p_exact).all():
+        raise ValueError(
+            f"config key 'Omega' = {Omega!r}: the exact propagation overflows at "
+            f"J={params.J}, omega0={params.omega0}, delta_omega={params.delta_omega}, "
+            "so there is no finite result to verify the map against")
     # the map's own |C|^2, scattered: squaring a dense copy would move last ulps
     p_map = np.zeros(1 << params.L)
     p_map[final.states()] = final.probability_array()
-    p_exact = exact_final.probability_array()
     gap = np.abs(p_map - p_exact)
     tvd = total_variation_distance(p_map, p_exact)
     order = np.argsort(-gap, kind="stable")  # largest gap first, ties by state

@@ -101,23 +101,18 @@ class BasisState:
         return format(self.bits, f"0{self.L}b")
 
 
-def _m(bit: int) -> float:
-    """I^z eigenvalue for one bit: +1/2 for spin up (0), -1/2 for down (1)."""
-    return 0.5 if bit == 0 else -0.5
-
-
 def flip_gap(bits: int, k: int, params: ChainParams) -> float:
     """E(bit k set) - E(bit k cleared) for the flip pair containing `bits`,
     the transition frequency of spin k.
 
     Depends only on the neighbour bits of k, so O(1):
     gap = omega0 + k*delta_omega + 2J * (m_{k-1} + m_{k+1}), edge spins
-    having one neighbour term.  Positive, because `ChainParams` enforces
-    omega0 > 2J.
+    having one neighbour term, with the I^z eigenvalue m = 1/2 - bit.
+    Positive, because `ChainParams` enforces omega0 > 2J.
     """
     g = params.omega0 + k * params.delta_omega
     if k > 0:
-        g += 2.0 * params.J * _m((bits >> (k - 1)) & 1)
+        g += 2.0 * params.J * (0.5 - ((bits >> (k - 1)) & 1))
     if k < params.L - 1:
-        g += 2.0 * params.J * _m((bits >> (k + 1)) & 1)
+        g += 2.0 * params.J * (0.5 - ((bits >> (k + 1)) & 1))
     return g

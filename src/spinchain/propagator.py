@@ -45,6 +45,16 @@ holds what the state adds to its pair's lower and upper amplitude.  The
 second member of a pair adds its share to the first and is zeroed, so all
 pairs are updated by array arithmetic, and pruning is one mask.
 
+The merge multiplies the shares by the mask of equal adjacent pair keys,
+then adds the product to the left neighbour and subtracts it from the
+state.  With no pair present (in an L = 100 run, 99 of 197 pulses at
+either figure Omega) the product is all signed zeros, and adding or
+subtracting a signed zero leaves a nonzero finite number bit for bit
+unchanged, so the merge is skipped.  It still runs when some real or
+imaginary part is exactly zero, as on every pulse from the control branch
+|10...0>: there it can turn -0.0 into +0.0, a sign `final_state.csv`
+prints.
+
 Pair maps.  A map depends on the pulse's start time only through the two
 frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
 (Delta, Omega, tau) and taken from a bounded cache (`_rotation`, 16
@@ -107,6 +117,12 @@ NORM_LEDGER_TOLERANCE = 1e-12
 
 _WORD = 64
 _WORD_MASK = (1 << _WORD) - 1
+# Every shift count and mask the kernel applies to the uint64 keys, as
+# np.uint64 (_SHIFT[n] is np.uint64(n)): numpy converts a Python int operand
+# again on every array operation, about 0.4 us each at figure sizes.
+_SHIFT = np.arange(_WORD, dtype=np.uint64)
+_BIT = 1 << _SHIFT
+_CLEAR = ~_BIT
 
 
 def _pack(states, L: int) -> np.ndarray:
@@ -187,12 +203,12 @@ class SparseState:
             raise ValueError(f"prefix length {L} outside [1, {self.L}]")
         word, bit = divmod(self.L - L, _WORD)
         keys = self.keys
-        if keys[:, :word].any() or (keys[:, word] & ((1 << bit) - 1)).any():
+        if keys[:, :word].any() or (keys[:, word] & (_BIT[bit] - _BIT[0])).any():
             raise ValueError(f"a state flips one of the {self.L - L} spins below the top {L}")
         keys = keys[:, word:]
         if bit:
-            shifted = keys >> bit
-            shifted[:, :-1] |= keys[:, 1:] << (_WORD - bit)
+            shifted = keys >> _SHIFT[bit]
+            shifted[:, :-1] |= keys[:, 1:] << _SHIFT[_WORD - bit]
             keys = shifted
         W = (L + _WORD - 1) // _WORD
         return SparseState(keys=np.ascontiguousarray(keys[:, :W]), amps=self.amps, L=L,
@@ -278,11 +294,11 @@ def _neighbourhood(keys: np.ndarray, k: int) -> np.ndarray:
     bits outside the chain read 0 (the words hold no bit at or above L)."""
     word, bit = divmod(k, _WORD)
     col = keys[:, word]
-    code = (col >> (bit - 1)) & 7 if bit else (col << 1) & 7
+    code = (col >> _SHIFT[bit - 1] if bit else col << _SHIFT[1]) & _SHIFT[7]
     if bit == 0 and word > 0:
-        code |= keys[:, word - 1] >> 63
+        code |= keys[:, word - 1] >> _SHIFT[_WORD - 1]
     elif bit == _WORD - 1 and word + 1 < keys.shape[1]:
-        code |= (keys[:, word + 1] & 1) << 2
+        code |= (keys[:, word + 1] & _BIT[0]) << _SHIFT[2]
     return code.view(np.int64)
 
 
@@ -337,7 +353,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     k, detunings = _carrier(pulse.nu, params)
     word, bit = divmod(k, _WORD)
     # sort by pair key (bit k cleared) so that partners become neighbours
-    clear = _WORD_MASK ^ 1 << bit
+    clear = _CLEAR[bit]
     columns = list(state.keys.T)
     columns[word] = columns[word] & clear
     order = np.lexsort(columns)
@@ -347,9 +363,15 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     out *= state.amps.take(order)
     pair_keys[:, word] &= clear
     rows = _rows(pair_keys)
-    second = out[:, 1:] * (rows[1:] == rows[:-1])
-    out[:, :-1] += second
-    out[:, 1:] -= second  # exactly zero: pruned below at no cost to the ledger
+    paired = rows[1:] == rows[:-1]
+    # with no pair, the merge would add a signed zero to every component,
+    # which changes only components that are exactly zero (see Grouping);
+    # count_nonzero counts -0.0 as zero, and is cheaper than any() or all()
+    components = out.view(np.float64)
+    if np.count_nonzero(paired) or np.count_nonzero(components) < components.size:
+        second = out[:, 1:] * paired
+        out[:, :-1] += second
+        out[:, 1:] -= second  # exactly zero: pruned below at no cost to the ledger
     p = (out * out.conj()).real  # |C|^2 in two array operations
     keep = p >= max(P_drop, AMPLITUDE_FLOOR)
     dropped = state.dropped + float(p[~keep].sum())
@@ -357,7 +379,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     upper, pair = keep.nonzero()
     out_keys = pair_keys.take(pair, axis=0)
     lower = np.count_nonzero(keep[0])
-    out_keys[lower:, word] |= 1 << bit
+    out_keys[lower:, word] |= _BIT[bit]
     return SparseState(keys=out_keys, amps=out[keep], L=state.L,
                        t=state.t + pulse.tau, dropped=dropped)
 
@@ -453,14 +475,15 @@ def unwanted_census(final: SparseState, threshold: float = 1e-6) -> Census:
     top_word, top_bit = divmod(L - 1, _WORD)
     ideal = np.zeros((2, W), dtype=np.uint64)  # |0...0> and |10...01>
     ideal[1, 0] = 1
-    ideal[1, top_word] |= 1 << top_bit
+    ideal[1, top_word] |= _BIT[top_bit]
     rows = _rows(final.keys)
     ground, target = _rows(ideal)
     p = final.probability_array()
     unwanted = (p >= threshold) & (rows != ground) & (rows != target)
     keys, p = final.keys[unwanted], p[unwanted]
     # target bit 0 set, control bit L-1 clear
-    flipped_target = (keys[:, 0] & 1) > ((keys[:, top_word] >> top_bit) & 1)
+    one = _BIT[0]
+    flipped_target = (keys[:, 0] & one) > ((keys[:, top_word] >> _SHIFT[top_bit]) & one)
     return Census(count=len(p), p1_total=math.fsum(p.tolist()),
                   p1_target=math.fsum(p[flipped_target].tolist()),
                   keys=keys, probabilities=p, L=L)

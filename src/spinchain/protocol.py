@@ -110,12 +110,19 @@ def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
 
     For each consecutive pair of trajectory states flipping qubit k, the
     pulse carrier equals the level spacing of that flip on the current
-    control-branch state and tau = pi/Omega.
+    control-branch state and tau = pi/Omega.  Omega is rejected when the
+    frame phases Delta * t of a run, |Delta| <= 4J up to the end time
+    (2L-3) tau, would overflow (twice that bound must be finite, leaving
+    room for rounding).
     """
     if not (math.isfinite(Omega) and Omega > 0):
         raise ValueError(f"Rabi frequency Omega must be finite and positive, got {Omega}")
     traj = cn_trajectory(params)
     tau = math.pi / Omega
+    if not math.isfinite(8.0 * params.J * (len(traj) - 1) * tau):
+        raise ValueError(
+            f"Rabi frequency Omega={Omega} is too small for L={params.L}, J={params.J}: "
+            "the frame phases 4J (2L-3) pi/Omega of the protocol overflow")
     pulses = []
     for a, b in zip(traj, traj[1:]):
         k = (a.bits ^ b.bits).bit_length() - 1

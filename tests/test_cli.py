@@ -104,6 +104,14 @@ def test_sweep_omega_anchor_and_zeros(tmp_path):
     assert float(rows[2][1]) < 1e-20  # exact suppression point for Delta=2
 
 
+def test_sweep_omega_grid_ends_at_omega_max(tmp_path):
+    # descending to a tiny omega_max, lo + (hi - lo) rounds to 0
+    cfg = write_cfg(tmp_path, "omega_min=0.1\nomega_max=1e-20\nomega_steps=3\n")
+    assert main(["sweep-omega", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert [row[0] for row in read_csv(tmp_path / "sweep_omega.csv")[1:]] == [
+        "0.1", "0.05", "1e-20"]
+
+
 def test_sweep_omega_empty_grid(tmp_path):
     cfg = write_cfg(tmp_path, "omega_min=0.1\nomega_max=0.2\nomega_steps=0\n")
     assert main(["sweep-omega", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -310,6 +318,17 @@ BAD_CONFIGS = [
     ("verify", "L=5\nOmega=0.0906\nP_drop=0.5\nP0=0.5\nL_max=3\n", "P_drop"),
     ("protocol", "L=5\nOmega=0.0906\nP0=7\n", "P0"),
     ("sweep-omega", "preset=fig1\nOmega=0.3\nP_drop=0.9\n", "Omega"),
+    # Rabi frequencies at the ends of the float range: the protocol's frame
+    # phases or a single pulse's phase overflow, or the exact propagation
+    # is not finite (a NaN TVD is no verdict)
+    ("run", "L=5\nOmega=1e-307\n", "Omega"),
+    ("spectrum", "L=5\nOmega=1e-307\n", "Omega"),
+    ("verify", "L=5\nOmega=1e-307\n", "Omega"),
+    ("sweep-length", "Omega=1e-307\nL_min=4\nL_max=5\n", "Omega"),
+    ("sweep-omega", "omega_min=1e-310\nomega_max=0.2\nomega_steps=3\n", "omega_min"),
+    ("sweep-omega", "omega_min=0.1\nomega_max=1e-310\nomega_steps=3\n", "omega_max"),
+    ("verify", "L=5\nOmega=1e-306\n", "Omega"),
+    ("verify", "L=4\nOmega=1e308\n", "Omega"),
 ]
 
 

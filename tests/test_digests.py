@@ -3,8 +3,9 @@
 Every CSV the commands write is deterministic, so a refactor that claims to
 leave the outputs unchanged can be checked byte for byte.  This test
 regenerates the four figure datasets (through scripts/reproduce_figures.py),
-a sparse `run` at L = 100, a failing `verify` and a `protocol` table, and
-compares the full SHA-256 digest of each file with the value recorded here.
+a sparse `run` at L = 100 and one from the control branch, a failing
+`verify` and a `protocol` table, and compares the full SHA-256 digest of
+each file with the value recorded here.
 
 A digest may change only together with a line in CHANGES.md that says which
 output moved and why.  Never record a new value just to make this test pass:
@@ -45,6 +46,13 @@ COMMAND_DIGESTS = [
         "final_state.csv": "fa354db24a9c6b8be14f8788eee0ad5af990d77552c8fc9ba143db803c8b2165",
         "report.csv": "8c5b12b000de929a820dc388b644a892f72e96b08abae3b2574670dc424d6d6c",
     }),
+    # the control branch: every pulse's input has an exactly-zero amplitude
+    # component, so the pair merge, which rewrites the sign of such zeros,
+    # runs on every pulse
+    ("run", "L=10\nOmega=0.20844\ninitial=1000000000\n", 0, {
+        "final_state.csv": "2fa8de5abeab49b4f9a9315ab53d0732bffab0c8ae0688d4f0f692c8fe213f48",
+        "report.csv": "d352d303229f3297e48458618ffb70487e3db7e93c7f311be38689c5128c37f0",
+    }),
     ("verify", "L=8\nOmega=0.0906\nalpha=0.7071067811865476\nbeta=0.7071067811865476\n", 2, {
         "verify.csv": "b5225211cd27d008f28c987c12938c5c6fbdc4d27779946d8197cccec0ee03e4",
     }),
@@ -70,10 +78,10 @@ def test_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
     assert runpy.run_path(str(REPRODUCE))["run"](figures) == 0
     assert not list(scratch.iterdir())
     assert _digests(figures, FIGURE_DIGESTS) == FIGURE_DIGESTS
-    for command, text, code, expect in COMMAND_DIGESTS:
-        cfg = tmp_path / f"{command}.cfg"
+    for i, (command, text, code, expect) in enumerate(COMMAND_DIGESTS):
+        cfg = tmp_path / f"{i}-{command}.cfg"
         cfg.write_text(text)
-        out = tmp_path / command
+        out = tmp_path / f"{i}-{command}"
         proc = subprocess.run(
             [sys.executable, "-m", "spinchain", command, "--config", str(cfg), "--out", str(out)],
             capture_output=True, text=True, cwd=src, env={**os.environ, **ONE_BLAS_THREAD})

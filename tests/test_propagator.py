@@ -72,6 +72,20 @@ def test_absent_partner_enters_with_zero_amplitude(params5):
     assert out.probability(BasisState.from_string("10000")) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pulse_without_pairs_keeps_the_merge_signs():
+    # no flip pair is present, yet the merge still turns the -0.0 of a
+    # product with the input's -0.0 into +0.0; the kernel skips the merge
+    # only when no component is exactly zero, so these bytes must not move
+    params = ChainParams(L=4)
+    pulse = cn_remote_protocol(params, 0.20844).pulses[0]
+    state = SparseState.from_amplitudes(
+        {0b1000: complex(-0.0, -0.5), 0b1001: 0.5j}, 4)
+    out = apply_pulse(state, pulse, params, P_drop=0.0)
+    assert out.states() == [0b1100, 0b1101]
+    assert out.amps.tobytes().hex() == ("000000000000e03f" "0000000000000000"
+                                        "000000000000e0bf" "0000000000000000")
+
+
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_pulse_is_pair_update_at_every_spin(L):
     # every spin, both edges included (the CN protocol never addresses

@@ -120,7 +120,8 @@ def test_pulse_validation():
             fields = {"nu": 100.0, "Omega": 0.1, "tau": 1.0, field: bad}
             with pytest.raises(ValueError, match=field):
                 Pulse(**fields)
-    for bad in (math.nan, math.inf):
+    # 1e-307: the protocol's frame phases 4J (2L-3) pi/Omega overflow
+    for bad in (math.nan, math.inf, 1e-307):
         with pytest.raises(ValueError, match="Omega"):
             cn_remote_protocol(ChainParams(L=4), bad)
     Pulse(nu=100.0, Omega=0.0, tau=0.0)  # degenerate but legal
