@@ -279,6 +279,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     J = cfg.get_float("J", 1.0)
+    cfg.require("J", J, J > 0, "finite and positive")
     P0 = cfg.get_probability("P0", 1e-6)
     lo = cfg.get_float("omega_min")
     hi = cfg.get_float("omega_max")

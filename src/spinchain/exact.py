@@ -121,10 +121,13 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
         if key not in spectra:
             spectra[key] = np.linalg.eigh(rotating_frame_generator(pulse, params))
         w, U = spectra.pop(key) if last_use[key] == i else spectra[key]
-        phi = np.exp(-1j * d * t) * C
-        phi = U @ (np.exp(-1j * w * pulse.tau) * (U.T @ phi))
-        del w, U  # an evicted spectrum must not be alive during the next eigh
-        t += pulse.tau
-        C = np.exp(1j * d * t) * phi
+        # phases that overflow give non-finite amplitudes, which the caller
+        # reports (cmd_verify), so numpy need not warn about them first
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = np.exp(-1j * d * t) * C
+            phi = U @ (np.exp(-1j * w * pulse.tau) * (U.T @ phi))
+            del w, U  # an evicted spectrum must not be alive during the next eigh
+            t += pulse.tau
+            C = np.exp(1j * d * t) * phi
     return DenseState(amplitudes=C, L=L, t=t)
 

@@ -55,19 +55,23 @@ imaginary part is exactly zero, as on every pulse from the control branch
 |10...0>: there it can turn -0.0 into +0.0, a sign `final_state.csv`
 prints.
 
-Pair maps.  A map depends on the pulse's start time only through the two
+Plan.  A pair map depends on its pulse's start time only through the two
 frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
-(Delta, Omega, tau) and taken from a bounded cache (`_rotation`, 16
-entries).  The resonant spin of a carrier and its four neighbour-pattern
-detunings come from a second one keyed by (nu, params) (`_carrier`, 8
-entries).  Both hold one run's reuse and little more: a run's detunings
-take at most five values (0, +-2J, +-4J), and a carrier recurs three
-pulses after it first appears, when the spin it flipped is flipped back;
-by then the run has moved on along the chain.  In one L = 100 run, 586 of
-590 rotations and 97 of 197 carriers come from the caches.  Keys compare
-floats by value, so Delta = -0.0 shares the entry of +0.0 (their factors
-differ in the sign of a zero); the kernel's detunings are differences of
-finite floats and never -0.0.
+(Delta, Omega, tau).  A run's pulses, and so their start times, are known
+before the first one runs, so `run_protocol` builds every pulse's resonant
+spin and (2, 8) pair table up front, in one array pass (`_plan`).  Within
+the run a carrier's resonant spin and four detunings are found once per
+distinct (nu, Omega, tau), and the rotation factors once per distinct
+(Delta, Omega, tau): a remote-CN run has one Omega and tau, and at most
+five detunings (0, +-2J, +-4J).  The frame phases of all pulses are one
+`np.cos` and one `np.sin` call each, and the complex products are written
+out in real arithmetic in the order of Python's complex product, so each
+table is bit for bit the one the scalar `pair_coefficients` gives
+(numpy's complex multiply rounds differently).  Start times accumulate as
+`SparseState.t` does, one `t += tau` per pulse.  Nothing is kept between
+runs.  Keys compare floats by value, so Delta = -0.0 would share the
+factors of +0.0 (they differ in the sign of a zero); the kernel's
+detunings are differences of finite floats and never -0.0.
 
 Determinism.  The output lists the kept lower members in ascending
 pair-key order, then the kept upper members in the same order.  That order
@@ -97,7 +101,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,16 +230,13 @@ def pair_coefficients(Delta: float, Omega: float, tau: float,
     interaction-picture bookkeeping across pulse boundaries.  With
     u = cos(lam*tau/2), v = (Delta/lam) sin(lam*tau/2) and
     w = (Omega/lam) sin(lam*tau/2), unitarity is u^2 + v^2 + w^2 = 1.
-    Only the frame phases e0 and e1 depend on t_start (see Pair maps).
+    Only the frame phases e0 and e1 depend on t_start (see Plan).
     """
-    rot_m, cross, rot_p = _rotation(Delta, Omega, tau)
-    t1 = t_start + tau
-    e0 = complex(math.cos(Delta * t_start), -math.sin(Delta * t_start))
-    e1 = complex(math.cos(Delta * t1), math.sin(Delta * t1))
-    return (rot_m, cross * e0, cross * e1, rot_p * e0 * e1)
+    K = _pair_maps(np.array([_rotation(Delta, Omega, tau)]), np.array([Delta]),
+                   t_start, t_start + tau)
+    return tuple(K[0].tolist())
 
 
-@functools.lru_cache(maxsize=16)
 def _rotation(Delta: float, Omega: float, tau: float) -> tuple[complex, complex, complex]:
     """The factors of pair_coefficients that do not depend on time:
     (ph (u + iv), ph i w, ph (u - iv)) with ph = e^{-i tau Delta/2}."""
@@ -248,6 +249,31 @@ def _rotation(Delta: float, Omega: float, tau: float) -> tuple[complex, complex,
         u, v, w = math.cos(half), Delta / lam * s, Omega / lam * s
     ph = complex(math.cos(0.5 * Delta * tau), -math.sin(0.5 * Delta * tau))
     return (ph * complex(u, v), ph * 1j * w, ph * complex(u, -v))
+
+
+def _product(ar, ai, br, bi):
+    """Real and imaginary part of (ar + i ai)(br + i bi), rounded as Python's
+    complex product rounds them."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _pair_maps(rotation: np.ndarray, Delta: np.ndarray, t0, t1) -> np.ndarray:
+    """(K_mm, K_mp, K_pm, K_pp) of pair_coefficients along a new last axis,
+    from the rotation factors (..., 3) of `_rotation` and the frame phases
+    e0 = e^{-i Delta t0}, e1 = e^{i Delta t1}: (rot_m, cross e0, cross e1,
+    rot_p e0 e1)."""
+    x0 = Delta * t0
+    x1 = Delta * t1
+    e0 = np.cos(x0), -np.sin(x0)
+    e1 = np.cos(x1), np.sin(x1)
+    cross = rotation[..., 1].real, rotation[..., 1].imag
+    rot_p = rotation[..., 2].real, rotation[..., 2].imag
+    K = np.empty(np.shape(Delta) + (4,), dtype=np.complex128)
+    K[..., 0] = rotation[..., 0]
+    K.real[..., 1], K.imag[..., 1] = _product(*cross, *e0)
+    K.real[..., 2], K.imag[..., 2] = _product(*cross, *e1)
+    K.real[..., 3], K.imag[..., 3] = _product(*_product(*rot_p, *e0), *e1)
+    return K
 
 
 def pair_update(C_m: complex, C_p: complex, Delta: float, Omega: float,
@@ -302,43 +328,60 @@ def _neighbourhood(keys: np.ndarray, k: int) -> np.ndarray:
     return code.view(np.int64)
 
 
-@functools.lru_cache(maxsize=8)
-def _carrier(nu: float, params: ChainParams) -> tuple[int, tuple[float, float, float, float]]:
-    """Resonant spin k of carrier nu, and the detuning flip_gap - nu of the
-    neighbour patterns none, b_{k-1}, b_{k+1} and both (see Pair maps)."""
-    k = resonant_spin(nu, params)
-    below = 1 << (k - 1) if k else 0
-    above = 1 << (k + 1)
-    return k, tuple(flip_gap(pattern, k, params) - nu
-                    for pattern in (0, below, above, below | above))
+# Column `code` (see _neighbourhood) of a pair table holds what a state of
+# unit amplitude adds to its pair's lower (row 0) and upper (row 1)
+# amplitude: a state with bit k clear enters as C_m (K_mm, K_pm), with bit k
+# set as C_p (K_mp, K_pp).  Index into a pulse's (4 patterns x 4 maps) array
+# of _pair_maps, patterns ordered none, b_{k-1}, b_{k+1}, both.
+_CODE = np.arange(8)
+_TABLE = (4 * ((_CODE & 1) + 2 * (_CODE >> 2)) + ((_CODE >> 1) & 1)
+          + 2 * np.arange(2)[:, None])
 
 
-def _pair_table(detunings: tuple[float, float, float, float], pulse: Pulse,
-                t_start: float) -> np.ndarray:
-    """(2, 8) table: column `code` (see _neighbourhood) holds what a state
-    of unit amplitude adds to its pair's lower and upper amplitude.
+def _plan(pulses: Sequence[Pulse], params: ChainParams,
+          t0: float) -> tuple[list[int], np.ndarray]:
+    """Resonant spin and (n, 2, 8) pair tables of n pulses applied in order
+    from time t0 (see Plan).
 
     The flip gap depends only on the neighbour bits k-1 and k+1 (absent at
-    the chain's edges, where flip_gap ignores them), so a pulse has at
-    most four pair maps, one per entry of `detunings` (see _carrier), and
-    patterns with equal gaps share one.  Every gap is positive
-    (ChainParams enforces omega0 > 2J): the bit-k-clear member of a pair
-    is its lower level.
+    the chain's edges, where flip_gap ignores them), so a pulse has at most
+    four pair maps, one per neighbour pattern.  Every gap is positive
+    (ChainParams enforces omega0 > 2J): the bit-k-clear member of a pair is
+    its lower level.
     """
-    maps: dict[float, tuple[complex, complex, complex, complex]] = {}
-    for Delta in detunings:
-        if Delta not in maps:
-            maps[Delta] = pair_coefficients(Delta, pulse.Omega, pulse.tau, t_start)
-    # code = b_{k-1} + 2 b_k + 4 b_{k+1}; a state with bit k clear enters as
-    # C_m (column K_mm, K_pm), with bit k set as C_p (column K_mp, K_pp)
-    K0, Kb, Ka, Kba = (maps[Delta] for Delta in detunings)
-    return np.array(((K0[0], Kb[0], K0[1], Kb[1], Ka[0], Kba[0], Ka[1], Kba[1]),
-                     (K0[2], Kb[2], K0[3], Kb[3], Ka[2], Kba[2], Ka[3], Kba[3])),
-                    dtype=np.complex128)
+    if not pulses:
+        return [], np.empty((0, 2, 8), dtype=np.complex128)
+    rotations: dict[tuple[float, float, float], int] = {}
+    # a drive is a distinct (nu, Omega, tau): its spin, detunings, rotations
+    drives: dict[tuple[float, float, float], int] = {}
+    spins, detunings, factors = [], [], []
+    drive_of, times = [], [t0]
+    for pulse in pulses:
+        drive = drives.get((pulse.nu, pulse.Omega, pulse.tau))
+        if drive is None:
+            drive = drives[pulse.nu, pulse.Omega, pulse.tau] = len(drives)
+            k = resonant_spin(pulse.nu, params)
+            below = 1 << (k - 1) if k else 0
+            above = 1 << (k + 1)
+            deltas = [flip_gap(pattern, k, params) - pulse.nu
+                      for pattern in (0, below, above, below | above)]
+            spins.append(k)
+            detunings += deltas
+            factors += [rotations.setdefault((Delta, pulse.Omega, pulse.tau), len(rotations))
+                        for Delta in deltas]
+        drive_of.append(drive)
+        times.append(times[-1] + pulse.tau)  # as SparseState.t advances
+    drive = np.array(drive_of)
+    rotation = np.array([_rotation(*key) for key in rotations], dtype=np.complex128)
+    times = np.array(times)[:, None]
+    maps = _pair_maps(rotation[np.array(factors).reshape(-1, 4)[drive]],
+                      np.array(detunings).reshape(-1, 4)[drive], times[:-1], times[1:])
+    return [spins[d] for d in drive_of], maps.reshape(len(drive_of), 16)[:, _TABLE]
 
 
 def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
-                P_drop: float = 1e-6) -> SparseState:
+                P_drop: float = 1e-6, *,
+                planned: tuple[int, np.ndarray] | None = None) -> SparseState:
     """Advance a sparse state through one pulse in the two-level approximation.
 
     Every active basis state is paired with its single-flip partner at the
@@ -347,10 +390,16 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     zero.  After the update, amplitudes with |C|^2 < max(P_drop,
     AMPLITUDE_FLOOR) are removed and their probability added to the dropped
     ledger.
+
+    `planned` is this pulse's (resonant spin, pair table) row of a `_plan`
+    that starts at state.t; without it the pulse is planned on its own.
     """
     if not 0.0 <= P_drop < 1.0:
         raise ValueError(f"P_drop must be in [0, 1), got {P_drop}")
-    k, detunings = _carrier(pulse.nu, params)
+    if planned is None:
+        spins, tables = _plan((pulse,), params, state.t)
+        planned = spins[0], tables[0]
+    k, table = planned
     word, bit = divmod(k, _WORD)
     # sort by pair key (bit k cleared) so that partners become neighbours
     clear = _CLEAR[bit]
@@ -359,7 +408,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     order = np.lexsort(columns)
     pair_keys = state.keys.take(order, axis=0)
     # out[:, i]: what state i adds to the lower and upper amplitude of its pair
-    out = _pair_table(detunings, pulse, state.t).take(_neighbourhood(pair_keys, k), axis=1)
+    out = table.take(_neighbourhood(pair_keys, k), axis=1)
     out *= state.amps.take(order)
     pair_keys[:, word] &= clear
     rows = _rows(pair_keys)
@@ -416,8 +465,9 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
     report = RunReport()
     t0 = time.perf_counter()
     state = initial
-    for n, pulse in enumerate(seq.pulses, start=1):
-        state = apply_pulse(state, pulse, params, P_drop=P_drop)
+    spins, tables = _plan(seq.pulses, params, initial.t)
+    for n, (pulse, k, table) in enumerate(zip(seq.pulses, spins, tables), start=1):
+        state = apply_pulse(state, pulse, params, P_drop=P_drop, planned=(k, table))
         report.active_states.append(len(state.amps))
         report.dropped_cumulative.append(state.dropped)
         if n in snapshot_at:

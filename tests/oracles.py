@@ -17,7 +17,6 @@ from spinchain.model import BasisState, ChainParams, flip_gap
 from spinchain.propagator import (
     AMPLITUDE_FLOOR,
     SparseState,
-    pair_coefficients,
     resonant_spin,
     run_protocol,
 )
@@ -99,6 +98,46 @@ def pair_map_closed_form(Delta: float, Omega: float, tau: float,
     return complex(cm), complex(cp)
 
 
+def pair_coefficients_scalar(Delta: float, Omega: float, tau: float,
+                             t_start: float) -> tuple[complex, complex, complex, complex]:
+    """(K_mm, K_mp, K_pm, K_pp) of `spinchain.propagator.pair_coefficients`,
+    one pulse at a time in Python complex arithmetic.
+
+    This is the scalar map that the planned array tables replaced, kept as
+    their bitwise reference: the package writes the same products out in
+    real array arithmetic, and must round every one of them the same way.
+    """
+    lam = math.hypot(Omega, Delta)
+    if lam == 0.0:
+        u, v, w = 1.0, 0.0, 0.0
+    else:
+        half = 0.5 * lam * tau
+        s = math.sin(half)
+        u, v, w = math.cos(half), Delta / lam * s, Omega / lam * s
+    ph = complex(math.cos(0.5 * Delta * tau), -math.sin(0.5 * Delta * tau))
+    rot_m, cross, rot_p = ph * complex(u, v), ph * 1j * w, ph * complex(u, -v)
+    t1 = t_start + tau
+    e0 = complex(math.cos(Delta * t_start), -math.sin(Delta * t_start))
+    e1 = complex(math.cos(Delta * t1), math.sin(Delta * t1))
+    return (rot_m, cross * e0, cross * e1, rot_p * e0 * e1)
+
+
+def pair_table_scalar(pulse, params, t_start: float) -> np.ndarray:
+    """(2, 8) pair table of one pulse from `pair_coefficients_scalar`:
+    column b_{k-1} + 2 b_k + 4 b_{k+1} holds what a state of unit amplitude
+    adds to its pair's lower and upper amplitude."""
+    k = resonant_spin(pulse.nu, params)
+    table = np.empty((2, 8), dtype=np.complex128)
+    for code in range(8):
+        below, bit, above = code & 1, (code >> 1) & 1, code >> 2
+        # the neighbour pattern as a state of the chain, bit k clear
+        pattern = (below << k >> 1) | (above << (k + 1) & ((1 << params.L) - 1))
+        K = pair_coefficients_scalar(flip_gap(pattern, k, params) - pulse.nu,
+                                     pulse.Omega, pulse.tau, t_start)
+        table[:, code] = (K[1], K[3]) if bit else (K[0], K[2])
+    return table
+
+
 def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
                      P_drop: float) -> tuple[dict[int, complex], float]:
     """One pulse of the sparse resonance map on a {packed state: amplitude}
@@ -106,9 +145,9 @@ def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
 
     This is the dict loop that the array kernel
     `spinchain.propagator.apply_pulse` replaced, kept as its reference.  It
-    shares the pair map (`pair_coefficients`) and the flip gap with the
-    package, so agreement checks the kernel's grouping into flip pairs, its
-    choice of map by the neighbour bits and its pruning.
+    takes the pair map from `pair_coefficients_scalar` and the flip gap from
+    the package, so agreement checks the kernel's grouping into flip pairs,
+    its choice of map by the neighbour bits and its pruning.
     """
     k = resonant_spin(pulse.nu, params)
     mask = 1 << k
@@ -116,8 +155,8 @@ def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
     above = (mask << 1) & ((1 << params.L) - 1)
     neighbours = below | above
     maps = {
-        pattern: pair_coefficients(flip_gap(pattern, k, params) - pulse.nu,
-                                   pulse.Omega, pulse.tau, t)
+        pattern: pair_coefficients_scalar(flip_gap(pattern, k, params) - pulse.nu,
+                                          pulse.Omega, pulse.tau, t)
         for pattern in {0, below, above, neighbours}
     }
     new: dict[int, complex] = {}

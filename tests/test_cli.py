@@ -297,6 +297,9 @@ BAD_CONFIGS = [
     ("sweep-omega", "omega_min=0\nomega_max=0.2\nomega_steps=3\n", "omega_min"),
     ("sweep-omega", "omega_min=-0.1\nomega_max=-0.05\nomega_steps=3\n", "omega_min"),
     ("sweep-omega", "omega_min=0.1\nomega_max=0.2\nomega_steps=-1\n", "omega_steps"),
+    # the Ising constant of the eps table follows ChainParams' rule
+    ("sweep-omega", "preset=fig1\nJ=0\n", "J"),
+    ("sweep-omega", "preset=fig1\nJ=-1\n", "J"),
     ("sweep-length", "preset=fig2\nL_min=4\nL_max=6\nL_step=0\n", "L_step"),
     # probability floors outside (0, 1)
     ("sweep-omega", "preset=fig1\nP0=2\n", "P0"),
@@ -334,12 +337,15 @@ BAD_CONFIGS = [
 
 @pytest.mark.parametrize("command,text,key", BAD_CONFIGS,
                          ids=[f"{text}-{key}" for _, text, key in BAD_CONFIGS])
-def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, command, text, key):
+def test_bad_config_exits_one_naming_the_key(tmp_path, capsys, recwarn, command, text, key):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+    # the error is all the command says: no warning, which the command line
+    # would print on stderr before it, even where the phases overflow
+    assert err.count("\n") == 1 and not recwarn.list
     assert not list(tmp_path.glob("*.csv"))
 
 

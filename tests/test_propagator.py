@@ -19,13 +19,15 @@ from spinchain.propagator import (
     total_variation_distance,
     unwanted_census,
 )
-from spinchain.protocol import Pulse, cn_remote_protocol, cn_trajectory
+from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol, cn_trajectory
 
 from oracles import (
     apply_pulse_dict,
     census_bitstring,
     energy_bruteforce,
+    pair_coefficients_scalar,
     pair_map_closed_form,
+    pair_table_scalar,
 )
 
 
@@ -175,56 +177,106 @@ def test_kernel_matches_dict_oracle(case):
     assert out.t == t + pulse.tau
 
 
-def _clear_pair_map_caches():
-    spinchain.propagator._rotation.cache_clear()
-    spinchain.propagator._carrier.cache_clear()
-
-
 # one carrier (spin 2 of a 6-spin chain, both neighbours up at J = 1) under
-# pulses that differ only in Omega, only in tau, or in both, and two chains
-# that differ only in J; at J = 1.5 the carrier still addresses spin 2, at
-# other detunings
-CACHE_PARAMS = (ChainParams(L=6, omega0=100.0, delta_omega=20.0),
-                ChainParams(L=6, J=1.5, omega0=100.0, delta_omega=20.0))
-CACHE_PULSES = (Pulse(nu=142.0, Omega=0.0906, tau=math.pi / 0.0906),
-                Pulse(nu=142.0, Omega=0.20844, tau=math.pi / 0.20844),
-                Pulse(nu=142.0, Omega=0.0906, tau=0.5 * math.pi / 0.0906),
-                Pulse(nu=142.0, Omega=0.20844, tau=math.pi / 0.0906))
+# pulses that differ only in Omega, only in tau, or in both, then a second
+# carrier; and two chains that differ only in J (at J = 1.5 the carriers
+# still address spins 2 and 3, at other detunings)
+SHARED_PARAMS = (ChainParams(L=6, omega0=100.0, delta_omega=20.0),
+                 ChainParams(L=6, J=1.5, omega0=100.0, delta_omega=20.0))
+SHARED_PULSES = (Pulse(nu=142.0, Omega=0.0906, tau=math.pi / 0.0906),
+                 Pulse(nu=142.0, Omega=0.20844, tau=math.pi / 0.20844),
+                 Pulse(nu=142.0, Omega=0.0906, tau=0.5 * math.pi / 0.0906),
+                 Pulse(nu=142.0, Omega=0.20844, tau=math.pi / 0.0906),
+                 Pulse(nu=160.0, Omega=0.0906, tau=math.pi / 0.0906),
+                 Pulse(nu=142.0, Omega=0.0906, tau=math.pi / 0.0906))
 
 
-def test_cached_pair_maps_match_cold_calls():
+def test_planned_pulse_matches_pulse_applied_alone():
     # every neighbour pattern of every state is present, so each detuning
-    # of each pulse reaches the output; warm calls interleave pulses that
-    # share a carrier or a detuning, then each is repeated from empty caches
+    # of each pulse reaches the output; a run plans pulses that share a
+    # carrier, a detuning or a rotation, and each must equal the same pulse
+    # planned on its own from the run's state before it
     amplitudes = {s: complex(1 + s % 5, s % 3 - 1) / 24.0 for s in range(64)}
-    cases = [(params, pulse, t) for t in (0.0, 37.5) for pulse in CACHE_PULSES
-             for params in CACHE_PARAMS]
-    _clear_pair_map_caches()
-    warm = [apply_pulse(SparseState.from_amplitudes(amplitudes, 6, t=t), pulse, params,
-                        P_drop=0.0) for params, pulse, t in cases]
-    for (params, pulse, t), got in zip(cases, warm):
-        _clear_pair_map_caches()
-        cold = apply_pulse(SparseState.from_amplitudes(amplitudes, 6, t=t), pulse, params,
-                           P_drop=0.0)
-        assert got.keys.tobytes() == cold.keys.tobytes()
-        assert got.amps.tobytes() == cold.amps.tobytes()
-        assert got.dropped == cold.dropped
-    # the pair maps themselves, against the cold call and the closed form
-    calls = [(Delta, pulse.Omega, pulse.tau, t) for t in (0.0, 37.5) for pulse in CACHE_PULSES
+    for params in SHARED_PARAMS:
+        for t in (0.0, 37.5):
+            snapshots = {0: SparseState.from_amplitudes(amplitudes, 6, t=t)}
+            run_protocol(snapshots[0], PulseSequence(pulses=SHARED_PULSES), params,
+                         P_drop=0.0, snapshot_at=range(1, len(SHARED_PULSES) + 1),
+                         on_snapshot=snapshots.__setitem__)
+            for n, pulse in enumerate(SHARED_PULSES, start=1):
+                alone = apply_pulse(snapshots[n - 1], pulse, params, P_drop=0.0)
+                assert snapshots[n].keys.tobytes() == alone.keys.tobytes()
+                assert snapshots[n].amps.tobytes() == alone.amps.tobytes()
+                assert (snapshots[n].t, snapshots[n].dropped) == (alone.t, alone.dropped)
+    # the pair maps themselves, against the scalar reference and the closed form
+    calls = [(Delta, pulse.Omega, pulse.tau, t) for t in (0.0, 37.5) for pulse in SHARED_PULSES
              for Delta in (0.0, -2.0, 2.0, 1.0)]
-    _clear_pair_map_caches()
-    warm = [pair_coefficients(*call) for call in calls]
-    for call, got in zip(calls, warm):
-        _clear_pair_map_caches()
-        assert np.array(got).tobytes() == np.array(pair_coefficients(*call)).tobytes()
+    for call in calls:
+        got = pair_coefficients(*call)
+        assert all(type(K) is complex for K in got)
+        assert np.array(got).tobytes() == np.array(pair_coefficients_scalar(*call)).tobytes()
         K_mm, _, K_pm, _ = got
         cm, cp = pair_map_closed_form(*call)
         assert abs(K_mm - cm) <= 1e-12 and abs(K_pm - cp) <= 1e-12
 
 
+@st.composite
+def planned_run(draw):
+    J = draw(st.sampled_from([1.0, 0.7, 1.5, draw(st.floats(0.05, 5.0))]))
+    params = ChainParams(L=draw(st.integers(2, 9)), J=J,
+                         omega0=J * draw(st.floats(2.5, 500.0)),
+                         delta_omega=J * draw(st.floats(4.5, 100.0)))
+    pulses = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, params.L - 1))
+        # a flip gap (detunings 0, +-2J and +-4J) or anywhere in the band
+        offset = draw(st.one_of(st.sampled_from([-2.0, 0.0, 2.0]), st.floats(-2.0, 2.0)))
+        Omega = draw(st.floats(1e-3, 2.0))
+        pulses.append(Pulse(nu=params.omega0 + k * params.delta_omega + offset * J,
+                            Omega=Omega,
+                            tau=draw(st.one_of(st.just(math.pi / Omega),
+                                               st.floats(1e-3, 1e3)))))
+    return params, pulses, draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planned_run())
+def test_plan_matches_scalar_pair_map_bit_for_bit(case):
+    params, pulses, t0 = case
+    spins, tables = spinchain.propagator._plan(pulses, params, t0)
+    assert tables.shape == (len(pulses), 2, 8)
+    t = t0
+    for pulse, k, table in zip(pulses, spins, tables):
+        assert k == resonant_spin(pulse.nu, params)
+        assert table.tobytes() == pair_table_scalar(pulse, params, t).tobytes()
+        t += pulse.tau
+
+
+@pytest.mark.parametrize("L,amplitudes,t", [
+    (70, {0: 1.0}, 0.0),                                  # two key words
+    (9, {0: 0.6, 1 << 8: 0.8j}, 123.25),                  # alpha/beta start, t != 0
+], ids=["L70", "alpha-beta"])
+def test_run_equals_chained_single_pulses(L, amplitudes, t):
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, 0.20844)
+    state = SparseState.from_amplitudes(amplitudes, L, t=t)
+    snapshots = {}
+    final, _ = run_protocol(state, seq, params, P_drop=1e-8,
+                            snapshot_at=range(1, len(seq) + 1),
+                            on_snapshot=snapshots.__setitem__)
+    for n, pulse in enumerate(seq.pulses, start=1):
+        state = apply_pulse(state, pulse, params, P_drop=1e-8)
+        assert snapshots[n].keys.tobytes() == state.keys.tobytes()
+        assert snapshots[n].amps.tobytes() == state.amps.tobytes()
+        assert (snapshots[n].t, snapshots[n].dropped) == (state.t, state.dropped)
+    assert final is snapshots[len(seq)]
+
+
 def test_run_protocol_asserts_norm_ledger(params5, monkeypatch, tmp_path):
-    exact = spinchain.propagator.pair_coefficients
-    monkeypatch.setattr(spinchain.propagator, "pair_coefficients",
+    # scale every pair map by 1.001 through the rotation factors the plan
+    # takes from the module
+    exact = spinchain.propagator._rotation
+    monkeypatch.setattr(spinchain.propagator, "_rotation",
                         lambda *args: tuple(1.001 * K for K in exact(*args)))
     seq = cn_remote_protocol(params5, 0.0906)
     with pytest.raises(RuntimeError, match="norm ledger defect"):
