@@ -417,13 +417,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# built once per process: main runs once per command, many times per figures pass
+_PARSER = _Parser(prog="spinchain", description="Ising spin-chain quantum logic experiments")
+_PARSER.add_argument("command", choices=sorted(COMMANDS))
+_PARSER.add_argument("--config", required=True, help="key=value config file")
+_PARSER.add_argument("--out", default=".", help="output directory for CSV files")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(prog="spinchain",
-                     description="Ising spin-chain quantum logic experiments")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--out", default=".", help="output directory for CSV files")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args.out)
         command, reads = COMMANDS[args.command]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, BasisState
+from .model import ChainParams
 from .protocol import Pulse, PulseSequence
 
 HILBERT_CAP = 12  # 4096 amplitudes; dense exponentials stay desk-scale
@@ -46,20 +46,11 @@ class DenseState:
     t: float = 0.0
 
     @classmethod
-    def from_basis(cls, state: BasisState) -> "DenseState":
-        amps = np.zeros(1 << state.L, dtype=complex)
-        amps[state.bits] = 1.0
-        return cls(amplitudes=amps, L=state.L)
-
-    @classmethod
     def from_sparse(cls, state) -> "DenseState":
         """Dense copy of a `SparseState`'s amplitudes, at the same time t."""
         amps = np.zeros(1 << state.L, dtype=complex)
         amps[state.states()] = state.amps
         return cls(amplitudes=amps, L=state.L, t=state.t)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def probability_array(self) -> np.ndarray:
         """|C|^2 of every basis state, indexed by packed basis state."""

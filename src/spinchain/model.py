@@ -58,6 +58,14 @@ class ChainParams:
                 f"delta_omega={self.delta_omega} must exceed 4*J={4 * self.J} "
                 "so that transition bands of distinct spins cannot overlap"
             )
+        # The largest flip gap's ulp must be <= J*2^-20: detunings (0, +-2J, +-4J)
+        # are then off by <= ~1e-6 J, and omega0/J may reach ~8.6e9 (NMR: 1e6-1e7).
+        top = self.omega0 + (self.L - 1) * self.delta_omega + 2 * self.J
+        if not math.ulp(top) <= self.J * 2.0**-20:
+            raise ValueError(
+                f"omega0={self.omega0} and delta_omega={self.delta_omega} put the largest "
+                f"flip gap at {top:g}, where float64 resolves only {math.ulp(top):g} > "
+                "J*2^-20: the +-J neighbour terms of the flip gaps would round away")
 
 
 @dataclass(frozen=True)

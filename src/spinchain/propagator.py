@@ -10,7 +10,7 @@ the closed-form map
     C_p(t1) = i (Omega/lam) sin(lam*tau/2) e^{i t0 Delta + i tau Delta/2}
 
 for a pair starting in the lower level m (the map for arbitrary initial
-amplitudes is the unitary 2x2 extension, see pair_coefficients), where
+amplitudes is the unitary 2x2 extension, see _pair_maps), where
 Delta = E_p - E_m - nu with E_p > E_m and lam = sqrt(Omega^2 + Delta^2) is
 the precession frequency in the frame rotating at nu.
 
@@ -66,7 +66,7 @@ distinct (nu, Omega, tau), and the rotation factors once per distinct
 five detunings (0, +-2J, +-4J).  The frame phases of all pulses are one
 `np.cos` and one `np.sin` call each, and the complex products are written
 out in real arithmetic in the order of Python's complex product, so each
-table is bit for bit the one the scalar `pair_coefficients` gives
+table is bit for bit the one the scalar map in tests/oracles.py gives
 (numpy's complex multiply rounds differently).  Start times accumulate as
 `SparseState.t` does, one `t += tau` per pulse.  Nothing is kept between
 runs.  Keys compare floats by value, so Delta = -0.0 would share the
@@ -189,11 +189,6 @@ class SparseState:
         """{packed basis state: amplitude}, derived from the arrays."""
         return dict(zip(self.states(), self.amps.tolist()))
 
-    def probability(self, state: BasisState | int) -> float:
-        bits = state.bits if isinstance(state, BasisState) else state
-        c = self.amplitudes.get(bits)
-        return 0.0 if c is None else (c.real * c.real + c.imag * c.imag)
-
     def total_probability(self) -> float:
         return float(self.probability_array().sum())
 
@@ -219,27 +214,10 @@ class SparseState:
                            t=self.t, dropped=self.dropped)
 
 
-def pair_coefficients(Delta: float, Omega: float, tau: float,
-                      t_start: float) -> tuple[complex, complex, complex, complex]:
-    """2x2 unitary (K_mm, K_mp, K_pm, K_pp) acting on (C_m, C_p) over one pulse.
-
-    Derived by solving the cross-coupled pair equations
-        i dC_p/dt = -(Omega/2) e^{+i Delta t} C_m
-        i dC_m/dt = -(Omega/2) e^{-i Delta t} C_p
-    exactly over [t_start, t_start+tau]; the phase factors carry the
-    interaction-picture bookkeeping across pulse boundaries.  With
-    u = cos(lam*tau/2), v = (Delta/lam) sin(lam*tau/2) and
-    w = (Omega/lam) sin(lam*tau/2), unitarity is u^2 + v^2 + w^2 = 1.
-    Only the frame phases e0 and e1 depend on t_start (see Plan).
-    """
-    K = _pair_maps(np.array([_rotation(Delta, Omega, tau)]), np.array([Delta]),
-                   t_start, t_start + tau)
-    return tuple(K[0].tolist())
-
-
 def _rotation(Delta: float, Omega: float, tau: float) -> tuple[complex, complex, complex]:
-    """The factors of pair_coefficients that do not depend on time:
-    (ph (u + iv), ph i w, ph (u - iv)) with ph = e^{-i tau Delta/2}."""
+    """The factors of a pair map that do not depend on time: (ph (u + iv),
+    ph i w, ph (u - iv)) with ph = e^{-i tau Delta/2}, u = cos(lam*tau/2) and
+    (v, w) = (Delta, Omega)/lam sin(lam*tau/2), so u^2 + v^2 + w^2 = 1."""
     lam = math.hypot(Omega, Delta)
     if lam == 0.0:
         u, v, w = 1.0, 0.0, 0.0
@@ -258,10 +236,11 @@ def _product(ar, ai, br, bi):
 
 
 def _pair_maps(rotation: np.ndarray, Delta: np.ndarray, t0, t1) -> np.ndarray:
-    """(K_mm, K_mp, K_pm, K_pp) of pair_coefficients along a new last axis,
-    from the rotation factors (..., 3) of `_rotation` and the frame phases
-    e0 = e^{-i Delta t0}, e1 = e^{i Delta t1}: (rot_m, cross e0, cross e1,
-    rot_p e0 e1)."""
+    """The 2x2 unitaries (K_mm, K_mp, K_pm, K_pp) on (C_m, C_p) that solve
+    i dC_p/dt = -(Omega/2) e^{i Delta t} C_m, i dC_m/dt = -(Omega/2) e^{-i Delta t} C_p
+    over [t0, t1], along a new last axis: (rot_m, cross e0, cross e1,
+    rot_p e0 e1) from the rotation factors (..., 3) of `_rotation` and the
+    frame phases e0 = e^{-i Delta t0}, e1 = e^{i Delta t1}."""
     x0 = Delta * t0
     x1 = Delta * t1
     e0 = np.cos(x0), -np.sin(x0)
@@ -274,19 +253,6 @@ def _pair_maps(rotation: np.ndarray, Delta: np.ndarray, t0, t1) -> np.ndarray:
     K.real[..., 2], K.imag[..., 2] = _product(*cross, *e1)
     K.real[..., 3], K.imag[..., 3] = _product(*_product(*rot_p, *e0), *e1)
     return K
-
-
-def pair_update(C_m: complex, C_p: complex, Delta: float, Omega: float,
-                tau: float, t_start: float) -> tuple[complex, complex]:
-    """Propagate one flip pair through one pulse, exactly.
-
-    C_m is the amplitude of the lower level, C_p of the upper
-    (Delta = E_p - E_m - nu with E_p > E_m).  For (C_m, C_p) = (1, 0) this
-    reproduces the closed-form pi-pulse map verbatim, including the phase
-    factors e^{-i tau Delta/2} and e^{i t_start Delta + i tau Delta/2}.
-    """
-    K_mm, K_mp, K_pm, K_pp = pair_coefficients(Delta, Omega, tau, t_start)
-    return K_mm * C_m + K_mp * C_p, K_pm * C_m + K_pp * C_p
 
 
 def resonant_spin(nu: float, params: ChainParams) -> int:
@@ -379,9 +345,8 @@ def _plan(pulses: Sequence[Pulse], params: ChainParams,
     return [spins[d] for d in drive_of], maps.reshape(len(drive_of), 16)[:, _TABLE]
 
 
-def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
-                P_drop: float = 1e-6, *,
-                planned: tuple[int, np.ndarray] | None = None) -> SparseState:
+def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: float, *,
+                planned: tuple[int, np.ndarray]) -> SparseState:
     """Advance a sparse state through one pulse in the two-level approximation.
 
     Every active basis state is paired with its single-flip partner at the
@@ -391,14 +356,10 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams,
     AMPLITUDE_FLOOR) are removed and their probability added to the dropped
     ledger.
 
-    `planned` is this pulse's (resonant spin, pair table) row of a `_plan`
-    that starts at state.t; without it the pulse is planned on its own.
+    `planned` is this pulse's (resonant spin, pair table) row of the `_plan`
+    that `run_protocol` makes from state.t.  The plan holds what the kernel
+    needs of `params`, which stays for callers such as perfbench/tracing.py.
     """
-    if not 0.0 <= P_drop < 1.0:
-        raise ValueError(f"P_drop must be in [0, 1), got {P_drop}")
-    if planned is None:
-        spins, tables = _plan((pulse,), params, state.t)
-        planned = spins[0], tables[0]
     k, table = planned
     word, bit = divmod(k, _WORD)
     # sort by pair key (bit k cleared) so that partners become neighbours
@@ -446,7 +407,8 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
                  P_drop: float = 1e-6, snapshot_at: Collection[int] = (),
                  on_snapshot: Callable[[int, SparseState], None] | None = None,
                  ) -> tuple[SparseState, RunReport]:
-    """Apply every pulse of a sequence in order, collecting diagnostics.
+    """Apply every pulse of a sequence in order, collecting diagnostics: the
+    one way into the sparse kernel, planned from initial.t by `_plan`.
 
     After each pulse count n in `snapshot_at` (1 to len(seq)) the state is
     handed to on_snapshot(n, state) as it is made, so memory holds one
@@ -457,6 +419,8 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
     than NORM_LEDGER_TOLERANCE away from the initial state's own value, at
     every snapshot and after the last pulse.
     """
+    if not 0.0 <= P_drop < 1.0:
+        raise ValueError(f"P_drop must be in [0, 1), got {P_drop}")
     snapshot_at = frozenset(snapshot_at)
     if not snapshot_at <= set(range(1, len(seq) + 1)):
         raise ValueError(f"snapshot pulse counts {sorted(snapshot_at)} outside "

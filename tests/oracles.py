@@ -3,6 +3,11 @@
 Everything here is deliberately written the slow, obvious way, on separate
 code paths from the package (explicit bit lists, quadrature-grade ODE
 integration), so agreement is evidence rather than tautology.
+
+The last few helpers are not oracles but views of the package under test
+that only the tests need: the package's own pair map for one pulse
+(`pair_map`, `pair_update`), a one-pulse run (`run_pulse`) and one basis
+state's probability (`probability`).
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from spinchain.model import BasisState, ChainParams, flip_gap
 from spinchain.propagator import (
     AMPLITUDE_FLOOR,
     SparseState,
+    _pair_maps,
+    _rotation,
     resonant_spin,
     run_protocol,
 )
-from spinchain.protocol import cn_remote_protocol
+from spinchain.protocol import PulseSequence, cn_remote_protocol
 
 
 def bits_of(state: int, L: int) -> list[int]:
@@ -100,12 +107,13 @@ def pair_map_closed_form(Delta: float, Omega: float, tau: float,
 
 def pair_coefficients_scalar(Delta: float, Omega: float, tau: float,
                              t_start: float) -> tuple[complex, complex, complex, complex]:
-    """(K_mm, K_mp, K_pm, K_pp) of `spinchain.propagator.pair_coefficients`,
+    """(K_mm, K_mp, K_pm, K_pp) of the pair map over one pulse from t_start,
     one pulse at a time in Python complex arithmetic.
 
     This is the scalar map that the planned array tables replaced, kept as
-    their bitwise reference: the package writes the same products out in
-    real array arithmetic, and must round every one of them the same way.
+    their bitwise reference: the package's `_pair_maps` writes the same
+    products out in real array arithmetic, and must round every one of them
+    the same way.
     """
     lam = math.hypot(Omega, Delta)
     if lam == 0.0:
@@ -219,3 +227,35 @@ def sweep_length_per_run(lengths, Omega: float, P_drop: float, P0: float,
         rows.append([str(L), repr(budget.P1), repr(p1), repr(budget.P1cal), repr(p1cal),
                      str(count)])
     return rows
+
+
+def pair_map(Delta: float, Omega: float, tau: float,
+             t_start: float) -> tuple[complex, complex, complex, complex]:
+    """(K_mm, K_mp, K_pm, K_pp) of the package's own pair map over one pulse
+    from t_start: `_rotation` and `_pair_maps`, as a run's plan evaluates
+    them, for a single pulse."""
+    K = _pair_maps(np.array([_rotation(Delta, Omega, tau)]), np.array([Delta]),
+                   t_start, t_start + tau)
+    return tuple(K[0].tolist())
+
+
+def pair_update(C_m: complex, C_p: complex, Delta: float, Omega: float,
+                tau: float, t_start: float) -> tuple[complex, complex]:
+    """One flip pair (C_m lower, C_p upper, Delta = E_p - E_m - nu) through
+    one pulse under the package's pair map."""
+    K_mm, K_mp, K_pm, K_pp = pair_map(Delta, Omega, tau, t_start)
+    return K_mm * C_m + K_mp * C_p, K_pm * C_m + K_pp * C_p
+
+
+def run_pulse(state: SparseState, pulse, params, P_drop: float) -> SparseState:
+    """`state` after one pulse, through `run_protocol` on a one-pulse
+    sequence: planned from state.t, with the norm ledger checked."""
+    final, _ = run_protocol(state, PulseSequence(pulses=(pulse,)), params, P_drop=P_drop)
+    return final
+
+
+def probability(state: SparseState, basis: BasisState | int) -> float:
+    """|C|^2 of one basis state (a BasisState or a packed int) of a sparse
+    state, 0 where it is not active."""
+    bits = basis.bits if isinstance(basis, BasisState) else basis
+    return dict(zip(state.states(), state.probability_array().tolist())).get(bits, 0.0)

@@ -18,8 +18,10 @@ from spinchain.analytics import (
 )
 from spinchain.cli import write_error_budget_csv
 from spinchain.model import BasisState, ChainParams
-from spinchain.propagator import SparseState, apply_pulse
-from spinchain.protocol import cn_remote_protocol
+from spinchain.propagator import SparseState, run_protocol
+from spinchain.protocol import PulseSequence, cn_remote_protocol
+
+from oracles import probability
 
 
 def test_epsilon_published_anchors():
@@ -167,12 +169,11 @@ def test_u3_table_describes_the_first_three_pulses(L):
     for Omega in [0.02 + 0.01 * i for i in range(59)]:
         seq = cn_remote_protocol(params, Omega)
         eps, eps_prime = ground_branch_errors(Omega, params.J)
-        state = SparseState.from_basis(BasisState.ground(L))
-        for pulse in seq.pulses[:3]:
-            state = apply_pulse(state, pulse, params, P_drop=0.0)
+        state, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
+                                PulseSequence(pulses=seq.pulses[:3]), params, P_drop=0.0)
         table = dict(u3_table(eps, eps_prime))
         # patterns are control-first with trailing zeros elided
-        got = {pattern: state.probability(int((pattern.rstrip(".") + "0" * L)[:L], 2))
+        got = {pattern: probability(state, int((pattern.rstrip(".") + "0" * L)[:L], 2))
                for pattern in table}
         for pattern in ("0000...", "0100..."):
             assert got[pattern] == pytest.approx(table[pattern], abs=1e-12)

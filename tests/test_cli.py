@@ -332,6 +332,9 @@ BAD_CONFIGS = [
     ("sweep-omega", "omega_min=0.1\nomega_max=1e-310\nomega_steps=3\n", "omega_max"),
     ("verify", "L=5\nOmega=1e-306\n", "Omega"),
     ("verify", "L=4\nOmega=1e308\n", "Omega"),
+    # flip gaps so large that float64 rounds away their +-J neighbour terms
+    ("run", "L=5\nOmega=0.2\nomega0=1e16\n", "omega0"),
+    ("verify", "L=5\nOmega=0.2\nomega0=1e16\n", "omega0"),
 ]
 
 

@@ -112,6 +112,20 @@ def test_chain_params_validation():
                 ChainParams(L=4, **{field: bad})
 
 
+def test_chain_params_rejects_flip_gaps_float64_cannot_resolve():
+    # the ulp of the largest flip gap must be at most J * 2^-20; just inside
+    # that bound the neighbour terms of every gap still differ by 4J to it
+    edge = ChainParams(L=5, omega0=2.0**33 - 100.0)
+    spread = flip_gap(0, 2, edge) - flip_gap(0b01010, 2, edge)
+    assert abs(spread - 4.0 * edge.J) <= 2.0**-20 * edge.J
+    ChainParams(L=5, J=2.0, omega0=2.0**33)  # the bound scales with J
+    for fields, key in (({"omega0": 2.0**33}, "omega0"),
+                        ({"omega0": 1e16}, "omega0"),
+                        ({"L": 100, "delta_omega": 1e8}, "delta_omega")):
+        with pytest.raises(ValueError, match=f"{key}=.*round away"):
+            ChainParams(**{"L": 5, **fields})
+
+
 def test_chain_params_defaults_scale_with_J():
     p = ChainParams(L=3, J=2.0)
     assert p.omega0 == 200.0

@@ -11,9 +11,6 @@ from spinchain.cli import main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import (
     SparseState,
-    apply_pulse,
-    pair_coefficients,
-    pair_update,
     resonant_spin,
     run_protocol,
     total_variation_distance,
@@ -26,8 +23,12 @@ from oracles import (
     census_bitstring,
     energy_bruteforce,
     pair_coefficients_scalar,
+    pair_map,
     pair_map_closed_form,
     pair_table_scalar,
+    pair_update,
+    probability,
+    run_pulse,
 )
 
 
@@ -52,26 +53,26 @@ def test_resonant_spin_lookup(params5):
 def test_first_pulse_moves_control_branch(params5):
     seq = cn_remote_protocol(params5, 0.0906)
     state = SparseState.from_basis(BasisState.from_string("10000"))
-    out = apply_pulse(state, seq.pulses[0], params5, P_drop=0.0)
-    assert out.probability(BasisState.from_string("11000")) == pytest.approx(1.0, abs=1e-12)
+    out = run_pulse(state, seq.pulses[0], params5, P_drop=0.0)
+    assert probability(out, BasisState.from_string("11000")) == pytest.approx(1.0, abs=1e-12)
     assert out.t == pytest.approx(seq.pulses[0].tau)
 
 
 def test_first_pulse_leak_from_ground_matches_eps(params5):
     seq = cn_remote_protocol(params5, 0.0906)
     state = SparseState.from_basis(BasisState.ground(5))
-    out = apply_pulse(state, seq.pulses[0], params5, P_drop=0.0)
-    leaked = out.probability(BasisState.from_string("01000"))  # qubit L-2 flipped
+    out = run_pulse(state, seq.pulses[0], params5, P_drop=0.0)
+    leaked = probability(out, BasisState.from_string("01000"))  # qubit L-2 flipped
     assert leaked == pytest.approx(4.78e-5, rel=0.01)
-    assert out.probability(BasisState.ground(5)) == pytest.approx(1 - leaked, abs=1e-10)
+    assert probability(out, BasisState.ground(5)) == pytest.approx(1 - leaked, abs=1e-10)
 
 
 def test_absent_partner_enters_with_zero_amplitude(params5):
     # a lone upper state must feed its lower partner, not be rescaled
     seq = cn_remote_protocol(params5, 0.0906)
     upper = BasisState.from_string("11000")
-    out = apply_pulse(SparseState.from_basis(upper), seq.pulses[0], params5, P_drop=0.0)
-    assert out.probability(BasisState.from_string("10000")) == pytest.approx(1.0, abs=1e-12)
+    out = run_pulse(SparseState.from_basis(upper), seq.pulses[0], params5, P_drop=0.0)
+    assert probability(out, BasisState.from_string("10000")) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pulse_without_pairs_keeps_the_merge_signs():
@@ -82,7 +83,7 @@ def test_pulse_without_pairs_keeps_the_merge_signs():
     pulse = cn_remote_protocol(params, 0.20844).pulses[0]
     state = SparseState.from_amplitudes(
         {0b1000: complex(-0.0, -0.5), 0b1001: 0.5j}, 4)
-    out = apply_pulse(state, pulse, params, P_drop=0.0)
+    out = run_pulse(state, pulse, params, P_drop=0.0)
     assert out.states() == [0b1100, 0b1101]
     assert out.amps.tobytes().hex() == ("000000000000e03f" "0000000000000000"
                                         "000000000000e0bf" "0000000000000000")
@@ -104,7 +105,7 @@ def test_pulse_is_pair_update_at_every_spin(L):
             amps /= np.linalg.norm(amps)
             state = SparseState.from_amplitudes(dict(zip(support, amps.tolist())), L,
                                                 t=rng.uniform(0.0, 10.0))
-            out = apply_pulse(state, pulse, params, P_drop=0.0)
+            out = run_pulse(state, pulse, params, P_drop=0.0)
             mask = 1 << k
             for lo in range(1 << L):
                 if lo & mask:
@@ -166,8 +167,8 @@ def pulse_on_sparse_state(draw):
 @given(pulse_on_sparse_state())
 def test_kernel_matches_dict_oracle(case):
     params, pulse, amplitudes, t, P_drop = case
-    out = apply_pulse(SparseState.from_amplitudes(amplitudes, params.L, t=t),
-                      pulse, params, P_drop=P_drop)
+    out = run_pulse(SparseState.from_amplitudes(amplitudes, params.L, t=t),
+                    pulse, params, P_drop=P_drop)
     expect, dropped = apply_pulse_dict(amplitudes, t, pulse, params, P_drop)
     assert out.keys.shape == (len(expect), (params.L + 63) // 64)
     assert set(out.amplitudes) == set(expect)
@@ -204,7 +205,7 @@ def test_planned_pulse_matches_pulse_applied_alone():
                          P_drop=0.0, snapshot_at=range(1, len(SHARED_PULSES) + 1),
                          on_snapshot=snapshots.__setitem__)
             for n, pulse in enumerate(SHARED_PULSES, start=1):
-                alone = apply_pulse(snapshots[n - 1], pulse, params, P_drop=0.0)
+                alone = run_pulse(snapshots[n - 1], pulse, params, P_drop=0.0)
                 assert snapshots[n].keys.tobytes() == alone.keys.tobytes()
                 assert snapshots[n].amps.tobytes() == alone.amps.tobytes()
                 assert (snapshots[n].t, snapshots[n].dropped) == (alone.t, alone.dropped)
@@ -212,7 +213,7 @@ def test_planned_pulse_matches_pulse_applied_alone():
     calls = [(Delta, pulse.Omega, pulse.tau, t) for t in (0.0, 37.5) for pulse in SHARED_PULSES
              for Delta in (0.0, -2.0, 2.0, 1.0)]
     for call in calls:
-        got = pair_coefficients(*call)
+        got = pair_map(*call)
         assert all(type(K) is complex for K in got)
         assert np.array(got).tobytes() == np.array(pair_coefficients_scalar(*call)).tobytes()
         K_mm, _, K_pm, _ = got
@@ -265,7 +266,7 @@ def test_run_equals_chained_single_pulses(L, amplitudes, t):
                             snapshot_at=range(1, len(seq) + 1),
                             on_snapshot=snapshots.__setitem__)
     for n, pulse in enumerate(seq.pulses, start=1):
-        state = apply_pulse(state, pulse, params, P_drop=1e-8)
+        state = run_pulse(state, pulse, params, P_drop=1e-8)
         assert snapshots[n].keys.tobytes() == state.keys.tobytes()
         assert snapshots[n].amps.tobytes() == state.amps.tobytes()
         assert (snapshots[n].t, snapshots[n].dropped) == (state.t, state.dropped)
@@ -319,7 +320,7 @@ def test_shorter_chain_is_a_prefix_of_the_longest(Omega):
         shift = 70 - L
         state = SparseState.from_basis(BasisState.ground(L))
         for n, pulse in enumerate(cn_remote_protocol(params, Omega), start=1):
-            state = apply_pulse(state, pulse, params, P_drop=1e-6)
+            state = run_pulse(state, pulse, params, P_drop=1e-6)
             big = snapshots[n]
             assert all(s & ((1 << shift) - 1) == 0 for s in big.amplitudes)
             assert state.amplitudes == {s >> shift: c for s, c in big.amplitudes.items()}
@@ -366,7 +367,19 @@ def test_prefix_is_a_word_wise_shift(data):
 def test_p_drop_validation(params5):
     pulse = Pulse(nu=params5.omega0, Omega=0.1, tau=1.0)
     with pytest.raises(ValueError):
-        apply_pulse(SparseState.from_basis(BasisState.ground(5)), pulse, params5, P_drop=1.0)
+        run_protocol(SparseState.from_basis(BasisState.ground(5)),
+                     PulseSequence(pulses=(pulse,)), params5, P_drop=1.0)
+
+
+def test_run_of_no_pulses_returns_its_input(params5):
+    # the plan of an empty sequence is empty, and nothing is applied
+    initial = SparseState(keys=SparseState.from_amplitudes({0b10000: 0, 0b00110: 0}, 5).keys,
+                          amps=np.array([0.6, -0.8j]), L=5, t=12.5, dropped=1e-7)
+    final, report = run_protocol(initial, PulseSequence(pulses=()), params5, P_drop=1e-6)
+    assert final.keys.tobytes() == initial.keys.tobytes()
+    assert final.amps.tobytes() == initial.amps.tobytes()
+    assert (final.L, final.t, final.dropped) == (5, 12.5, 1e-7)
+    assert report.active_states == [] and report.dropped_cumulative == []
 
 
 def test_no_pruning_conserves_norm(params5):
@@ -388,7 +401,7 @@ def test_run_protocol_resonant_branch(params5):
     seq = cn_remote_protocol(params, 0.0906)
     traj = cn_trajectory(params)
     final, report = run_protocol(SparseState.from_basis(traj[0]), seq, params, P_drop=0.0)
-    assert final.probability(traj[-1]) >= 1 - 1e-10
+    assert probability(final, traj[-1]) >= 1 - 1e-10
     assert len(report.active_states) == len(seq)
     assert report.wall_time > 0
 
@@ -399,7 +412,7 @@ def test_run_protocol_splits_superposition(params5):
     initial = SparseState.from_amplitudes({0b00000: alpha, 0b10000: beta}, 5)
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     # no pulse addresses the control spin, so the two sectors never mix
-    assert final.probability(BasisState.from_string("10001")) == pytest.approx(beta**2, abs=1e-8)
+    assert probability(final, BasisState.from_string("10001")) == pytest.approx(beta**2, abs=1e-8)
     control_sector = sum(p for s, p in zip(final.states(), final.probability_array().tolist())
                          if s >> 4)
     assert control_sector == pytest.approx(beta**2, abs=1e-12)
@@ -500,9 +513,9 @@ def test_pulse_splitting_composes_exactly(params5):
     half = Pulse(nu=pulse.nu, Omega=pulse.Omega, tau=pulse.tau / 2)
     initial = SparseState.from_amplitudes(
         {0b00000: 0.5, 0b10000: 0.5, 0b01010: 0.5, 0b00110: 0.5}, 5)
-    once = apply_pulse(initial, pulse, params5, P_drop=0.0)
-    twice = apply_pulse(apply_pulse(initial, half, params5, P_drop=0.0),
-                        half, params5, P_drop=0.0)
+    once = run_pulse(initial, pulse, params5, P_drop=0.0)
+    twice = run_pulse(run_pulse(initial, half, params5, P_drop=0.0),
+                      half, params5, P_drop=0.0)
     assert set(once.amplitudes) == set(twice.amplitudes)
     for s, c in once.amplitudes.items():
         assert twice.amplitudes[s] == pytest.approx(c, abs=1e-10)

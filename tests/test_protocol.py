@@ -14,7 +14,7 @@ from spinchain.protocol import (
     ground_branch_detunings,
 )
 
-from oracles import energy_bruteforce
+from oracles import energy_bruteforce, probability
 
 
 def test_trajectory_L3():
@@ -107,7 +107,7 @@ def test_resonant_run_reaches_target(params5):
     initial = SparseState.from_basis(cn_trajectory(params5)[0])
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     target = cn_trajectory(params5)[-1]
-    assert final.probability(target) >= 1 - 1e-10
+    assert probability(final, target) >= 1 - 1e-10
 
 
 def test_pulse_validation():
