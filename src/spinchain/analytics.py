@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BasisState
-
 
 def epsilon(Omega: float, Delta: float, tau: float) -> float:
     """Non-resonant transfer probability of one pulse at detuning Delta."""
@@ -68,19 +66,6 @@ def n1(L: int) -> int:
     if L < 3:
         raise ValueError(f"remote-CN protocol needs L >= 3, got {L}")
     return 2 * L - 3
-
-
-def first_order_states(L: int) -> tuple[list[BasisState], list[BasisState]]:
-    """The two terminal families of first-order unwanted states.
-
-    Family A (target bit 0 flipped): a single run of 1s extending down to
-    bit 0, run length 1..L-1.  Family B (target unflipped): a run of 1s
-    ending at bit 1, run length 1..L-2.  Sizes L-1 and L-2, totalling 2L-3.
-    """
-    n1(L)  # the protocol's L >= 3 rule
-    family_a = [BasisState((1 << r) - 1, L) for r in range(1, L)]
-    family_b = [BasisState(((1 << r) - 1) << 1, L) for r in range(1, L - 1)]
-    return family_a, family_b
 
 
 def p1_total(L: int, eps: float) -> float:
@@ -129,24 +114,6 @@ def regime(eps: float, P0: float) -> str:
     if eps <= eps3:
         return "eps2-eps3"
     return "above-eps3"
-
-
-def u3_table(eps: float, eps_prime: float) -> list[tuple[str, float]]:
-    """Estimated state populations right after the third protocol pulse.
-
-    Four patterns, written control-first with trailing zeros elided; the
-    rows sum to 1 identically for any eps, eps' in [0, 1].  Rows 3 and 4
-    are incoherent sums of two paths each: the interference term, up to
-    2 eps^(3/2) (1 - eps) in either row, cancels between them.
-    """
-    if not 0.0 <= eps <= 1.0 or not 0.0 <= eps_prime <= 1.0:
-        raise ValueError("eps and eps_prime must be probabilities")
-    return [
-        ("0000...", (1.0 - eps) ** 2 * (1.0 - eps_prime)),
-        ("0100...", eps_prime * (1.0 - eps) ** 2),
-        ("0010...", eps * (1.0 - eps + eps * eps)),
-        ("0110...", eps * (1.0 - eps * eps)),
-    ]
 
 
 @dataclass(frozen=True)

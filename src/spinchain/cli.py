@@ -42,7 +42,7 @@ data files.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import math
 import os
 import sys
@@ -58,6 +58,7 @@ from .propagator import (
     Census,
     RunReport,
     SparseState,
+    bitstrings,
     run_protocol,
     total_variation_distance,
     unwanted_census,
@@ -182,13 +183,22 @@ def load_config(path: str, outdir: str) -> ExperimentConfig:
     return ExperimentConfig(raw=ChainMap(raw, PRESETS.get(preset, {})), outdir=outdir)
 
 
+# rows joined per write: bounds the text held at once
+_CSV_ROWS = 4096
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header and rows as CSV with Unix line ends.  Callers render
-    floats with repr, so identical inputs give byte-identical files."""
+    """Write a header and rows as CSV with Unix line ends, each field as its
+    str.  Floats are Python floats or their reprs (a float's str is its
+    repr), so identical inputs give byte-identical files.  No field the
+    package writes (float reprs, ints, bitstrings, regime names) holds a
+    comma, quote or line break, so none is quoted, and the bytes are those
+    of `csv.writer(fh, lineterminator="\n")`."""
+    lines = itertools.chain([header], rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while chunk := [",".join(map(str, row)) for row in itertools.islice(lines, _CSV_ROWS)]:
+            chunk.append("")
+            fh.write("\n".join(chunk))
 
 
 def write_protocol_csv(seq: PulseSequence, path) -> None:
@@ -206,12 +216,19 @@ def write_protocol_csv(seq: PulseSequence, path) -> None:
 
 def write_state_csv(state: SparseState, path) -> None:
     """Final-state table: state,probability,amplitude_re,amplitude_im,
-    sorted by descending probability."""
-    rows = sorted(zip((format(s, f"0{state.L}b") for s in state.states()),
-                      state.probability_array().tolist(), state.amps.tolist()),
-                  key=lambda r: (-r[1], r[0]))
+    sorted by descending probability, ties by bitstring."""
+    p = state.probability_array()
+    order = _by_probability(state.keys, p)
+    amps = state.amps[order]
     write_csv(path, ["state", "probability", "amplitude_re", "amplitude_im"],
-              ([label, repr(p), repr(c.real), repr(c.imag)] for label, p, c in rows))
+              zip(bitstrings(state.keys[order], state.L), p[order].tolist(),
+                  amps.real.tolist(), amps.imag.tolist()))
+
+
+def _by_probability(keys: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row order of a state table: descending probability, ties by
+    bitstring (ascending key, most significant word first)."""
+    return np.lexsort((*keys.T, -p))
 
 
 def write_report_csv(report: RunReport, path) -> None:
@@ -230,8 +247,10 @@ def write_error_budget_csv(budgets: list[ErrorBudget], path) -> None:
 
 
 def _write_census_csv(census: Census, path) -> None:
+    order = _by_probability(census.keys, census.probabilities)
     write_csv(path, ["state", "probability"],
-              ([str(state), repr(p)] for state, p in census.table))
+              zip(bitstrings(census.keys[order], census.L),
+                  census.probabilities[order].tolist()))
 
 
 def _out(cfg: ExperimentConfig, name: str) -> str:
@@ -384,9 +403,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     order = np.argsort(-gap, kind="stable")  # largest gap first, ties by state
     path = _out(cfg, "verify.csv")
     write_csv(path, ["state", "p_resonance", "p_exact", "abs_gap"],
-              ([format(s, f"0{params.L}b"), repr(pm), repr(pe), repr(g)]
-               for s, pm, pe, g in zip(order.tolist(), p_map[order].tolist(),
-                                       p_exact[order].tolist(), gap[order].tolist())))
+              zip(bitstrings(order.astype(np.uint64)[:, None], params.L),
+                  p_map[order].tolist(), p_exact[order].tolist(), gap[order].tolist()))
     passed = tvd <= VERIFY_TVD_BOUND
     print(f"verify: TVD={tvd:.6e} max_gap={gap.max():.6e} threshold={VERIFY_TVD_BOUND:g} "
           f"-> {'PASS' if passed else 'FAIL'}")

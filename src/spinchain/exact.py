@@ -116,7 +116,10 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
         # reports (cmd_verify), so numpy need not warn about them first
         with np.errstate(over="ignore", invalid="ignore"):
             phi = np.exp(-1j * d * t) * C
-            phi = U @ (np.exp(-1j * w * pulse.tau) * (U.T @ phi))
+            # real products of the real U with each part of phi: a mixed
+            # real-complex product copies U to complex on every call
+            x = np.exp(-1j * w * pulse.tau) * (phi.real @ U + 1j * (phi.imag @ U))
+            phi = U @ x.real + 1j * (U @ x.imag)
             del w, U  # an evicted spectrum must not be alive during the next eigh
             t += pulse.tau
             C = np.exp(1j * d * t) * phi

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -95,32 +97,38 @@ class BasisState:
     def ground(cls, L: int) -> "BasisState":
         return cls(bits=0, L=L)
 
-    def bit(self, k: int) -> int:
-        if not 0 <= k < self.L:
-            raise IndexError(f"qubit {k} out of range for L={self.L}")
-        return (self.bits >> k) & 1
-
-    def flipped(self, k: int) -> "BasisState":
-        if not 0 <= k < self.L:
-            raise IndexError(f"qubit {k} out of range for L={self.L}")
-        return BasisState(bits=self.bits ^ (1 << k), L=self.L)
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.L}b")
 
 
-def flip_gap(bits: int, k: int, params: ChainParams) -> float:
+def flip_gap(bits, k, params: ChainParams):
     """E(bit k set) - E(bit k cleared) for the flip pair containing `bits`,
     the transition frequency of spin k.
 
     Depends only on the neighbour bits of k, so O(1):
-    gap = omega0 + k*delta_omega + 2J * (m_{k-1} + m_{k+1}), edge spins
-    having one neighbour term, with the I^z eigenvalue m = 1/2 - bit.
-    Positive, because `ChainParams` enforces omega0 > 2J.
+    gap = omega0 + k*delta_omega + 2J * (m_{k-1} + m_{k+1}), with the I^z
+    eigenvalue m = 1/2 - bit, and the term of a neighbour outside the chain
+    an exact zero.  Positive, because `ChainParams` enforces omega0 > 2J, so
+    a zero term leaves it unchanged bit for bit.
+
+    Evaluates on arrays too: `bits` as (..., W) uint64 key rows, bit j of a
+    state at bit j % 64 of word j // 64 (the layout of `SparseState.keys`),
+    and `k` an int array broadcasting against bits[..., 0].  Each entry is
+    the float the scalar call gives, from the same operations in the same
+    order.
     """
+    if isinstance(bits, np.ndarray):
+        below, above = _key_bit(bits, k - 1, params.L), _key_bit(bits, k + 1, params.L)
+    else:
+        below, above = (bits >> k - 1) & 1 if k else 0, (bits >> k + 1) & 1
     g = params.omega0 + k * params.delta_omega
-    if k > 0:
-        g += 2.0 * params.J * (0.5 - ((bits >> (k - 1)) & 1))
-    if k < params.L - 1:
-        g += 2.0 * params.J * (0.5 - ((bits >> (k + 1)) & 1))
-    return g
+    g = g + 2.0 * params.J * (0.5 - below) * (k > 0)
+    return g + 2.0 * params.J * (0.5 - above) * (k < params.L - 1)
+
+
+def _key_bit(keys: np.ndarray, j, L: int) -> np.ndarray:
+    """Bit j of (..., W) uint64 key rows, with j clamped into the chain (an
+    edge neighbour's bit is read, then multiplied by zero)."""
+    j = np.clip(j, 0, L - 1)
+    word = np.take_along_axis(keys, (j >> 6)[..., None], axis=-1)[..., 0]
+    return (word >> (j & 63).astype(np.uint64)) & np.uint64(1)

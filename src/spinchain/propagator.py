@@ -59,19 +59,21 @@ Plan.  A pair map depends on its pulse's start time only through the two
 frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
 (Delta, Omega, tau).  A run's pulses, and so their start times, are known
 before the first one runs, so `run_protocol` builds every pulse's resonant
-spin and (2, 8) pair table up front, in one array pass (`_plan`).  Within
-the run a carrier's resonant spin and four detunings are found once per
-distinct (nu, Omega, tau), and the rotation factors once per distinct
-(Delta, Omega, tau): a remote-CN run has one Omega and tau, and at most
-five detunings (0, +-2J, +-4J).  The frame phases of all pulses are one
-`np.cos` and one `np.sin` call each, and the complex products are written
-out in real arithmetic in the order of Python's complex product, so each
-table is bit for bit the one the scalar map in tests/oracles.py gives
-(numpy's complex multiply rounds differently).  Start times accumulate as
+spin and (2, 8) pair table up front, in array passes (`_plan`).  The
+carrier step takes the run's distinct (nu, Omega, tau) at once: their
+resonant spins from the array form of `resonant_spin` (`np.rint` rounds
+half to even, as `round` does), and their four detunings from the array
+form of `flip_gap` on key rows of the four neighbour patterns, each the
+float the scalar call gives.  The rotation factors are computed once per
+distinct (Delta, Omega, tau), compared by their bytes: a remote-CN run has
+one Omega and tau, and at most five detunings (0, +-2J, +-4J).  The frame
+phases of all pulses are one `np.cos` and one `np.sin` call each, and the
+complex products are written out in real arithmetic in the order of
+Python's complex product, so each table is bit for bit the one the scalar
+map in tests/oracles.py gives (numpy's complex multiply rounds
+differently).  Start times are one `np.cumsum`, which adds in order as
 `SparseState.t` does, one `t += tau` per pulse.  Nothing is kept between
-runs.  Keys compare floats by value, so Delta = -0.0 would share the
-factors of +0.0 (they differ in the sign of a zero); the kernel's
-detunings are differences of finite floats and never -0.0.
+runs.
 
 Determinism.  The output lists the kept lower members in ascending
 pair-key order, then the kept upper members in the same order.  That order
@@ -142,6 +144,25 @@ def _unpack(keys: np.ndarray) -> list[int]:
     for j in range(1, keys.shape[1]):
         states = [s | (word << (_WORD * j)) for s, word in zip(states, keys[:, j].tolist())]
     return states
+
+
+# rows per block of `bitstrings`: about 2^20 bits, so a block's arrays stay
+# a few MB at any L (all labels of a 181k-state L = 1000 run take 181 MB)
+_LABEL_BITS = 1 << 20
+
+
+def bitstrings(keys: np.ndarray, L: int):
+    """The bitstrings b_{L-1}...b_0 of bitset rows, in row order, as
+    `format(s, f"0{L}b")` renders each packed state s; rendered in array
+    passes over blocks of rows."""
+    W = keys.shape[1]
+    rows = max(1, _LABEL_BITS // (_WORD * W))
+    for start in range(0, len(keys), rows):
+        # most significant word first, each word's bytes most significant first
+        block = keys[start:start + rows, ::-1].astype(">u8").view(np.uint8)
+        bits = np.unpackbits(block, axis=1)[:, _WORD * W - L:]
+        # '0' + bit as UCS4 code points, one row a string of L characters
+        yield from (bits + np.uint32(ord("0"))).view(f"U{L}").ravel().tolist()
 
 
 @dataclass(eq=False)
@@ -255,22 +276,28 @@ def _pair_maps(rotation: np.ndarray, Delta: np.ndarray, t0, t1) -> np.ndarray:
     return K
 
 
-def resonant_spin(nu: float, params: ChainParams) -> int:
-    """Index of the spin whose transition band contains nu.
+def resonant_spin(nu, params: ChainParams):
+    """Index of the spin whose transition band contains the carrier nu (an
+    int), or of each carrier of an array nu (an int array).
 
     Returns the k minimising |nu - omega_k|, unique because the band
-    half-width 2J is below half the gradient step.  Frequencies outside
-    [omega_0 - 2J, omega_{L-1} + 2J] address no spin and raise.
+    half-width 2J is below half the gradient step; `np.rint` rounds half to
+    even, as `round` does.  Frequencies outside
+    [omega_0 - 2J, omega_{L-1} + 2J] address no spin and raise, naming the
+    first such carrier.
     """
     lo = params.omega0 - 2.0 * params.J
     hi = params.omega0 + (params.L - 1) * params.delta_omega + 2.0 * params.J
-    if not lo <= nu <= hi:
+    nu = np.asarray(nu)
+    outside = ~((lo <= nu) & (nu <= hi))
+    if outside.any():
         raise ValueError(
-            f"pulse frequency {nu} addresses no spin "
+            f"pulse frequency {float(nu[outside].flat[0])} addresses no spin "
             f"(outside [{lo}, {hi}] for this chain)"
         )
-    k = round((nu - params.omega0) / params.delta_omega)
-    return min(max(k, 0), params.L - 1)
+    k = np.rint((nu - params.omega0) / params.delta_omega).astype(np.int64)
+    k = np.clip(k, 0, params.L - 1)
+    return k if k.ndim else int(k)
 
 
 def _rows(keys: np.ndarray) -> np.ndarray:
@@ -310,39 +337,44 @@ def _plan(pulses: Sequence[Pulse], params: ChainParams,
     from time t0 (see Plan).
 
     The flip gap depends only on the neighbour bits k-1 and k+1 (absent at
-    the chain's edges, where flip_gap ignores them), so a pulse has at most
-    four pair maps, one per neighbour pattern.  Every gap is positive
+    the chain's edges, where flip_gap's terms are zero), so a pulse has at
+    most four pair maps, one per neighbour pattern.  Every gap is positive
     (ChainParams enforces omega0 > 2J): the bit-k-clear member of a pair is
     its lower level.
     """
     if not pulses:
         return [], np.empty((0, 2, 8), dtype=np.complex128)
-    rotations: dict[tuple[float, float, float], int] = {}
     # a drive is a distinct (nu, Omega, tau): its spin, detunings, rotations
     drives: dict[tuple[float, float, float], int] = {}
-    spins, detunings, factors = [], [], []
-    drive_of, times = [], [t0]
-    for pulse in pulses:
-        drive = drives.get((pulse.nu, pulse.Omega, pulse.tau))
-        if drive is None:
-            drive = drives[pulse.nu, pulse.Omega, pulse.tau] = len(drives)
-            k = resonant_spin(pulse.nu, params)
-            below = 1 << (k - 1) if k else 0
-            above = 1 << (k + 1)
-            deltas = [flip_gap(pattern, k, params) - pulse.nu
-                      for pattern in (0, below, above, below | above)]
-            spins.append(k)
-            detunings += deltas
-            factors += [rotations.setdefault((Delta, pulse.Omega, pulse.tau), len(rotations))
-                        for Delta in deltas]
-        drive_of.append(drive)
-        times.append(times[-1] + pulse.tau)  # as SparseState.t advances
+    drive_of = [drives.setdefault((p.nu, p.Omega, p.tau), len(drives)) for p in pulses]
+    nu, Omega, tau = np.array(list(drives)).T
+    k = resonant_spin(nu, params)
+    deltas = flip_gap(_neighbour_patterns(k, params.L), k[:, None], params) - nu[:, None]
+    # distinct (Delta, Omega, tau) by their bytes, which for finite floats
+    # is by value, except that -0.0 would not share the factors of +0.0
+    triples = np.stack(np.broadcast_arrays(deltas, Omega[:, None], tau[:, None]), axis=-1)
+    rotations, factor = np.unique(triples.view("V24").ravel(), return_inverse=True)
+    rotation = np.array([_rotation(*key) for key in
+                         rotations.view(np.float64).reshape(-1, 3).tolist()],
+                        dtype=np.complex128)
     drive = np.array(drive_of)
-    rotation = np.array([_rotation(*key) for key in rotations], dtype=np.complex128)
-    times = np.array(times)[:, None]
-    maps = _pair_maps(rotation[np.array(factors).reshape(-1, 4)[drive]],
-                      np.array(detunings).reshape(-1, 4)[drive], times[:-1], times[1:])
-    return [spins[d] for d in drive_of], maps.reshape(len(drive_of), 16)[:, _TABLE]
+    # start times as SparseState.t advances, one t += tau per pulse in order
+    times = np.cumsum(np.concatenate(([t0], tau[drive])))[:, None]
+    maps = _pair_maps(rotation[factor.reshape(-1, 4)[drive]], deltas[drive],
+                      times[:-1], times[1:])
+    return k[drive].tolist(), maps.reshape(len(drive_of), 16)[:, _TABLE]
+
+
+def _neighbour_patterns(k: np.ndarray, L: int) -> np.ndarray:
+    """(n, 4, W) key rows of the neighbour patterns none, b_{k-1}, b_{k+1}
+    and both of each spin k, with no bit outside the chain."""
+    patterns = np.zeros((len(k), 4, (L + _WORD - 1) // _WORD), dtype=np.uint64)
+    for p, j in ((1, k - 1), (2, k + 1)):
+        row = np.flatnonzero((j >= 0) & (j < L))
+        word, bit = np.divmod(j[row], _WORD)
+        patterns[row, p, word] = _BIT[bit]
+    patterns[:, 3] = patterns[:, 1] | patterns[:, 2]
+    return patterns
 
 
 def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: float, *,
@@ -455,8 +487,7 @@ def _check_ledger(state: SparseState, norm: float, pulses: int) -> None:
 class Census:
     """Unwanted-state tally of a run started from the all-zeros state.
 
-    `keys` and `probabilities` hold the tallied states in array order; the
-    sorted `table` is built from them on first access.
+    `keys` and `probabilities` hold the tallied states in array order.
     """
 
     count: int
@@ -465,15 +496,6 @@ class Census:
     keys: np.ndarray
     probabilities: np.ndarray
     L: int
-
-    @functools.cached_property
-    def table(self) -> list[tuple[BasisState, float]]:
-        """(state, probability) rows by descending probability, ties by
-        bitstring (ascending key, most significant word first)."""
-        order = np.lexsort((*self.keys.T, -self.probabilities))
-        return [(BasisState(bits, self.L), q)
-                for bits, q in zip(_unpack(self.keys[order]),
-                                   self.probabilities[order].tolist())]
 
 
 def unwanted_census(final: SparseState, threshold: float = 1e-6) -> Census:

@@ -6,8 +6,11 @@ integration), so agreement is evidence rather than tautology.
 
 The last few helpers are not oracles but views of the package under test
 that only the tests need: the package's own pair map for one pulse
-(`pair_map`, `pair_update`), a one-pulse run (`run_pulse`) and one basis
-state's probability (`probability`).
+(`pair_map`, `pair_update`), a one-pulse run (`run_pulse`), one basis
+state's probability (`probability`), a census as sorted rows
+(`census_table`), the first-order state families (`first_order_states`),
+the populations after pulse 3 (`u3_table`), and one bit of a basis state or
+its single flip (`bit`, `flipped`).
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from spinchain.analytics import error_budget
+from spinchain.analytics import error_budget, n1
 from spinchain.model import BasisState, ChainParams, flip_gap
 from spinchain.propagator import (
     AMPLITUDE_FLOOR,
+    Census,
     SparseState,
     _pair_maps,
     _rotation,
+    _unpack,
     resonant_spin,
     run_protocol,
 )
@@ -259,3 +264,58 @@ def probability(state: SparseState, basis: BasisState | int) -> float:
     state, 0 where it is not active."""
     bits = basis.bits if isinstance(basis, BasisState) else basis
     return dict(zip(state.states(), state.probability_array().tolist())).get(bits, 0.0)
+
+
+def census_table(census: Census) -> list[tuple[BasisState, float]]:
+    """(state, probability) rows of a census by descending probability, ties
+    by bitstring (ascending key, most significant word first): the order of
+    the `census.csv` and `spectrum.csv` rows."""
+    order = np.lexsort((*census.keys.T, -census.probabilities))
+    return [(BasisState(bits, census.L), q)
+            for bits, q in zip(_unpack(census.keys[order]),
+                               census.probabilities[order].tolist())]
+
+
+def first_order_states(L: int) -> tuple[list[BasisState], list[BasisState]]:
+    """The two terminal families of first-order unwanted states.
+
+    Family A (target bit 0 flipped): a single run of 1s extending down to
+    bit 0, run length 1..L-1.  Family B (target unflipped): a run of 1s
+    ending at bit 1, run length 1..L-2.  Sizes L-1 and L-2, totalling 2L-3.
+    """
+    n1(L)  # the protocol's L >= 3 rule
+    family_a = [BasisState((1 << r) - 1, L) for r in range(1, L)]
+    family_b = [BasisState(((1 << r) - 1) << 1, L) for r in range(1, L - 1)]
+    return family_a, family_b
+
+
+def u3_table(eps: float, eps_prime: float) -> list[tuple[str, float]]:
+    """Estimated state populations right after the third protocol pulse.
+
+    Four patterns, written control-first with trailing zeros elided; the
+    rows sum to 1 identically for any eps, eps' in [0, 1].  Rows 3 and 4
+    are incoherent sums of two paths each: the interference term, up to
+    2 eps^(3/2) (1 - eps) in either row, cancels between them.
+    """
+    if not 0.0 <= eps <= 1.0 or not 0.0 <= eps_prime <= 1.0:
+        raise ValueError("eps and eps_prime must be probabilities")
+    return [
+        ("0000...", (1.0 - eps) ** 2 * (1.0 - eps_prime)),
+        ("0100...", eps_prime * (1.0 - eps) ** 2),
+        ("0010...", eps * (1.0 - eps + eps * eps)),
+        ("0110...", eps * (1.0 - eps * eps)),
+    ]
+
+
+def bit(state: BasisState, k: int) -> int:
+    """Bit k of a basis state; IndexError outside the chain."""
+    if not 0 <= k < state.L:
+        raise IndexError(f"qubit {k} out of range for L={state.L}")
+    return (state.bits >> k) & 1
+
+
+def flipped(state: BasisState, k: int) -> BasisState:
+    """The basis state with bit k flipped; IndexError outside the chain."""
+    if not 0 <= k < state.L:
+        raise IndexError(f"qubit {k} out of range for L={state.L}")
+    return BasisState(bits=state.bits ^ (1 << k), L=state.L)

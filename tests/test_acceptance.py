@@ -49,7 +49,6 @@ import pytest
 
 from spinchain.analytics import (
     epsilon,
-    first_order_states,
     n1,
     p1_target,
     suppression_rabi,
@@ -65,7 +64,13 @@ from spinchain.propagator import (
 )
 from spinchain.protocol import cn_remote_protocol, cn_trajectory, ground_branch_detunings
 
-from oracles import pair_update, probability, two_level_ode
+from oracles import (
+    census_table,
+    first_order_states,
+    pair_update,
+    probability,
+    two_level_ode,
+)
 
 P0 = 1e-6
 OMEGA_FIG2 = 0.0906
@@ -136,7 +141,7 @@ def test_criterion_3_unwanted_state_count():
         census = unwanted_census(final, threshold=P0)
         family_a, family_b = first_order_states(L)
         expect = {s.bits for s in family_a + family_b}
-        got = {s.bits for s, _ in census.table}
+        got = {s.bits for s, _ in census_table(census)}
         _check(failures, census.count == n1(L) and got == expect,
                f"L={L}: census = 2L-3 = {n1(L)} states, identities match",
                f"count {census.count}, identity {'ok' if got == expect else 'MISMATCH'}")
@@ -229,8 +234,9 @@ def test_criterion_6_fig4_bands():
     lid = eps * (1 + n1(L) * eps_max)
     final, _ = _ground_run(L, OMEGA_FIG3, P_drop=1e-8)
     census = unwanted_census(final, threshold=1e-8)
-    probs = [p for _, p in census.table]
-    band1 = {s.bits for s, p in census.table if 0.2 * eps <= p <= lid}
+    table = census_table(census)
+    probs = [p for _, p in table]
+    band1 = {s.bits for s, p in table if 0.2 * eps <= p <= lid}
     band2 = [p for p in probs if p < 10 * eps**2]
     between = [p for p in probs if 10 * eps**2 <= p < 0.2 * eps]
     family_a, family_b = first_order_states(L)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from spinchain.analytics import (
     epsilon,
     error_budget,
-    first_order_states,
     ground_branch_errors,
     n1,
     p1_target,
@@ -14,14 +13,13 @@ from spinchain.analytics import (
     regime,
     suppression_rabi,
     suppression_windows,
-    u3_table,
 )
 from spinchain.cli import write_error_budget_csv
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, run_protocol
 from spinchain.protocol import PulseSequence, cn_remote_protocol
 
-from oracles import probability
+from oracles import bit, first_order_states, probability, u3_table
 
 
 def test_epsilon_published_anchors():
@@ -95,9 +93,9 @@ def test_first_order_families_cover_n1(L):
     states = {s.bits for s in family_a + family_b}
     assert len(states) == n1(L)
     for s in family_a:
-        assert s.bit(0) == 1 and s.bit(L - 1) == 0
+        assert bit(s, 0) == 1 and bit(s, L - 1) == 0
     for s in family_b:
-        assert s.bit(0) == 0 and s.bit(1) == 1 and s.bit(L - 1) == 0
+        assert bit(s, 0) == 0 and bit(s, 1) == 1 and bit(s, L - 1) == 0
 
 
 def test_p1_total_hand_sum():

@@ -1,14 +1,18 @@
 import csv
+import io
 import math
+import tempfile
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinchain
+import spinchain.cli
 from spinchain.analytics import epsilon, n1, suppression_rabi
-from spinchain.cli import load_config, main
+from spinchain.cli import load_config, main, write_csv
 from spinchain.model import ChainParams
 
 from oracles import sweep_length_per_run
@@ -369,6 +373,72 @@ def test_bad_command_line_exits_one(capsys):
         main(["frobnicate", "--config", "x"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def _csv_module_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+# every command with the kinds of table it writes: a start from |0...0>
+# (census), from a superposition, the control branch, and a failing verify
+EVERY_TABLE = [
+    ("protocol", "L=6\nOmega=0.0906\n"),
+    ("run", "L=7\npreset=fig3\n"),
+    ("run", "L=66\nOmega=0.20844\nP_drop=1e-5\n"),
+    ("run", "L=6\nOmega=0.0906\nalpha=0.6\nbeta=-0.8\n"),
+    ("run", "L=5\nOmega=0.0906\ninitial=10000\n"),
+    ("sweep-omega", "preset=fig1\nomega_steps=41\n"),
+    ("sweep-length", "preset=fig3\nL_min=3\nL_max=9\n"),
+    ("spectrum", "preset=fig4\nL=12\n"),
+    ("verify", "L=5\nOmega=10\n"),
+]
+
+
+def test_written_tables_are_csv_module_bytes(tmp_path, capsys):
+    # each file parses and re-writes through the csv module to its own bytes:
+    # no field needed quoting
+    for i, (command, text) in enumerate(EVERY_TABLE):
+        out = tmp_path / str(i)
+        assert main([command, "--config", write_cfg(tmp_path, text, f"{i}.cfg"),
+                     "--out", str(out)]) in (0, 2)
+        for path in sorted(out.glob("*.csv")):
+            text = path.read_text()
+            assert text == _csv_module_text(csv.reader(io.StringIO(text))), path.name
+    capsys.readouterr()
+
+
+FIELDS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**20, 10**20),
+    st.text("01", min_size=1, max_size=130),
+    st.sampled_from(["below-eps1", "eps1-eps2", "eps2-eps3", "above-eps3"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(FIELDS, min_size=1, max_size=6), max_size=40),
+       as_repr=st.booleans(), chunk=st.sampled_from([1, 3, 4096]))
+def test_write_csv_bytes_equal_csv_writer(rows, as_repr, chunk):
+    # the fields the package writes: reprs of floats, or the floats
+    # themselves (a float's str is its repr), ints, bitstrings, regime names;
+    # written in chunks of 1, 3 and 4096 rows
+    if as_repr:
+        rows = [[repr(f) if isinstance(f, float) else f for f in row] for row in rows]
+    header = ["state", "probability", "regime"]
+    rows_per_write = spinchain.cli._CSV_ROWS
+    spinchain.cli._CSV_ROWS = chunk
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/table.csv"
+            write_csv(path, header, iter(rows))
+            with open(path, "rb") as fh:
+                got = fh.read()
+    finally:
+        spinchain.cli._CSV_ROWS = rows_per_write
+    assert got == _csv_module_text([header, *rows]).encode()
 
 
 def test_identical_config_gives_identical_bytes(tmp_path):

@@ -1,12 +1,14 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spinchain.exact import _diagonal_terms
 from spinchain.model import BasisState, ChainParams, flip_gap
-from oracles import energy_bruteforce
+from spinchain.propagator import _pack
+from oracles import bit, energy_bruteforce, flipped
 
 
 def test_energy_two_qubit_hand_values():
@@ -70,6 +72,31 @@ def test_transition_frequency_equals_energy_difference(L):
         for k in range(L):
             gap = E[s | 1 << k] - E[s & ~(1 << k)]
             assert flip_gap(s, k, p) == pytest.approx(gap, abs=1e-10)
+
+
+@pytest.mark.parametrize("L", [2, 3, 63, 64, 65, 128, 129])
+def test_array_flip_gap_equals_scalar_bit_for_bit(L):
+    # every spin under every neighbour pattern, with the other bits random:
+    # the array form reads (n, W) uint64 key rows, and an edge spin's
+    # missing neighbour must add an exact zero
+    rng = np.random.default_rng(L)
+    p = ChainParams(L=L, J=0.7, omega0=100.1, delta_omega=20.3)
+    ks, states = [], []
+    for k in range(L):
+        for pattern in range(4):
+            others = int(rng.integers(0, 1 << min(L, 62))) << max(L - 62, 0)
+            s = others & ~(0b111 << k >> 1)
+            s |= (pattern & 1) << k >> 1 | (pattern >> 1) << (k + 1)
+            ks.append(k)
+            states.append(s & ((1 << L) - 1))
+    scalar = [flip_gap(s, k, p) for s, k in zip(states, ks)]
+    assert all(type(g) is float for g in scalar)
+    array = flip_gap(_pack(states, L), np.array(ks), p)
+    assert array.dtype == np.float64
+    assert array.tobytes() == np.array(scalar).tobytes()
+    # broadcasting: one spin per row against the rows' four patterns
+    grid = flip_gap(_pack(states, L).reshape(L, 4, -1), np.arange(L)[:, None], p)
+    assert grid.tobytes() == array.tobytes()
 
 
 @given(L=st.integers(2, 10), data=st.data())
@@ -136,11 +163,11 @@ def test_basis_state_parsing_and_rendering():
     s = BasisState.from_string("10010")
     assert s.L == 5 and s.bits == 0b10010
     assert str(s) == "10010"
-    assert s.bit(1) == 1 and s.bit(0) == 0 and s.bit(4) == 1
-    assert str(s.flipped(0)) == "10011"
+    assert bit(s, 1) == 1 and bit(s, 0) == 0 and bit(s, 4) == 1
+    assert str(flipped(s, 0)) == "10011"
     with pytest.raises(ValueError):
         BasisState.from_string("10a1")
     with pytest.raises(ValueError):
         BasisState(bits=4, L=2)
     with pytest.raises(IndexError):
-        s.bit(5)
+        bit(s, 5)

@@ -1,16 +1,20 @@
 import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spinchain.propagator
-from spinchain.analytics import epsilon, first_order_states, suppression_windows
-from spinchain.cli import main, write_report_csv, write_state_csv
+from spinchain.analytics import epsilon, suppression_windows
+from spinchain.cli import _write_census_csv, main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import (
     SparseState,
+    _pack,
+    bitstrings,
     resonant_spin,
     run_protocol,
     total_variation_distance,
@@ -20,8 +24,11 @@ from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol, cn_traj
 
 from oracles import (
     apply_pulse_dict,
+    bit,
     census_bitstring,
+    census_table,
     energy_bruteforce,
+    first_order_states,
     pair_coefficients_scalar,
     pair_map,
     pair_map_closed_form,
@@ -37,6 +44,14 @@ def ground_run(L, Omega, P_drop=1e-6):
     seq = cn_remote_protocol(params, Omega)
     return run_protocol(SparseState.from_basis(BasisState.ground(L)), seq,
                         params, P_drop=P_drop)
+
+
+def test_carrier_outside_the_band_raises_from_run_protocol(params5):
+    inside = Pulse(nu=params5.omega0, Omega=0.2, tau=1.0)
+    for nu in (params5.omega0 - 3 * params5.J, params5.omega0 + 4 * params5.delta_omega + 3):
+        seq = PulseSequence(pulses=(inside, Pulse(nu=nu, Omega=0.2, tau=1.0), inside))
+        with pytest.raises(ValueError, match=f"pulse frequency {nu} addresses no spin"):
+            run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5)
 
 
 def test_resonant_spin_lookup(params5):
@@ -224,24 +239,44 @@ def test_planned_pulse_matches_pulse_applied_alone():
 @st.composite
 def planned_run(draw):
     J = draw(st.sampled_from([1.0, 0.7, 1.5, draw(st.floats(0.05, 5.0))]))
-    params = ChainParams(L=draw(st.integers(2, 9)), J=J,
-                         omega0=J * draw(st.floats(2.5, 500.0)),
+    # short chains, and chains whose edge spins and neighbours sit at the
+    # ends of a key word
+    L = draw(st.one_of(st.integers(2, 9), st.sampled_from([63, 64, 65, 127, 128, 129])))
+    params = ChainParams(L=L, J=J, omega0=J * draw(st.floats(2.5, 500.0)),
                          delta_omega=J * draw(st.floats(4.5, 100.0)))
     pulses = []
     for _ in range(draw(st.integers(1, 8))):
-        k = draw(st.integers(0, params.L - 1))
+        k = draw(st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1)))
         # a flip gap (detunings 0, +-2J and +-4J) or anywhere in the band
         offset = draw(st.one_of(st.sampled_from([-2.0, 0.0, 2.0]), st.floats(-2.0, 2.0)))
+        nu = params.omega0 + k * params.delta_omega + offset * J
+        if pulses and draw(st.booleans()):  # a carrier again, under another drive
+            nu = pulses[draw(st.integers(0, len(pulses) - 1))].nu
         Omega = draw(st.floats(1e-3, 2.0))
-        pulses.append(Pulse(nu=params.omega0 + k * params.delta_omega + offset * J,
-                            Omega=Omega,
+        pulses.append(Pulse(nu=nu, Omega=Omega,
                             tau=draw(st.one_of(st.just(math.pi / Omega),
                                                st.floats(1e-3, 1e3)))))
     return params, pulses, draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
 
 
+EDGE_PLANS = [
+    # one pulse on an L = 2 chain, at either spin
+    (ChainParams(L=2), [Pulse(nu=100.0 + 1.0, Omega=0.3, tau=math.pi / 0.3)], 0.0),
+    (ChainParams(L=2), [Pulse(nu=120.0 - 1.0, Omega=0.3, tau=math.pi / 0.3)], 5.0),
+    # both edge spins of a two-word chain, each carrier under two Omegas and
+    # two durations
+    (ChainParams(L=65, J=0.7, omega0=100.1, delta_omega=20.3),
+     [Pulse(nu=nu, Omega=Omega, tau=tau)
+      for nu in (100.1 - 0.7, 100.1 + 64 * 20.3 + 0.7)
+      for Omega, tau in ((0.2, math.pi / 0.2), (0.09, math.pi / 0.2), (0.2, 7.0))], 12.5),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(planned_run())
+@example(EDGE_PLANS[0])
+@example(EDGE_PLANS[1])
+@example(EDGE_PLANS[2])
 def test_plan_matches_scalar_pair_map_bit_for_bit(case):
     params, pulses, t0 = case
     spins, tables = spinchain.propagator._plan(pulses, params, t0)
@@ -437,16 +472,17 @@ def test_census_counts_and_families():
     L = 8
     final, _ = ground_run(L, 0.0906)
     census = unwanted_census(final, threshold=1e-6)
+    table = census_table(census)
     assert census.count == 2 * L - 3
     family_a, family_b = first_order_states(L)
-    assert {s.bits for s, _ in census.table} == {s.bits for s in family_a + family_b}
-    assert census.p1_total == pytest.approx(sum(p for _, p in census.table))
+    assert {s.bits for s, _ in table} == {s.bits for s in family_a + family_b}
+    assert census.p1_total == pytest.approx(sum(p for _, p in table))
     # target-flipped subset is exactly family A
-    expect_cal = sum(p for s, p in census.table if s.bit(0) == 1 and s.bit(L - 1) == 0)
+    expect_cal = sum(p for s, p in table if bit(s, 0) == 1 and bit(s, L - 1) == 0)
     assert census.p1_target == pytest.approx(expect_cal)
     assert census.p1_target < census.p1_total
     # table sorted by descending probability
-    probs = [p for _, p in census.table]
+    probs = [p for _, p in table]
     assert probs == sorted(probs, reverse=True)
 
 
@@ -496,7 +532,34 @@ def test_array_census_matches_bitstring_census(case):
     count, p1, p1cal, rows = census_bitstring(state, threshold)
     census = unwanted_census(state, threshold=threshold)
     assert (census.count, census.p1_total, census.p1_target) == (count, p1, p1cal)
-    assert census.table == rows
+    assert census_table(census) == rows
+    # the written tables, rows rendered from the key arrays, in the order of
+    # the bitstring census and of a sort of (-probability, bitstring)
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_census_csv(census, Path(tmp, "census.csv"))
+        write_state_csv(state, Path(tmp, "state.csv"))
+        census_csv = Path(tmp, "census.csv").read_text()
+        state_csv = Path(tmp, "state.csv").read_text()
+    assert census_csv == "".join(f"{row}\n" for row in ["state,probability"] + [
+        f"{s},{p!r}" for s, p in rows])
+    labels = [format(s, f"0{state.L}b") for s in state.states()]
+    expect = sorted(zip(labels, state.probability_array().tolist(), state.amps.tolist()),
+                    key=lambda r: (-r[1], r[0]))
+    assert state_csv == "".join(f"{row}\n" for row in [
+        "state,probability,amplitude_re,amplitude_im"] + [
+        f"{s},{p!r},{c.real!r},{c.imag!r}" for s, p, c in expect])
+
+
+@pytest.mark.parametrize("L", [1, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("block_bits", [1 << 20, 1], ids=["one-block", "row-blocks"])
+def test_bitstrings_equal_format(monkeypatch, L, block_bits):
+    monkeypatch.setattr(spinchain.propagator, "_LABEL_BITS", block_bits)
+    rng = np.random.default_rng(L)
+    states = [0, (1 << L) - 1, 1, 1 << (L - 1)]
+    states += [int.from_bytes(rng.bytes(17), "little") % (1 << L) for _ in range(60)]
+    keys = _pack(states, L)
+    assert list(bitstrings(keys, L)) == [format(s, f"0{L}b") for s in states]
+    assert list(bitstrings(keys[:0], L)) == []
 
 
 @pytest.mark.parametrize("L", [25, 50, 100])
