@@ -19,7 +19,8 @@ at the target bit 0, and runs ending at bit 1) and the totals
     P1' = eps + eps * sum_{n=0}^{L-3} (1 - (2n+1) eps)  ~  G(1 - G),  G = (L-2) eps
 
 (P1' counting only the target-flipped family).  `p1_total` and `p1_target`
-return the sums; `budgets.csv` carries E and Gamma = G beside them.
+return the sums, also per entry of an int array L, each the float of an
+in-order loop (`np.cumsum`); `budgets.csv` carries E and Gamma beside them.
 
 Regime thresholds against a measurability floor P0: first-order states are
 visible above eps1 = P0, second-order above eps2 = sqrt(P0), third-order
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def epsilon(Omega: float, Delta: float, tau: float) -> float:
@@ -61,14 +64,22 @@ def suppression_rabi(Delta: float, k: int) -> float:
     return abs(Delta) / math.sqrt(4.0 * k * k - 1.0)
 
 
-def n1(L: int) -> int:
-    """Number of first-order unwanted states, one per pulse: 2L-3."""
-    if L < 3:
-        raise ValueError(f"remote-CN protocol needs L >= 3, got {L}")
+def n1(L):
+    """Number of first-order unwanted states, one per pulse: 2L-3 (per entry of an int array)."""
+    if np.min(L) < 3:
+        raise ValueError(f"remote-CN protocol needs L >= 3, got {np.min(L)}")
     return 2 * L - 3
 
 
-def p1_total(L: int, eps: float) -> float:
+def _partial_sums(eps: float, coefficients: np.ndarray, counts):
+    """eps * sum (1 - c eps) over the first `counts` (int or int array) coefficients c."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be a probability, got {eps}")
+    sums = eps * np.cumsum(1.0 - coefficients * eps)[counts - 1]
+    return sums if sums.ndim else float(sums)
+
+
+def p1_total(L, eps: float):
     """Total first-order unwanted probability after the full protocol.
 
     The first-order sum eps * sum_{n=0}^{2L-4} (1 - n*eps), about E(1 - E/2)
@@ -77,12 +88,11 @@ def p1_total(L: int, eps: float) -> float:
     own per-pulse first-order total sum_i eps_i prod_{j<i} (1 - eps_j)
     differs from this one by eps - eps' at first order.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be a probability, got {eps}")
-    return eps * sum(1.0 - n * eps for n in range(n1(L)))
+    N = n1(L)
+    return _partial_sums(eps, np.arange(np.max(N)), N)
 
 
-def p1_target(L: int, eps: float) -> float:
+def p1_target(L, eps: float):
     """Probability of ending with the target flipped while the control is 0.
 
     The sum eps + eps * sum_{n=0}^{L-3} (1 - (2n+1) eps) over the
@@ -90,10 +100,8 @@ def p1_target(L: int, eps: float) -> float:
     uniform-eps sum like `p1_total`; here that is exact at first order,
     since the third pulse (error eps') seeds the target-unflipped family.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be a probability, got {eps}")
     n1(L)  # the protocol's L >= 3 rule
-    return eps + eps * sum(1.0 - (2 * n + 1) * eps for n in range(L - 2))
+    return eps + _partial_sums(eps, np.arange(1, 2 * np.max(L) - 4, 2), L - 2)
 
 
 def regime(eps: float, P0: float) -> str:
@@ -137,22 +145,17 @@ class ErrorBudget:
     regime: str
 
 
-def error_budget(L: int, Omega: float, J: float = 1.0, P0: float = 1e-6) -> ErrorBudget:
-    """Evaluate the full analytic budget for a pi-pulse protocol at (L, Omega);
-    eps and eps' are the `ground_branch_errors` at (Omega, J)."""
+def error_budget(lengths, Omega: float, J: float = 1.0,
+                 P0: float = 1e-6) -> list[ErrorBudget]:
+    """The analytic budget at Omega of each of a non-empty sequence of chain
+    lengths, with eps and eps' the `ground_branch_errors` at (Omega, J)."""
     eps, eps_prime = ground_branch_errors(Omega, J)
-    return ErrorBudget(
-        L=L,
-        Omega=Omega,
-        eps=eps,
-        eps_prime=eps_prime,
-        N1=n1(L),
-        P1=p1_total(L, eps),
-        P1cal=p1_target(L, eps),
-        E=(2 * L - 3) * eps,
-        Gamma=(L - 2) * eps,
-        regime=regime(eps, P0),
-    )
+    L, kind = np.asarray(lengths), regime(eps, P0)
+    return [ErrorBudget(L=length, Omega=Omega, eps=eps, eps_prime=eps_prime, N1=N, P1=P1,
+                        P1cal=P1cal, E=(2 * length - 3) * eps, Gamma=(length - 2) * eps,
+                        regime=kind)
+            for length, N, P1, P1cal in zip(L.tolist(), n1(L).tolist(),
+                                            p1_total(L, eps).tolist(), p1_target(L, eps).tolist())]
 
 
 def suppression_windows(P0: float, omega_lo: float = 0.02, omega_hi: float = 0.6,
@@ -163,8 +166,6 @@ def suppression_windows(P0: float, omega_lo: float = 0.02, omega_hi: float = 0.6
     Located by a dense scan and refined by bisection on the window edges;
     the returned (lo, hi) pairs bracket max(eps, eps') < P0.
     """
-    import numpy as np
-
     def worst(om):
         return max(ground_branch_errors(om, 1.0))
 

@@ -206,12 +206,12 @@ def write_protocol_csv(seq: PulseSequence, path) -> None:
 
     Pulse indices are 1-based; states render as bitstrings b_{L-1}...b_0.
     """
-    if seq.trajectory is None:
+    if seq.start is None:
         raise ValueError("sequence carries no annotations to export")
+    states = list(bitstrings(seq.trajectory, seq.start.L))
     write_csv(path, ["index", "nu", "Omega", "tau", "flip_qubit", "from_state", "to_state"],
-              ([i + 1, repr(pulse.nu), repr(pulse.Omega), repr(pulse.tau),
-                k, str(seq.trajectory[i]), str(seq.trajectory[i + 1])]
-               for i, (pulse, k) in enumerate(zip(seq.pulses, seq.flip_qubits))))
+              zip(range(1, len(seq) + 1), seq.nu.tolist(), seq.Omega.tolist(),
+                  seq.tau.tolist(), seq.flip_qubits.tolist(), states, states[1:]))
 
 
 def write_state_csv(state: SparseState, path) -> None:
@@ -345,7 +345,7 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
         snapshot_at=last_pulse,
         on_snapshot=lambda n, state: censuses.append(
             unwanted_census(state.prefix(last_pulse[n]), threshold=P0)))
-    budgets = [error_budget(L, Omega, J=J, P0=P0) for L in lengths]
+    budgets = error_budget(lengths, Omega, J=J, P0=P0)
     rows = [[L, repr(budget.P1), repr(census.p1_total),
              repr(budget.P1cal), repr(census.p1_target), census.count]
             for L, budget, census in zip(lengths, budgets, censuses)]

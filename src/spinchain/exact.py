@@ -104,7 +104,7 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     E, M = _diagonal_terms(params)
     C = initial.amplitudes.astype(complex).copy()
     t = initial.t
-    keys = [(pulse.nu, pulse.Omega) for pulse in seq.pulses]
+    keys = list(zip(seq.nu.tolist(), seq.Omega.tolist()))
     last_use = {key: i for i, key in enumerate(keys)}
     spectra = {}
     for i, (pulse, key) in enumerate(zip(seq.pulses, keys)):

@@ -101,6 +101,13 @@ class BasisState:
         return format(self.bits, f"0{self.L}b")
 
 
+def pack_keys(states, L: int) -> np.ndarray:
+    """(n, ceil(L/64)) uint64 rows of packed states, bit k at bit k % 64 of word k // 64."""
+    W = (L + 63) // 64
+    rows = [[(s >> (64 * j)) & (2**64 - 1) for j in range(W)] for s in states]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), W)
+
+
 def flip_gap(bits, k, params: ChainParams):
     """E(bit k set) - E(bit k cleared) for the flip pair containing `bits`,
     the transition frequency of spin k.
@@ -121,6 +128,13 @@ def flip_gap(bits, k, params: ChainParams):
         below, above = _key_bit(bits, k - 1, params.L), _key_bit(bits, k + 1, params.L)
     else:
         below, above = (bits >> k - 1) & 1 if k else 0, (bits >> k + 1) & 1
+    return neighbour_gap(k, below, above, params)
+
+
+def neighbour_gap(k, below, above, params: ChainParams):
+    """`flip_gap` of spin k from its neighbour bits b_{k-1} and b_{k+1}
+    (0 or 1, ints or arrays); a neighbour outside the chain adds a signed
+    zero whatever its bit."""
     g = params.omega0 + k * params.delta_omega
     g = g + 2.0 * params.J * (0.5 - below) * (k > 0)
     return g + 2.0 * params.J * (0.5 - above) * (k < params.L - 1)
@@ -129,6 +143,6 @@ def flip_gap(bits, k, params: ChainParams):
 def _key_bit(keys: np.ndarray, j, L: int) -> np.ndarray:
     """Bit j of (..., W) uint64 key rows, with j clamped into the chain (an
     edge neighbour's bit is read, then multiplied by zero)."""
-    j = np.clip(j, 0, L - 1)
+    j = np.minimum(np.maximum(j, 0), L - 1)
     word = np.take_along_axis(keys, (j >> 6)[..., None], axis=-1)[..., 0]
     return (word >> (j & 63).astype(np.uint64)) & np.uint64(1)

@@ -59,18 +59,18 @@ Plan.  A pair map depends on its pulse's start time only through the two
 frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
 (Delta, Omega, tau).  A run's pulses, and so their start times, are known
 before the first one runs, so `run_protocol` builds every pulse's resonant
-spin and (2, 8) pair table up front, in array passes (`_plan`).  The
-carrier step takes the run's distinct (nu, Omega, tau) at once: their
-resonant spins from the array form of `resonant_spin` (`np.rint` rounds
-half to even, as `round` does), and their four detunings from the array
-form of `flip_gap` on key rows of the four neighbour patterns, each the
-float the scalar call gives.  The rotation factors are computed once per
-distinct (Delta, Omega, tau), compared by their bytes: a remote-CN run has
-one Omega and tau, and at most five detunings (0, +-2J, +-4J).  The frame
-phases of all pulses are one `np.cos` and one `np.sin` call each, and the
-complex products are written out in real arithmetic in the order of
-Python's complex product, so each table is bit for bit the one the scalar
-map in tests/oracles.py gives (numpy's complex multiply rounds
+spin and (2, 8) pair table up front, in array passes over the sequence's
+arrays (`_plan`).  The carrier step takes the run's distinct (nu, Omega,
+tau), one `np.unique` over their bytes: their resonant spins from the array
+form of `resonant_spin` (`np.rint` rounds half to even, as `round` does),
+and their four detunings from `neighbour_gap` on the four neighbour
+patterns, each the float the scalar `flip_gap` gives.  The rotation factors
+are computed once per distinct (Delta, Omega, tau), also by bytes: a
+remote-CN run has one Omega and tau, and at most five detunings (0, +-2J,
++-4J).  The frame phases of all pulses are one `np.cos` and one `np.sin`
+call each, and the complex products are written out in real arithmetic in
+the order of Python's complex product, so each table is bit for bit the one
+the scalar map in tests/oracles.py gives (numpy's complex multiply rounds
 differently).  Start times are one `np.cumsum`, which adds in order as
 `SparseState.t` does, one `t += tau` per pulse.  Nothing is kept between
 runs.
@@ -103,12 +103,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BasisState, ChainParams, flip_gap
+from .model import BasisState, ChainParams, neighbour_gap, pack_keys
 from .protocol import Pulse, PulseSequence
 
 # Amplitudes with |C|^2 below this floor are discarded even when pruning is
@@ -122,20 +122,12 @@ AMPLITUDE_FLOOR = 1e-30
 NORM_LEDGER_TOLERANCE = 1e-12
 
 _WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
 # Every shift count and mask the kernel applies to the uint64 keys, as
 # np.uint64 (_SHIFT[n] is np.uint64(n)): numpy converts a Python int operand
 # again on every array operation, about 0.4 us each at figure sizes.
 _SHIFT = np.arange(_WORD, dtype=np.uint64)
 _BIT = 1 << _SHIFT
 _CLEAR = ~_BIT
-
-
-def _pack(states, L: int) -> np.ndarray:
-    """(n, ceil(L/64)) uint64 bitset rows of packed basis states."""
-    W = (L + _WORD - 1) // _WORD
-    rows = [[(s >> (_WORD * j)) & _WORD_MASK for j in range(W)] for s in states]
-    return np.array(rows, dtype=np.uint64).reshape(len(rows), W)
 
 
 def _unpack(keys: np.ndarray) -> list[int]:
@@ -189,7 +181,7 @@ class SparseState:
         for s in amplitudes:
             if not 0 <= s < (1 << L):
                 raise ValueError(f"state {s} out of range for L={L}")
-        return cls(keys=_pack(amplitudes, L),
+        return cls(keys=pack_keys(amplitudes, L),
                    amps=np.array(list(amplitudes.values()), dtype=np.complex128),
                    L=L, t=t)
 
@@ -325,16 +317,18 @@ def _neighbourhood(keys: np.ndarray, k: int) -> np.ndarray:
 # unit amplitude adds to its pair's lower (row 0) and upper (row 1)
 # amplitude: a state with bit k clear enters as C_m (K_mm, K_pm), with bit k
 # set as C_p (K_mp, K_pp).  Index into a pulse's (4 patterns x 4 maps) array
-# of _pair_maps, patterns ordered none, b_{k-1}, b_{k+1}, both.
+# of _pair_maps, patterns ordered none, b_{k-1}, b_{k+1}, both (their
+# neighbour bits _BELOW and _ABOVE).
 _CODE = np.arange(8)
+_BELOW, _ABOVE = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
 _TABLE = (4 * ((_CODE & 1) + 2 * (_CODE >> 2)) + ((_CODE >> 1) & 1)
           + 2 * np.arange(2)[:, None])
 
 
-def _plan(pulses: Sequence[Pulse], params: ChainParams,
+def _plan(seq: PulseSequence, params: ChainParams,
           t0: float) -> tuple[list[int], np.ndarray]:
-    """Resonant spin and (n, 2, 8) pair tables of n pulses applied in order
-    from time t0 (see Plan).
+    """Resonant spin and (n, 2, 8) pair tables of the n pulses of a
+    sequence applied in order from time t0 (see Plan).
 
     The flip gap depends only on the neighbour bits k-1 and k+1 (absent at
     the chain's edges, where flip_gap's terms are zero), so a pulse has at
@@ -342,14 +336,14 @@ def _plan(pulses: Sequence[Pulse], params: ChainParams,
     (ChainParams enforces omega0 > 2J): the bit-k-clear member of a pair is
     its lower level.
     """
-    if not pulses:
+    if not len(seq):
         return [], np.empty((0, 2, 8), dtype=np.complex128)
-    # a drive is a distinct (nu, Omega, tau): its spin, detunings, rotations
-    drives: dict[tuple[float, float, float], int] = {}
-    drive_of = [drives.setdefault((p.nu, p.Omega, p.tau), len(drives)) for p in pulses]
-    nu, Omega, tau = np.array(list(drives)).T
+    # a drive is a distinct (nu, Omega, tau) by bytes: its spin, detunings, rotations
+    pulses = np.stack((seq.nu, seq.Omega, seq.tau), axis=-1)
+    drives, drive = np.unique(pulses.view("V24").ravel(), return_inverse=True)
+    nu, Omega, tau = drives.view(np.float64).reshape(-1, 3).T
     k = resonant_spin(nu, params)
-    deltas = flip_gap(_neighbour_patterns(k, params.L), k[:, None], params) - nu[:, None]
+    deltas = neighbour_gap(k[:, None], _BELOW, _ABOVE, params) - nu[:, None]
     # distinct (Delta, Omega, tau) by their bytes, which for finite floats
     # is by value, except that -0.0 would not share the factors of +0.0
     triples = np.stack(np.broadcast_arrays(deltas, Omega[:, None], tau[:, None]), axis=-1)
@@ -357,24 +351,11 @@ def _plan(pulses: Sequence[Pulse], params: ChainParams,
     rotation = np.array([_rotation(*key) for key in
                          rotations.view(np.float64).reshape(-1, 3).tolist()],
                         dtype=np.complex128)
-    drive = np.array(drive_of)
     # start times as SparseState.t advances, one t += tau per pulse in order
-    times = np.cumsum(np.concatenate(([t0], tau[drive])))[:, None]
+    times = np.cumsum(np.concatenate(([t0], seq.tau)))[:, None]
     maps = _pair_maps(rotation[factor.reshape(-1, 4)[drive]], deltas[drive],
                       times[:-1], times[1:])
-    return k[drive].tolist(), maps.reshape(len(drive_of), 16)[:, _TABLE]
-
-
-def _neighbour_patterns(k: np.ndarray, L: int) -> np.ndarray:
-    """(n, 4, W) key rows of the neighbour patterns none, b_{k-1}, b_{k+1}
-    and both of each spin k, with no bit outside the chain."""
-    patterns = np.zeros((len(k), 4, (L + _WORD - 1) // _WORD), dtype=np.uint64)
-    for p, j in ((1, k - 1), (2, k + 1)):
-        row = np.flatnonzero((j >= 0) & (j < L))
-        word, bit = np.divmod(j[row], _WORD)
-        patterns[row, p, word] = _BIT[bit]
-    patterns[:, 3] = patterns[:, 1] | patterns[:, 2]
-    return patterns
+    return k[drive].tolist(), maps.reshape(len(seq), 16)[:, _TABLE]
 
 
 def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: float, *,
@@ -461,7 +442,7 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
     report = RunReport()
     t0 = time.perf_counter()
     state = initial
-    spins, tables = _plan(seq.pulses, params, initial.t)
+    spins, tables = _plan(seq, params, initial.t)
     for n, (pulse, k, table) in enumerate(zip(seq.pulses, spins, tables), start=1):
         state = apply_pulse(state, pulse, params, P_drop=P_drop, planned=(k, table))
         report.active_states.append(len(state.amps))

@@ -15,119 +15,120 @@ error analytics in this package.
 
 Carrier frequencies are synthesised from the flip gap `model.flip_gap`, an
 energy difference of the chain Hamiltonian, rather than hardcoded, which
-pins them unambiguously to the Hamiltonian conventions.
+pins them unambiguously to the Hamiltonian conventions (one array call).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import BasisState, ChainParams, flip_gap
+import numpy as np
+
+from .model import BasisState, ChainParams, flip_gap, pack_keys
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """One rectangular rf pulse of phase 0: carrier nu, Rabi frequency
-    Omega, duration tau.  pi-pulses satisfy Omega*tau = pi exactly."""
+class Pulse(NamedTuple):
+    """One rectangular rf pulse of phase 0: carrier nu, Rabi frequency Omega,
+    duration tau (pi-pulses: Omega*tau = pi); `PulseSequence` checks them."""
 
     nu: float
     Omega: float
     tau: float
 
-    def __post_init__(self):
-        for name in ("nu", "Omega", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"pulse {name} must be finite, got {getattr(self, name)}")
-        # Omega=0 (free evolution) and tau=0 (identity) are degenerate but
-        # legal; negative values are not.
-        if self.Omega < 0:
-            raise ValueError(f"Rabi frequency must be >= 0, got {self.Omega}")
-        if self.tau < 0:
-            raise ValueError(f"duration must be >= 0, got {self.tau}")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSequence:
-    """Ordered pulse list, optionally annotated with the control-branch
-    trajectory: the (from, to) states of each pulse."""
+    """Ordered pulses as float64 arrays `nu`, `Omega` and `tau`, optionally
+    annotated with the control branch: the qubit each pulse flips and the
+    branch's `start` state.  Checked once, in array form: 1-D arrays of one
+    length, finite, Omega and tau >= 0 (0 is degenerate but legal), flip
+    qubits in [0, L); errors name the field and the first bad pulse (from 0).
+    """
 
-    pulses: tuple[Pulse, ...]
-    trajectory: tuple[BasisState, ...] | None = None
+    nu: np.ndarray
+    Omega: np.ndarray
+    tau: np.ndarray
+    flip_qubits: np.ndarray | None = None
+    start: BasisState | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        if self.trajectory is not None:
-            object.__setattr__(self, "trajectory", tuple(self.trajectory))
-            if len(self.trajectory) != len(self.pulses) + 1:
-                raise ValueError("trajectory must have len(pulses)+1 states")
-            for i, (a, b) in enumerate(zip(self.trajectory, self.trajectory[1:])):
-                diff = a.bits ^ b.bits
-                if diff == 0 or (diff & (diff - 1)) != 0:
-                    raise ValueError(f"trajectory step {i} is not a single-bit flip")
+        if (self.flip_qubits is None) != (self.start is None):
+            raise ValueError("give flip_qubits and start together, or neither")
+        for name in ("nu", "Omega", "tau") + (() if self.start is None else ("flip_qubits",)):
+            values = np.array(getattr(self, name),
+                              dtype=np.int64 if name == "flip_qubits" else np.float64)
+            object.__setattr__(self, name, values)
+            if values.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D array, got shape {values.shape}")
+            if len(values) != len(self.nu):
+                raise ValueError(f"pulse {min(len(values), len(self.nu))}: {name} has "
+                                 f"{len(values)} entries, nu has {len(self.nu)}")
+        checks = [("nu", "finite", np.isfinite(self.nu)),
+                  ("Omega", "finite and >= 0", np.isfinite(self.Omega) & (self.Omega >= 0)),
+                  ("tau", "finite and >= 0", np.isfinite(self.tau) & (self.tau >= 0))]
+        if self.start is not None:
+            flips, L = self.flip_qubits, self.start.L
+            checks.append(("flip_qubits", f"in [0, {L})", (flips >= 0) & (flips < L)))
+        for name, rule, ok in checks:
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValueError(f"pulse {i}: {name} must be {rule}, "
+                                 f"got {getattr(self, name)[i]}")
 
     @property
-    def flip_qubits(self) -> tuple[int, ...] | None:
-        """The qubit each pulse flips, read off the trajectory."""
-        if self.trajectory is None:
-            return None
-        return tuple((a.bits ^ b.bits).bit_length() - 1
-                     for a, b in zip(self.trajectory, self.trajectory[1:]))
+    def pulses(self) -> tuple[Pulse, ...]:
+        """`Pulse` records of the arrays (tuple.__new__ skips Pulse's Python-level __new__)."""
+        rows = zip(self.nu.tolist(), self.Omega.tolist(), self.tau.tolist())
+        return tuple(map(tuple.__new__, [Pulse] * len(self), rows))
+
+    @property
+    def trajectory(self) -> np.ndarray | None:
+        """(len + 1, ceil(L/64)) uint64 key rows of the annotated branch:
+        the start state, then the state after each pulse."""
+        return None if self.start is None else _trajectory(self.start, self.flip_qubits)
 
     def __len__(self) -> int:
-        return len(self.pulses)
-
-    def __iter__(self):
-        return iter(self.pulses)
+        return len(self.nu)
 
 
-def cn_trajectory(params: ChainParams) -> list[BasisState]:
-    """Control-branch state path of the remote-CN protocol, 2L-2 states.
-
-    Starts at |10...0>, ends at |10...01>; adjacent states differ in
-    exactly one bit.
-    """
-    L = params.L
-    if L < 3:
-        raise ValueError(
-            f"remote-CN protocol needs L >= 3 (for L=2 the gate is a single "
-            f"resonant pulse), got L={L}"
-        )
-    bits = 1 << (L - 1)
-    path = [bits]
-    bits ^= 1 << (L - 2)
-    path.append(bits)
-    for j in range(L - 3, -1, -1):
-        bits ^= 1 << j
-        path.append(bits)
-        bits ^= 1 << (j + 1)
-        path.append(bits)
-    return [BasisState(b, L) for b in path]
+def _trajectory(start: BasisState, flips: np.ndarray) -> np.ndarray:
+    """Key rows of `start` and of each state after it, one flip per row."""
+    rows = np.zeros((len(flips) + 1, (start.L + 63) // 64), dtype=np.uint64)
+    rows[0] = pack_keys([start.bits], start.L)
+    rows[np.arange(1, len(rows)), flips >> 6] = np.uint64(1) << (flips & 63).astype(np.uint64)
+    return np.bitwise_xor.accumulate(rows, axis=0)
 
 
 def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
     """Compile the remote-CN gate into 2L-3 resonant pi-pulses.
 
-    For each consecutive pair of trajectory states flipping qubit k, the
-    pulse carrier equals the level spacing of that flip on the current
-    control-branch state and tau = pi/Omega.  Omega is rejected when the
-    frame phases Delta * t of a run, |Delta| <= 4J up to the end time
-    (2L-3) tau, would overflow (twice that bound must be finite, leaving
-    room for rounding).
+    Each pulse's carrier equals the level spacing of its flip on the branch
+    state before it, and tau = pi/Omega.  Omega is rejected when the frame
+    phases Delta * t of a run, |Delta| <= 4J up to the end time (2L-3) tau,
+    would overflow (twice that bound must be finite, leaving room for
+    rounding).
     """
     if not (math.isfinite(Omega) and Omega > 0):
         raise ValueError(f"Rabi frequency Omega must be finite and positive, got {Omega}")
-    traj = cn_trajectory(params)
+    L = params.L
+    if L < 3:
+        raise ValueError(f"remote-CN protocol needs L >= 3 (for L=2 the gate is a "
+                         f"single resonant pulse), got L={L}")
+    n = 2 * L - 3
     tau = math.pi / Omega
-    if not math.isfinite(8.0 * params.J * (len(traj) - 1) * tau):
+    if not math.isfinite(8.0 * params.J * n * tau):
         raise ValueError(
-            f"Rabi frequency Omega={Omega} is too small for L={params.L}, J={params.J}: "
+            f"Rabi frequency Omega={Omega} is too small for L={L}, J={params.J}: "
             "the frame phases 4J (2L-3) pi/Omega of the protocol overflow")
-    pulses = []
-    for a, b in zip(traj, traj[1:]):
-        k = (a.bits ^ b.bits).bit_length() - 1
-        pulses.append(Pulse(nu=flip_gap(a.bits, k, params), Omega=Omega, tau=tau))
-    return PulseSequence(pulses=tuple(pulses), trajectory=tuple(traj))
+    # qubit L-2, then qubit j and qubit j+1 for j = L-3 down to 0
+    j = np.arange(L - 3, -1, -1)
+    flips = np.concatenate(([L - 2], np.stack((j, j + 1), axis=1).ravel()))
+    start = BasisState(1 << (L - 1), L)
+    nu = flip_gap(_trajectory(start, flips)[:-1], flips, params)
+    return PulseSequence(nu=nu, Omega=np.full(n, Omega), tau=np.full(n, tau),
+                         flip_qubits=flips, start=start)
 
 
 def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
@@ -140,5 +141,5 @@ def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[flo
     """
     if seq.flip_qubits is None:
         raise ValueError("sequence carries no flip annotations")
-    return [abs(flip_gap(0, k, params) - pulse.nu)
-            for pulse, k in zip(seq.pulses, seq.flip_qubits)]
+    ground = np.zeros((len(seq), (params.L + 63) // 64), dtype=np.uint64)  # |0...0>
+    return np.abs(flip_gap(ground, seq.flip_qubits, params) - seq.nu).tolist()

@@ -9,8 +9,9 @@ that only the tests need: the package's own pair map for one pulse
 (`pair_map`, `pair_update`), a one-pulse run (`run_pulse`), one basis
 state's probability (`probability`), a census as sorted rows
 (`census_table`), the first-order state families (`first_order_states`),
-the populations after pulse 3 (`u3_table`), and one bit of a basis state or
-its single flip (`bit`, `flipped`).
+the populations after pulse 3 (`u3_table`), one bit of a basis state or
+its single flip (`bit`, `flipped`), and an unannotated sequence of `Pulse`
+records (`sequence`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,39 @@ from spinchain.propagator import (
     resonant_spin,
     run_protocol,
 )
-from spinchain.protocol import PulseSequence, cn_remote_protocol
+from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol
+
+
+def cn_trajectory(params: ChainParams) -> list[BasisState]:
+    """Control-branch state path of the remote-CN protocol, 2L-2 states,
+    one Python int at a time.
+
+    Starts at |10...0>, ends at |10...01>; adjacent states differ in
+    exactly one bit: first qubit L-2, then for j = L-3 down to 0 qubit j
+    and qubit j+1.
+    """
+    L = params.L
+    if L < 3:
+        raise ValueError(f"remote-CN protocol needs L >= 3, got L={L}")
+    bits = 1 << (L - 1)
+    path = [bits]
+    bits ^= 1 << (L - 2)
+    path.append(bits)
+    for j in range(L - 3, -1, -1):
+        bits ^= 1 << j
+        path.append(bits)
+        bits ^= 1 << (j + 1)
+        path.append(bits)
+    return [BasisState(b, L) for b in path]
+
+
+def cn_carriers_scalar(params: ChainParams) -> tuple[list[float], list[int], list[BasisState]]:
+    """(carriers, flip qubits, trajectory) of the remote-CN protocol, one
+    pulse at a time: each carrier the scalar `flip_gap` of its flip on the
+    branch state before it, each flip qubit read off two adjacent states."""
+    traj = cn_trajectory(params)
+    flips = [(a.bits ^ b.bits).bit_length() - 1 for a, b in zip(traj, traj[1:])]
+    return [flip_gap(a.bits, k, params) for a, k in zip(traj, flips)], flips, traj
 
 
 def bits_of(state: int, L: int) -> list[int]:
@@ -228,7 +261,7 @@ def sweep_length_per_run(lengths, Omega: float, P_drop: float, P0: float,
         final, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
                                 cn_remote_protocol(params, Omega), params, P_drop=P_drop)
         count, p1, p1cal, _ = census_bitstring(final, P0)
-        budget = error_budget(L, Omega, J=params.J, P0=P0)
+        [budget] = error_budget([L], Omega, J=params.J, P0=P0)
         rows.append([str(L), repr(budget.P1), repr(p1), repr(budget.P1cal), repr(p1cal),
                      str(count)])
     return rows
@@ -255,7 +288,7 @@ def pair_update(C_m: complex, C_p: complex, Delta: float, Omega: float,
 def run_pulse(state: SparseState, pulse, params, P_drop: float) -> SparseState:
     """`state` after one pulse, through `run_protocol` on a one-pulse
     sequence: planned from state.t, with the norm ledger checked."""
-    final, _ = run_protocol(state, PulseSequence(pulses=(pulse,)), params, P_drop=P_drop)
+    final, _ = run_protocol(state, sequence(pulse), params, P_drop=P_drop)
     return final
 
 
@@ -319,3 +352,8 @@ def flipped(state: BasisState, k: int) -> BasisState:
     if not 0 <= k < state.L:
         raise IndexError(f"qubit {k} out of range for L={state.L}")
     return BasisState(bits=state.bits ^ (1 << k), L=state.L)
+
+
+def sequence(*pulses: Pulse) -> PulseSequence:
+    """An unannotated `PulseSequence` of `Pulse` records, in order."""
+    return PulseSequence(*np.array(pulses, dtype=np.float64).reshape(-1, 3).T)

@@ -62,10 +62,11 @@ from spinchain.propagator import (
     total_variation_distance,
     unwanted_census,
 )
-from spinchain.protocol import cn_remote_protocol, cn_trajectory, ground_branch_detunings
+from spinchain.protocol import cn_remote_protocol, ground_branch_detunings
 
 from oracles import (
     census_table,
+    cn_trajectory,
     first_order_states,
     pair_update,
     probability,

@@ -17,9 +17,9 @@ from spinchain.analytics import (
 from spinchain.cli import write_error_budget_csv
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, run_protocol
-from spinchain.protocol import PulseSequence, cn_remote_protocol
+from spinchain.protocol import cn_remote_protocol
 
-from oracles import bit, first_order_states, probability, u3_table
+from oracles import bit, first_order_states, probability, sequence, u3_table
 
 
 def test_epsilon_published_anchors():
@@ -168,7 +168,7 @@ def test_u3_table_describes_the_first_three_pulses(L):
         seq = cn_remote_protocol(params, Omega)
         eps, eps_prime = ground_branch_errors(Omega, params.J)
         state, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
-                                PulseSequence(pulses=seq.pulses[:3]), params, P_drop=0.0)
+                                sequence(*seq.pulses[:3]), params, P_drop=0.0)
         table = dict(u3_table(eps, eps_prime))
         # patterns are control-first with trailing zeros elided
         got = {pattern: probability(state, int((pattern.rstrip(".") + "0" * L)[:L], 2))
@@ -187,12 +187,12 @@ def test_ground_branch_errors_are_eps_at_2J_and_4J():
         tau = math.pi / Omega
         assert ground_branch_errors(Omega, J) == (epsilon(Omega, 2.0 * J, tau),
                                                   epsilon(Omega, 4.0 * J, tau))
-    b = error_budget(L=10, Omega=0.20844, J=0.7)
+    [b] = error_budget([10], Omega=0.20844, J=0.7)
     assert (b.eps, b.eps_prime) == ground_branch_errors(0.20844, 0.7)
 
 
 def test_error_budget_fields():
-    b = error_budget(L=10, Omega=0.0906, J=1.0, P0=1e-6)
+    [b] = error_budget([10], Omega=0.0906, J=1.0, P0=1e-6)
     assert b.N1 == 17
     assert b.eps == pytest.approx(4.78e-5, rel=0.01)
     assert b.eps_prime == pytest.approx(3.23e-5, rel=0.01)
@@ -204,7 +204,7 @@ def test_error_budget_fields():
 
 
 def test_error_budget_csv(tmp_path):
-    budgets = [error_budget(L, 0.0906) for L in (4, 6)]
+    budgets = error_budget((4, 6), 0.0906)
     path = tmp_path / "budgets.csv"
     write_error_budget_csv(budgets, path)
     lines = path.read_text().splitlines()

@@ -4,8 +4,8 @@ Every CSV the commands write is deterministic, so a refactor that claims to
 leave the outputs unchanged can be checked byte for byte.  This test
 regenerates the four figure datasets (through scripts/reproduce_figures.py),
 a sparse `run` at L = 100 and one from the control branch, a failing
-`verify` and a `protocol` table, and compares the full SHA-256 digest of
-each file with the value recorded here.
+`verify` and two `protocol` tables (L = 10 and L = 100), and compares the
+full SHA-256 digest of each file with the value recorded here.
 
 A digest may change only together with a line in CHANGES.md that says which
 output moved and why.  Never record a new value just to make this test pass:
@@ -58,6 +58,10 @@ COMMAND_DIGESTS = [
     }),
     ("protocol", "L=10\nOmega=0.0906\n", 0, {
         "protocol.csv": "ba1211e08124622ebe80a255e2b50f69ecfbf85e7cfeefb0653909f1d06b68be",
+    }),
+    # two-word keys: the trajectory labels cross the word boundary at bit 64
+    ("protocol", "L=100\nOmega=0.20844\n", 0, {
+        "protocol.csv": "81136168f8ae2c763be58d2f82c8eeb354cdc04e8eba789d4d51d3b2dcec6993",
     }),
 ]
 

@@ -8,9 +8,9 @@ import pytest
 from spinchain.exact import DenseState, evolve_exact, rotating_frame_generator
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, run_protocol, total_variation_distance
-from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol
+from spinchain.protocol import Pulse, cn_remote_protocol
 
-from oracles import chain_ode, energy_bruteforce, pair_update
+from oracles import chain_ode, energy_bruteforce, pair_update, sequence
 
 
 def _dense(state: BasisState) -> DenseState:
@@ -47,7 +47,7 @@ def test_generator_respects_cap():
         rotating_frame_generator(Pulse(nu=150.0, Omega=0.1, tau=1.0), params)
     with pytest.raises(ValueError):
         evolve_exact(_dense(BasisState.ground(13)),
-                     PulseSequence(pulses=()), params)
+                     sequence(), params)
 
 
 def test_resonant_pi_pulse_on_two_qubits():
@@ -55,7 +55,7 @@ def test_resonant_pi_pulse_on_two_qubits():
     pulse = Pulse(nu=params.omega0 - params.J, Omega=0.0906,
                   tau=math.pi / 0.0906)
     initial = _dense(BasisState.from_string("10"))
-    final = evolve_exact(initial, PulseSequence(pulses=(pulse,)), params)
+    final = evolve_exact(initial, sequence(pulse), params)
     p = np.abs(final.amplitudes) ** 2
     assert p[0b11] >= 1 - 1e-4  # leakage is O((Omega/delta_omega)^2)
     assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0, abs=1e-10)
@@ -68,8 +68,8 @@ def test_zero_rabi_pulses_only_rotate_phases(params5):
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
     initial = DenseState(amplitudes=amps.copy(), L=5)
-    seq = PulseSequence(pulses=(Pulse(nu=110.0, Omega=0.0, tau=3.7),
-                                Pulse(nu=150.0, Omega=0.0, tau=1.1)))
+    seq = sequence(Pulse(nu=110.0, Omega=0.0, tau=3.7),
+                   Pulse(nu=150.0, Omega=0.0, tau=1.1))
     final = evolve_exact(initial, seq, params5)
     assert np.abs(final.amplitudes) ** 2 == pytest.approx(np.abs(amps) ** 2, abs=1e-12)
     assert final.t == pytest.approx(4.8)
@@ -120,7 +120,7 @@ def test_exact_agrees_with_tdse_battery(L, n_pulses, seed):
     integrated = amps.copy()
     for pulse in pulses:
         integrated = chain_ode(integrated, pulse, params, t_start=rotating.t)
-        rotating = evolve_exact(rotating, PulseSequence(pulses=(pulse,)), params)
+        rotating = evolve_exact(rotating, sequence(pulse), params)
         assert np.linalg.norm(rotating.amplitudes) == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(rotating.amplitudes - integrated)) < 1e-7
 
@@ -151,7 +151,7 @@ def test_battery_reuses_spectra_by_carrier_and_rabi(monkeypatch):
     amps /= np.linalg.norm(amps)
     eigh_calls = _record_eigh(monkeypatch)
     final = evolve_exact(DenseState(amplitudes=amps.copy(), L=3, t=0.2),
-                         PulseSequence(pulses=pulses), params)
+                         sequence(*pulses), params)
     assert len(eigh_calls) == 3
     integrated, t = amps.copy(), 0.2
     for pulse in pulses:
@@ -169,7 +169,7 @@ def test_protocol_decomposes_each_carrier_once(monkeypatch):
     initial = _dense(BasisState.from_string("100000"))
     chained = initial
     for pulse in seq.pulses:
-        chained = evolve_exact(chained, PulseSequence(pulses=(pulse,)), params)
+        chained = evolve_exact(chained, sequence(pulse), params)
     eigh_calls = _record_eigh(monkeypatch)
     final = evolve_exact(initial, seq, params)
     assert len(seq.pulses) == 2 * L - 3 and len(eigh_calls) == L

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinchain.exact import _diagonal_terms
-from spinchain.model import BasisState, ChainParams, flip_gap
-from spinchain.propagator import _pack
+from spinchain.model import BasisState, ChainParams, flip_gap, pack_keys
 from oracles import bit, energy_bruteforce, flipped
 
 
@@ -91,11 +90,11 @@ def test_array_flip_gap_equals_scalar_bit_for_bit(L):
             states.append(s & ((1 << L) - 1))
     scalar = [flip_gap(s, k, p) for s, k in zip(states, ks)]
     assert all(type(g) is float for g in scalar)
-    array = flip_gap(_pack(states, L), np.array(ks), p)
+    array = flip_gap(pack_keys(states, L), np.array(ks), p)
     assert array.dtype == np.float64
     assert array.tobytes() == np.array(scalar).tobytes()
     # broadcasting: one spin per row against the rows' four patterns
-    grid = flip_gap(_pack(states, L).reshape(L, 4, -1), np.arange(L)[:, None], p)
+    grid = flip_gap(pack_keys(states, L).reshape(L, 4, -1), np.arange(L)[:, None], p)
     assert grid.tobytes() == array.tobytes()
 
 

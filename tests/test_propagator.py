@@ -10,23 +10,23 @@ from hypothesis import example, given, settings, strategies as st
 import spinchain.propagator
 from spinchain.analytics import epsilon, suppression_windows
 from spinchain.cli import _write_census_csv, main, write_report_csv, write_state_csv
-from spinchain.model import BasisState, ChainParams
+from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import (
     SparseState,
-    _pack,
     bitstrings,
     resonant_spin,
     run_protocol,
     total_variation_distance,
     unwanted_census,
 )
-from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol, cn_trajectory
+from spinchain.protocol import Pulse, cn_remote_protocol
 
 from oracles import (
     apply_pulse_dict,
     bit,
     census_bitstring,
     census_table,
+    cn_trajectory,
     energy_bruteforce,
     first_order_states,
     pair_coefficients_scalar,
@@ -36,6 +36,7 @@ from oracles import (
     pair_update,
     probability,
     run_pulse,
+    sequence,
 )
 
 
@@ -49,7 +50,7 @@ def ground_run(L, Omega, P_drop=1e-6):
 def test_carrier_outside_the_band_raises_from_run_protocol(params5):
     inside = Pulse(nu=params5.omega0, Omega=0.2, tau=1.0)
     for nu in (params5.omega0 - 3 * params5.J, params5.omega0 + 4 * params5.delta_omega + 3):
-        seq = PulseSequence(pulses=(inside, Pulse(nu=nu, Omega=0.2, tau=1.0), inside))
+        seq = sequence(inside, Pulse(nu=nu, Omega=0.2, tau=1.0), inside)
         with pytest.raises(ValueError, match=f"pulse frequency {nu} addresses no spin"):
             run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5)
 
@@ -216,7 +217,7 @@ def test_planned_pulse_matches_pulse_applied_alone():
     for params in SHARED_PARAMS:
         for t in (0.0, 37.5):
             snapshots = {0: SparseState.from_amplitudes(amplitudes, 6, t=t)}
-            run_protocol(snapshots[0], PulseSequence(pulses=SHARED_PULSES), params,
+            run_protocol(snapshots[0], sequence(*SHARED_PULSES), params,
                          P_drop=0.0, snapshot_at=range(1, len(SHARED_PULSES) + 1),
                          on_snapshot=snapshots.__setitem__)
             for n, pulse in enumerate(SHARED_PULSES, start=1):
@@ -279,7 +280,7 @@ EDGE_PLANS = [
 @example(EDGE_PLANS[2])
 def test_plan_matches_scalar_pair_map_bit_for_bit(case):
     params, pulses, t0 = case
-    spins, tables = spinchain.propagator._plan(pulses, params, t0)
+    spins, tables = spinchain.propagator._plan(sequence(*pulses), params, t0)
     assert tables.shape == (len(pulses), 2, 8)
     t = t0
     for pulse, k, table in zip(pulses, spins, tables):
@@ -354,7 +355,7 @@ def test_shorter_chain_is_a_prefix_of_the_longest(Omega):
         params = ChainParams(L=L)
         shift = 70 - L
         state = SparseState.from_basis(BasisState.ground(L))
-        for n, pulse in enumerate(cn_remote_protocol(params, Omega), start=1):
+        for n, pulse in enumerate(cn_remote_protocol(params, Omega).pulses, start=1):
             state = run_pulse(state, pulse, params, P_drop=1e-6)
             big = snapshots[n]
             assert all(s & ((1 << shift) - 1) == 0 for s in big.amplitudes)
@@ -403,14 +404,14 @@ def test_p_drop_validation(params5):
     pulse = Pulse(nu=params5.omega0, Omega=0.1, tau=1.0)
     with pytest.raises(ValueError):
         run_protocol(SparseState.from_basis(BasisState.ground(5)),
-                     PulseSequence(pulses=(pulse,)), params5, P_drop=1.0)
+                     sequence(pulse), params5, P_drop=1.0)
 
 
 def test_run_of_no_pulses_returns_its_input(params5):
     # the plan of an empty sequence is empty, and nothing is applied
     initial = SparseState(keys=SparseState.from_amplitudes({0b10000: 0, 0b00110: 0}, 5).keys,
                           amps=np.array([0.6, -0.8j]), L=5, t=12.5, dropped=1e-7)
-    final, report = run_protocol(initial, PulseSequence(pulses=()), params5, P_drop=1e-6)
+    final, report = run_protocol(initial, sequence(), params5, P_drop=1e-6)
     assert final.keys.tobytes() == initial.keys.tobytes()
     assert final.amps.tobytes() == initial.amps.tobytes()
     assert (final.L, final.t, final.dropped) == (5, 12.5, 1e-7)
@@ -557,7 +558,7 @@ def test_bitstrings_equal_format(monkeypatch, L, block_bits):
     rng = np.random.default_rng(L)
     states = [0, (1 << L) - 1, 1, 1 << (L - 1)]
     states += [int.from_bytes(rng.bytes(17), "little") % (1 << L) for _ in range(60)]
-    keys = _pack(states, L)
+    keys = pack_keys(states, L)
     assert list(bitstrings(keys, L)) == [format(s, f"0{L}b") for s in states]
     assert list(bitstrings(keys[:0], L)) == []
 

@@ -1,54 +1,70 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from spinchain.cli import write_protocol_csv
-from spinchain.model import ChainParams
-from spinchain.propagator import SparseState, resonant_spin, run_protocol
-from spinchain.protocol import (
-    Pulse,
-    PulseSequence,
-    cn_remote_protocol,
-    cn_trajectory,
-    ground_branch_detunings,
-)
+from spinchain.model import BasisState, ChainParams
+from spinchain.propagator import SparseState, _unpack, bitstrings, resonant_spin, run_protocol
+from spinchain.protocol import PulseSequence, cn_remote_protocol, ground_branch_detunings
 
-from oracles import energy_bruteforce, probability
+from oracles import cn_carriers_scalar, cn_trajectory, energy_bruteforce, probability
+
+
+def trajectory(L):
+    """The package's control-branch path of chain L, as packed ints."""
+    return _unpack(cn_remote_protocol(ChainParams(L=L), 0.1).trajectory)
 
 
 def test_trajectory_L3():
-    p = ChainParams(L=3)
-    assert [str(s) for s in cn_trajectory(p)] == ["100", "110", "111", "101"]
+    seq = cn_remote_protocol(ChainParams(L=3), 0.1)
+    assert list(bitstrings(seq.trajectory, 3)) == ["100", "110", "111", "101"]
 
 
 def test_trajectory_L4():
-    p = ChainParams(L=4)
-    assert [str(s) for s in cn_trajectory(p)] == [
+    seq = cn_remote_protocol(ChainParams(L=4), 0.1)
+    assert list(bitstrings(seq.trajectory, 4)) == [
         "1000", "1100", "1110", "1010", "1011", "1001"]
 
 
 @pytest.mark.parametrize("L", range(3, 41, 7))
 def test_trajectory_structure(L):
-    p = ChainParams(L=L)
-    traj = cn_trajectory(p)
+    traj = trajectory(L)
     assert len(traj) == 2 * L - 2
-    assert traj[0].bits == 1 << (L - 1)
-    assert traj[-1].bits == (1 << (L - 1)) | 1
+    assert traj[0] == 1 << (L - 1)
+    assert traj[-1] == (1 << (L - 1)) | 1
     for a, b in zip(traj, traj[1:]):
-        diff = a.bits ^ b.bits
+        diff = a ^ b
         assert diff and (diff & (diff - 1)) == 0  # exactly one bit
 
 
 def test_trajectory_rejects_two_qubits():
-    with pytest.raises(ValueError):
-        cn_trajectory(ChainParams(L=2))
+    with pytest.raises(ValueError, match="L >= 3"):
+        cn_remote_protocol(ChainParams(L=2), 0.1)
+
+
+FIELDS = [{}, {"J": 0.7, "omega0": 100.1, "delta_omega": 20.3}]
+
+
+@pytest.mark.parametrize("fields", FIELDS, ids=["default", "J0.7"])
+@pytest.mark.parametrize("L", [3, 4, 63, 64, 65, 127, 128, 129, 200])
+def test_array_synthesis_equals_scalar_bit_for_bit(L, fields):
+    # the key rows of the array synthesis span one, two, three and four
+    # words; the reference builds every state and carrier one at a time
+    params = ChainParams(L=L, **fields)
+    seq = cn_remote_protocol(params, 0.20844)
+    nus, flips, traj = cn_carriers_scalar(params)
+    assert seq.nu.view(np.uint64).tolist() == np.array(nus).view(np.uint64).tolist()
+    assert seq.flip_qubits.tolist() == flips
+    assert list(bitstrings(seq.trajectory, L)) == [str(s) for s in traj]
+    assert seq.start == traj[0]
 
 
 def test_protocol_is_pi_pulses_with_zero_phase(params5):
     seq = cn_remote_protocol(params5, Omega=0.0906)
     assert len(seq) == 2 * params5.L - 3
-    for pulse in seq:
+    for pulse in seq.pulses:
         assert pulse.Omega * pulse.tau == pytest.approx(math.pi, abs=0)
 
 
@@ -110,31 +126,64 @@ def test_resonant_run_reaches_target(params5):
     assert probability(final, target) >= 1 - 1e-10
 
 
+def pulses(n=3, bad=None, at=1, value=None):
+    """Fields of an n-pulse sequence, with entry `at` of field `bad` set to
+    `value`."""
+    fields = {"nu": [100.0] * n, "Omega": [0.1] * n, "tau": [1.0] * n}
+    if bad is not None:
+        fields[bad][at] = value
+    return fields
+
+
 def test_pulse_validation():
-    with pytest.raises(ValueError):
-        Pulse(nu=100.0, Omega=-0.1, tau=1.0)
-    with pytest.raises(ValueError):
-        Pulse(nu=100.0, Omega=0.1, tau=-1.0)
+    with pytest.raises(ValueError, match=r"^pulse 1: Omega must be finite and >= 0, got -0.1$"):
+        PulseSequence(**pulses(bad="Omega", value=-0.1))
+    with pytest.raises(ValueError, match=r"^pulse 2: tau must be finite and >= 0, got -1.0$"):
+        PulseSequence(**pulses(bad="tau", at=2, value=-1.0))
     for field in ("nu", "Omega", "tau"):
-        for bad in (math.nan, math.inf):
-            fields = {"nu": 100.0, "Omega": 0.1, "tau": 1.0, field: bad}
-            with pytest.raises(ValueError, match=field):
-                Pulse(**fields)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^pulse 1: {field} must be finite"):
+                PulseSequence(**pulses(bad=field, value=bad))
     # 1e-307: the protocol's frame phases 4J (2L-3) pi/Omega overflow
     for bad in (math.nan, math.inf, 1e-307):
         with pytest.raises(ValueError, match="Omega"):
             cn_remote_protocol(ChainParams(L=4), bad)
-    Pulse(nu=100.0, Omega=0.0, tau=0.0)  # degenerate but legal
+    # degenerate but legal
+    PulseSequence(nu=[100.0], Omega=[0.0], tau=[0.0])
+    PulseSequence(nu=[], Omega=[], tau=[])
+
+
+def test_sequence_lengths_must_agree():
+    for field in ("Omega", "tau"):
+        short = pulses()
+        short[field] = short[field][:2]
+        with pytest.raises(ValueError, match=rf"^pulse 2: {field} has 2 entries, nu has 3$"):
+            PulseSequence(**short)
+    with pytest.raises(ValueError, match=r"^pulse 2: Omega has 3 entries, nu has 2$"):
+        PulseSequence(**{**pulses(), "nu": [100.0, 100.0]})
+    for shaped in ({"nu": 100.0}, {"tau": [[1.0]]}):
+        with pytest.raises(ValueError, match=f"^{next(iter(shaped))} must be a 1-D array"):
+            PulseSequence(**{**pulses(1), **shaped})
 
 
 def test_sequence_annotation_validation(params5):
     seq = cn_remote_protocol(params5, 0.1)
-    with pytest.raises(ValueError):
-        PulseSequence(pulses=seq.pulses, trajectory=seq.trajectory[:-1])
-    bad_traj = list(seq.trajectory)
-    bad_traj[1] = bad_traj[0]  # not a flip
-    with pytest.raises(ValueError):
-        PulseSequence(pulses=seq.pulses, trajectory=tuple(bad_traj))
+    fields = {"nu": seq.nu, "Omega": seq.Omega, "tau": seq.tau}
+    # one flip qubit short of the pulses
+    with pytest.raises(ValueError, match=r"^pulse 6: flip_qubits has 6 entries, nu has 7$"):
+        PulseSequence(**fields, flip_qubits=seq.flip_qubits[:-1], start=seq.start)
+    # a flip outside the chain, on either side
+    for bad in (-1, params5.L):
+        flips = seq.flip_qubits.copy()
+        flips[1] = bad
+        with pytest.raises(ValueError,
+                           match=rf"^pulse 1: flip_qubits must be in \[0, 5\), got {bad}$"):
+            PulseSequence(**fields, flip_qubits=flips, start=seq.start)
+    # a flip annotation needs its start state, and a start state its flips
+    with pytest.raises(ValueError, match="together"):
+        PulseSequence(**fields, flip_qubits=seq.flip_qubits)
+    with pytest.raises(ValueError, match="together"):
+        PulseSequence(**fields, start=BasisState.ground(5))
 
 
 def test_protocol_csv_export(tmp_path, params5):
