@@ -9,7 +9,8 @@ which vanishes identically at Omega = |Delta|/sqrt(4k^2-1): there the
 detuned pair completes k full precession cycles during the pulse.  On the
 all-zeros branch the protocol sees |Delta| = 2J on every pulse except the
 third, which sees 4J; eps refers to the generic 2J value and eps' to the
-third-pulse 4J value throughout, both from `ground_branch_errors`.
+third-pulse 4J value throughout, both from `ground_branch_errors` (of a float
+or a grid of Omegas), and `sweep-omega`'s below_P0 marks where both are < P0.
 
 First-order bookkeeping: each of the 2L-3 pulses seeds one unwanted state
 from the ground state, giving the two terminal families (runs of 1s ending
@@ -35,19 +36,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def epsilon(Omega: float, Delta: float, tau: float) -> float:
-    """Non-resonant transfer probability of one pulse at detuning Delta."""
-    lam = math.hypot(Omega, Delta)
-    if lam == 0.0:
-        return 0.0
-    s = math.sin(0.5 * lam * tau)
-    return (Omega / lam) ** 2 * s * s
+def epsilon(Omega, Delta, tau):
+    """Non-resonant transfer probability of one pulse of Rabi frequency
+    Omega > 0 at detuning Delta, per entry of arrays (a float for floats)."""
+    lam = np.hypot(Omega, Delta)
+    c, s = Omega / lam, np.sin(0.5 * lam * tau)
+    eps = c * c * s * s
+    return eps if eps.ndim else float(eps)
 
 
-def ground_branch_errors(Omega: float, J: float) -> tuple[float, float]:
-    """(eps, eps') of a pi-pulse at Rabi frequency Omega on the all-zeros
-    branch: the errors at detunings 2J and 4J."""
-    tau = math.pi / Omega
+def ground_branch_errors(Omega, J: float):
+    """(eps, eps') of a pi-pulse at Rabi frequency Omega > 0 (a float or an
+    array) on the all-zeros branch: the errors at detunings 2J and 4J."""
+    tau = np.pi / Omega
     return epsilon(Omega, 2.0 * J, tau), epsilon(Omega, 4.0 * J, tau)
 
 
@@ -156,46 +157,3 @@ def error_budget(lengths, Omega: float, J: float = 1.0,
                         regime=kind)
             for length, N, P1, P1cal in zip(L.tolist(), n1(L).tolist(),
                                             p1_total(L, eps).tolist(), p1_target(L, eps).tolist())]
-
-
-def suppression_windows(P0: float, omega_lo: float = 0.02, omega_hi: float = 0.6,
-                        samples: int = 200_000) -> list[tuple[float, float]]:
-    """Omega intervals where a pi-pulse is errorless to floor P0 at both
-    protocol detunings, 2J and 4J (J = 1), simultaneously.
-
-    Located by a dense scan and refined by bisection on the window edges;
-    the returned (lo, hi) pairs bracket max(eps, eps') < P0.
-    """
-    def worst(om):
-        return max(ground_branch_errors(om, 1.0))
-
-    grid = np.linspace(omega_lo, omega_hi, samples)
-    below = [worst(om) < P0 for om in grid.tolist()]
-    windows = []
-    i = 0
-    while i < grid.size:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid.size and below[j + 1]:
-            j += 1
-        lo = _bisect_edge(worst, P0, grid[max(i - 1, 0)], grid[i], rising=False) \
-            if i > 0 else grid[0]
-        hi = _bisect_edge(worst, P0, grid[j], grid[min(j + 1, grid.size - 1)], rising=True) \
-            if j + 1 < grid.size else grid[-1]
-        windows.append((lo, hi))
-        i = j + 1
-    return windows
-
-
-def _bisect_edge(worst, P0: float, a: float, b: float, rising: bool) -> float:
-    """Bisect the crossing of worst(Omega) = P0 inside [a, b] in 60 halvings."""
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        inside = worst(mid) < P0
-        if inside == rising:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)

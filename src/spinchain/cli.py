@@ -308,14 +308,14 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
         cfg.require(key, value, value > 0 and math.isfinite(4.0 * J * math.pi / value),
                     f"> 0 and large enough that 4 pi J/{key} is finite")
     cfg.require("omega_steps", steps, steps >= 0, ">= 0")
-    rows = []
-    for i in range(steps):
-        # the last point is omega_max itself: for omega_max << omega_min,
-        # lo + (hi - lo) rounds to 0
-        om = (lo if i == 0 else hi if i == steps - 1
-              else lo + (hi - lo) * i / (steps - 1))
-        e1, e2 = ground_branch_errors(om, J)
-        rows.append([repr(om), repr(e1), repr(e2), int(e1 < P0 and e2 < P0)])
+    # the end points are omega_min and omega_max themselves: for
+    # omega_max << omega_min, lo + (hi - lo) rounds to 0
+    grid = lo + (hi - lo) * np.arange(steps) / max(steps - 1, 1)
+    grid[-1:] = hi
+    grid[:1] = lo
+    e1, e2 = ground_branch_errors(grid, J)
+    below = ((e1 < P0) & (e2 < P0)).astype(int)
+    rows = zip(grid.tolist(), e1.tolist(), e2.tolist(), below.tolist())
     path = _out(cfg, "sweep_omega.csv")
     write_csv(path, ["Omega", "eps", "eps_prime", "below_P0"], rows)
     print(f"wrote {path}: {steps} points")

@@ -45,14 +45,15 @@ allowance for the second-order terms they leave out.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from spinchain.analytics import (
     epsilon,
+    ground_branch_errors,
     n1,
     p1_target,
     suppression_rabi,
-    suppression_windows,
 )
 from spinchain.exact import DenseState, evolve_exact
 from spinchain.model import BasisState, ChainParams
@@ -114,7 +115,7 @@ def test_criterion_1_epsilon_anchors():
     _finish("criterion 1", failures)
 
 
-def test_criterion_2_suppression_windows():
+def test_criterion_2_suppression_zeros_and_windows():
     print("\nACCEPTANCE 2: suppression points and double-suppression windows")
     failures = []
     worst = max(epsilon(suppression_rabi(d, k), d, math.pi / suppression_rabi(d, k))
@@ -122,15 +123,24 @@ def test_criterion_2_suppression_windows():
     _check(failures, worst < 1e-20,
            "eps at Omega_k = |Delta|/sqrt(4k^2-1) < 1e-20 for k=1..20",
            f"worst {worst:.2e}")
-    windows = suppression_windows(P0=P0,
-                                  omega_lo=0.02, omega_hi=0.6, samples=2_000_000)
-    _check(failures, len(windows) >= 1,
+    # windows are the runs of grid points with max(eps, eps') < P0; each lies
+    # strictly inside the grid points that bracket its run
+    grid = np.linspace(0.02, 0.6, 2_000_000)
+    below = np.maximum(*ground_branch_errors(grid, 1.0)) < P0
+    edges = np.flatnonzero(np.diff(below.astype(np.int8), prepend=0, append=0))
+    start, stop = edges[::2], edges[1::2]  # run i is below[start[i]:stop[i]]
+    lo = grid[np.maximum(start - 1, 0)]
+    hi = grid[np.minimum(stop, grid.size - 1)]
+    _check(failures, start.size >= 1,
            "scan over Omega in (0.02, 0.6) finds windows with eps, eps' < P0",
-           f"{len(windows)} windows")
-    rel_widths = [(hi - lo) / (0.5 * (hi + lo)) for lo, hi in windows]
-    _check(failures, windows and max(rel_widths) < 0.02,
+           f"{start.size} windows")
+    omega_50 = suppression_rabi(2.0, 50)
+    _check(failures, bool(np.any((lo < omega_50) & (omega_50 < hi))),
+           f"a window holds the k=50 zero Omega = {omega_50:.7f} near 0.02")
+    rel_widths = (hi - lo) / (0.5 * (hi + lo))
+    _check(failures, start.size and rel_widths.max() < 0.02,
            "every window width < 2% of Omega",
-           f"widest {max(rel_widths):.3%}" if rel_widths else "none found")
+           f"widest {rel_widths.max():.3%}" if start.size else "none found")
     _finish("criterion 2", failures)
 
 
@@ -305,11 +315,9 @@ def test_criterion_8_gate_correctness():
            "|10...0> -> |10...01> with probability >= 1 - 1e-10 for all L <= 100",
            f"worst 1-p = {1 - worst_p:.2e} at L={arg}")
 
-    # sub-eps1 regime: deepest double-suppression window near Omega = 0.02
-    windows = suppression_windows(P0=P0,
-                                  omega_lo=0.0199, omega_hi=0.0205, samples=40_000)
-    lo, hi = windows[0]
-    omega = 0.5 * (lo + hi)
+    # sub-eps1 regime: the k=50 zero of eps near Omega = 0.02, where
+    # eps = 8.6e-32 and eps' = 3.5e-9
+    omega = suppression_rabi(2.0, 50)
     alpha = beta = 1 / math.sqrt(2)
     for L, check_ground in ((10, True), (50, False)):
         params = ChainParams(L=L)

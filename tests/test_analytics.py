@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,6 @@ from spinchain.analytics import (
     p1_total,
     regime,
     suppression_rabi,
-    suppression_windows,
 )
 from spinchain.cli import write_error_budget_csv
 from spinchain.model import BasisState, ChainParams
@@ -185,8 +185,15 @@ def test_u3_table_describes_the_first_three_pulses(L):
 def test_ground_branch_errors_are_eps_at_2J_and_4J():
     for Omega, J in [(0.0906, 1.0), (0.20844, 0.7)]:
         tau = math.pi / Omega
-        assert ground_branch_errors(Omega, J) == (epsilon(Omega, 2.0 * J, tau),
-                                                  epsilon(Omega, 4.0 * J, tau))
+        errors = ground_branch_errors(Omega, J)
+        assert errors == (epsilon(Omega, 2.0 * J, tau), epsilon(Omega, 4.0 * J, tau))
+        assert [type(e) for e in errors] == [float, float]
+    # a grid is the per-point float calls, bit for bit (fig1's range)
+    grid = np.linspace(0.02, 0.6, 2901)
+    for J in (1.0, 0.7):
+        eps, eps_prime = ground_branch_errors(grid, J)
+        pointwise = [ground_branch_errors(om, J) for om in grid.tolist()]
+        assert list(zip(eps.tolist(), eps_prime.tolist())) == pointwise
     [b] = error_budget([10], Omega=0.20844, J=0.7)
     assert (b.eps, b.eps_prime) == ground_branch_errors(0.20844, 0.7)
 
@@ -211,19 +218,3 @@ def test_error_budget_csv(tmp_path):
     assert lines[0] == "L,Omega,eps,eps_prime,N1,P1,P1cal,E,Gamma,regime"
     assert len(lines) == 3
     assert lines[1].startswith("4,") and lines[1].endswith("eps1-eps2")
-
-
-def test_suppression_windows_near_first_dip():
-    windows = suppression_windows(P0=1e-6,
-                                  omega_lo=0.0199, omega_hi=0.0205,
-                                  samples=20_000)
-    assert len(windows) >= 1
-    lo, hi = windows[0]
-    center = 0.5 * (lo + hi)
-    assert (hi - lo) / center < 0.02
-    tau = math.pi / center
-    assert max(epsilon(center, 2.0, tau), epsilon(center, 4.0, tau)) < 1e-6
-    # just outside the refined edges the pulse is no longer errorless
-    for om in (lo - (hi - lo), hi + (hi - lo)):
-        tau = math.pi / om
-        assert max(epsilon(om, 2.0, tau), epsilon(om, 4.0, tau)) > 1e-6

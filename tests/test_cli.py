@@ -117,10 +117,15 @@ def test_sweep_omega_grid_ends_at_omega_max(tmp_path):
 
 
 def test_sweep_omega_empty_grid(tmp_path):
-    cfg = write_cfg(tmp_path, "omega_min=0.1\nomega_max=0.2\nomega_steps=0\n")
-    assert main(["sweep-omega", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert read_csv(tmp_path / "sweep_omega.csv") == [
-        ["Omega", "eps", "eps_prime", "below_P0"]]
+    # no point, and one point at omega_min; the grid's (steps - 1) divisor
+    # must not warn
+    for steps, omegas in ((0, []), (1, ["0.1"])):
+        out = tmp_path / str(steps)
+        cfg = write_cfg(tmp_path, f"omega_min=0.1\nomega_max=0.2\nomega_steps={steps}\n")
+        assert main(["sweep-omega", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep_omega.csv")
+        assert rows[0] == ["Omega", "eps", "eps_prime", "below_P0"]
+        assert [row[0] for row in rows[1:]] == omegas
 
 
 def test_sweep_length_matches_analytics(tmp_path):

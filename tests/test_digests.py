@@ -31,7 +31,7 @@ ONE_BLAS_THREAD = {var: "1" for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 FIGURE_DIGESTS = {
-    "fig1/sweep_omega.csv": "65ee435067eacb581e47f5d9ec3de4319befa2fffa22c67a2dc796174f525494",
+    "fig1/sweep_omega.csv": "54cd7db37bcc8ec26331dd87f33534d73f7d10e35f415f638ab98b9323682e9c",
     "fig2/sweep_length.csv": "ace9955dc117a99e59061c661c02eed6e0a1c8d359162070c6717eb9401f8c37",
     "fig2/budgets.csv": "c31f3a7d10e2b5c62f6e02ba33a65e3a5e0c67cf156b85676243865f6dad8361",
     "fig3/sweep_length.csv": "aa66926ecaaf71574ed0f862d241278559f643eccd5fe556d619621b0d5318d4",

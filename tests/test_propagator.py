@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spinchain.propagator
-from spinchain.analytics import epsilon, suppression_windows
+from spinchain.analytics import epsilon, ground_branch_errors, suppression_rabi
 from spinchain.cli import _write_census_csv, main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import (
@@ -455,13 +455,10 @@ def test_run_protocol_splits_superposition(params5):
 
 
 def test_suppression_window_run_has_no_visible_unwanted_states():
-    # pick the deepest double-suppression window near Omega=0.02 and verify
-    # the whole protocol leaves nothing above P0 on the ground branch
-    windows = suppression_windows(P0=1e-6,
-                                  omega_lo=0.0199, omega_hi=0.0205, samples=20_000)
-    assert windows
-    lo, hi = windows[0]
-    omega = 0.5 * (lo + hi)
+    # at the k=50 zero of eps near Omega=0.02 both pulse errors are below
+    # P0, and the whole protocol leaves nothing above P0 on the ground branch
+    omega = suppression_rabi(2.0, 50)
+    assert max(ground_branch_errors(omega, 1.0)) < 1e-6
     final, _ = ground_run(6, omega, P_drop=0.0)
     unwanted = {s: p for s, p in zip(final.states(), final.probability_array().tolist())
                 if s != 0}
