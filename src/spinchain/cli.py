@@ -189,11 +189,11 @@ _CSV_ROWS = 4096
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write a header and rows as CSV with Unix line ends, each field as its
-    str.  Floats are Python floats or their reprs (a float's str is its
-    repr), so identical inputs give byte-identical files.  No field the
-    package writes (float reprs, ints, bitstrings, regime names) holds a
-    comma, quote or line break, so none is quoted, and the bytes are those
-    of `csv.writer(fh, lineterminator="\n")`."""
+    str.  Floats are Python floats, whose str is their repr, so identical
+    inputs give byte-identical files.  No field the package writes (floats,
+    ints, bitstrings, regime names) holds a comma, quote or line break, so
+    none is quoted, and the bytes are those of
+    `csv.writer(fh, lineterminator="\n")`."""
     lines = itertools.chain([header], rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         while chunk := [",".join(map(str, row)) for row in itertools.islice(lines, _CSV_ROWS)]:
@@ -234,7 +234,7 @@ def _by_probability(keys: np.ndarray, p: np.ndarray) -> np.ndarray:
 def write_report_csv(report: RunReport, path) -> None:
     """Run report: pulse_index,active_states,dropped_cumulative (1-based)."""
     write_csv(path, ["pulse_index", "active_states", "dropped_cumulative"],
-              ([i + 1, n, repr(d)] for i, (n, d) in
+              ([i + 1, n, d] for i, (n, d) in
                enumerate(zip(report.active_states, report.dropped_cumulative))))
 
 
@@ -242,8 +242,8 @@ def write_error_budget_csv(budgets: list[ErrorBudget], path) -> None:
     """One CSV row per (L, Omega) with every budget field."""
     write_csv(path, ["L", "Omega", "eps", "eps_prime", "N1", "P1", "P1cal",
                      "E", "Gamma", "regime"],
-              ([b.L, repr(b.Omega), repr(b.eps), repr(b.eps_prime), b.N1, repr(b.P1),
-                repr(b.P1cal), repr(b.E), repr(b.Gamma), b.regime] for b in budgets))
+              ([b.L, b.Omega, b.eps, b.eps_prime, b.N1, b.P1, b.P1cal, b.E, b.Gamma,
+                b.regime] for b in budgets))
 
 
 def _write_census_csv(census: Census, path) -> None:
@@ -346,8 +346,8 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
         on_snapshot=lambda n, state: censuses.append(
             unwanted_census(state.prefix(last_pulse[n]), threshold=P0)))
     budgets = error_budget(lengths, Omega, J=J, P0=P0)
-    rows = [[L, repr(budget.P1), repr(census.p1_total),
-             repr(budget.P1cal), repr(census.p1_target), census.count]
+    rows = [[L, budget.P1, census.p1_total, budget.P1cal, census.p1_target,
+             census.count]
             for L, budget, census in zip(lengths, budgets, censuses)]
     path = _out(cfg, "sweep_length.csv")
     write_csv(path, ["L", "P1_analytic", "P1_numeric",

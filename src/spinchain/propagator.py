@@ -37,23 +37,15 @@ word k // 64, and a matching (n,) complex128 amplitude array.  The dict view
 `SparseState.amplitudes` is derived from the arrays on first access.
 
 Grouping.  `apply_pulse` at spin k clears bit k of every key to get its pair
-key and sorts the states by it (`np.lexsort` over the words), so the two
-members of a flip pair become neighbours.  A state's bits k-1, k
-and k+1 (the neighbours may sit in the previous or the next word) pick one
-column of a 2x8 table, built from the pulse's at most four pair maps, that
-holds what the state adds to its pair's lower and upper amplitude.  The
-second member of a pair adds its share to the first and is zeroed, so all
-pairs are updated by array arithmetic, and pruning is one mask.
-
-The merge multiplies the shares by the mask of equal adjacent pair keys,
-then adds the product to the left neighbour and subtracts it from the
-state.  With no pair present (in an L = 100 run, 99 of 197 pulses at
-either figure Omega) the product is all signed zeros, and adding or
-subtracting a signed zero leaves a nonzero finite number bit for bit
-unchanged, so the merge is skipped.  It still runs when some real or
-imaginary part is exactly zero, as on every pulse from the control branch
-|10...0>: there it can turn -0.0 into +0.0, a sign `final_state.csv`
-prints.
+key and sorts the states by it (`np.lexsort` over the words), so the
+members of a flip pair, at most two, form a group of consecutive rows.  A
+state's bits k-1, k and k+1 (the neighbours may sit in the previous or the
+next word) pick one column of a 2x8 table, built from the pulse's at most
+four pair maps, that holds what the state adds to its pair's lower and
+upper amplitude.  When some group has two members, one `np.add.reduceat`
+over the group starts sums each group's shares; a state without a partner
+keeps its table products untouched, signed zeros included.  So all pairs
+are updated by array arithmetic, and pruning is one mask.
 
 Plan.  A pair map depends on its pulse's start time only through the two
 frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
@@ -386,15 +378,11 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: f
     out *= state.amps.take(order)
     pair_keys[:, word] &= clear
     rows = _rows(pair_keys)
-    paired = rows[1:] == rows[:-1]
-    # with no pair, the merge would add a signed zero to every component,
-    # which changes only components that are exactly zero (see Grouping);
-    # count_nonzero counts -0.0 as zero, and is cheaper than any() or all()
-    components = out.view(np.float64)
-    if np.count_nonzero(paired) or np.count_nonzero(components) < components.size:
-        second = out[:, 1:] * paired
-        out[:, :-1] += second
-        out[:, 1:] -= second  # exactly zero: pruned below at no cost to the ledger
+    # each pair's shares summed at its first member (see Grouping)
+    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    if len(first) < len(rows):
+        out = np.add.reduceat(out, first, axis=1)
+        pair_keys = pair_keys.take(first, axis=0)
     p = (out * out.conj()).real  # |C|^2 in two array operations
     keep = p >= max(P_drop, AMPLITUDE_FLOOR)
     dropped = state.dropped + float(p[~keep].sum())
@@ -451,7 +439,7 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
             _check_ledger(state, norm, n)
             on_snapshot(n, state)
     report.wall_time = time.perf_counter() - t0
-    _check_ledger(state, norm, len(seq.pulses))
+    _check_ledger(state, norm, len(seq))
     return state, report
 
 

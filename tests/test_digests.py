@@ -5,7 +5,8 @@ leave the outputs unchanged can be checked byte for byte.  This test
 regenerates the four figure datasets (through scripts/reproduce_figures.py),
 a sparse `run` at L = 100 and one from the control branch, a failing
 `verify` and two `protocol` tables (L = 10 and L = 100), and compares the
-full SHA-256 digest of each file with the value recorded here.
+full SHA-256 digests of all files with the values recorded here in one
+assertion, so that a failure lists every file that moved.
 
 A digest may change only together with a line in CHANGES.md that says which
 output moved and why.  Never record a new value just to make this test pass:
@@ -44,11 +45,11 @@ COMMAND_DIGESTS = [
     ("run", "L=100\nOmega=0.20844\nP_drop=1e-8\n", 0, {
         "census.csv": "5cef1599d49022928eaacc221acf052855206e5246b774caddfd900e9f4402a2",
         "final_state.csv": "fa354db24a9c6b8be14f8788eee0ad5af990d77552c8fc9ba143db803c8b2165",
-        "report.csv": "8c5b12b000de929a820dc388b644a892f72e96b08abae3b2574670dc424d6d6c",
+        "report.csv": "342544b5bb16588c6a71770ea6de8ea8dc575795c2a012a149b93f993d3dd369",
     }),
     # the control branch: every pulse's input has an exactly-zero amplitude
-    # component, so the pair merge, which rewrites the sign of such zeros,
-    # runs on every pulse
+    # component, whose sign `final_state.csv` prints; a state without a
+    # partner keeps its table products, signed zeros included
     ("run", "L=10\nOmega=0.20844\ninitial=1000000000\n", 0, {
         "final_state.csv": "2fa8de5abeab49b4f9a9315ab53d0732bffab0c8ae0688d4f0f692c8fe213f48",
         "report.csv": "d352d303229f3297e48458618ffb70487e3db7e93c7f311be38689c5128c37f0",
@@ -81,8 +82,9 @@ def test_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     assert runpy.run_path(str(REPRODUCE))["run"](figures) == 0
     assert not list(scratch.iterdir())
-    assert _digests(figures, FIGURE_DIGESTS) == FIGURE_DIGESTS
-    for i, (command, text, code, expect) in enumerate(COMMAND_DIGESTS):
+    # every file's digest by its path under tmp_path
+    expect = {f"figures/{name}": digest for name, digest in FIGURE_DIGESTS.items()}
+    for i, (command, text, code, digests) in enumerate(COMMAND_DIGESTS):
         cfg = tmp_path / f"{i}-{command}.cfg"
         cfg.write_text(text)
         out = tmp_path / f"{i}-{command}"
@@ -90,5 +92,6 @@ def test_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
             [sys.executable, "-m", "spinchain", command, "--config", str(cfg), "--out", str(out)],
             capture_output=True, text=True, cwd=src, env={**os.environ, **ONE_BLAS_THREAD})
         assert proc.returncode == code, proc.stderr
-        assert _digests(out, expect) == expect, command
+        expect.update((f"{out.name}/{name}", digest) for name, digest in digests.items())
+    assert _digests(tmp_path, expect) == expect
     capsys.readouterr()

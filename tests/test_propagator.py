@@ -91,18 +91,30 @@ def test_absent_partner_enters_with_zero_amplitude(params5):
     assert probability(out, BasisState.from_string("10000")) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pulse_without_pairs_keeps_the_merge_signs():
-    # no flip pair is present, yet the merge still turns the -0.0 of a
-    # product with the input's -0.0 into +0.0; the kernel skips the merge
-    # only when no component is exactly zero, so these bytes must not move
+def test_pulse_without_pairs_keeps_the_table_products():
+    # no flip pair is present, so no two shares meet: each output is its
+    # plan-table entry times its input amplitude, bit for bit, the signed
+    # zeros of a product with the input's -0.0 included
     params = ChainParams(L=4)
-    pulse = cn_remote_protocol(params, 0.20844).pulses[0]
-    state = SparseState.from_amplitudes(
-        {0b1000: complex(-0.0, -0.5), 0b1001: 0.5j}, 4)
-    out = run_pulse(state, pulse, params, P_drop=0.0)
-    assert out.states() == [0b1100, 0b1101]
-    assert out.amps.tobytes().hex() == ("000000000000e03f" "0000000000000000"
+    seq = cn_remote_protocol(params, 0.20844)
+    pulse = seq.pulses[0]
+    k = resonant_spin(pulse.nu, params)
+    inputs = {0b1000: complex(-0.0, -0.5), 0b1001: 0.5j}
+    out = run_pulse(SparseState.from_amplitudes(inputs, 4), pulse, params, P_drop=0.0)
+    codes = [(s << 1 >> k) & 7 for s in inputs]
+    products = pair_table_scalar(pulse, params, 0.0)[:, codes] * np.array(list(inputs.values()))
+    floor = spinchain.propagator.AMPLITUDE_FLOOR
+    expect = {s & ~(1 << k) | (row << k): c
+              for row, shares in enumerate(products.tolist())
+              for s, c in zip(inputs, shares) if abs(c) ** 2 >= floor}
+    assert out.states() == sorted(expect) == [0b1100, 0b1101]
+    assert out.amps.tobytes() == np.array([expect[s] for s in out.states()]).tobytes()
+    assert out.amps.tobytes().hex() == ("000000000000e03f" "0000000000000080"
                                         "000000000000e0bf" "0000000000000000")
+    # an empty state passes through a whole run empty
+    final, report = run_protocol(SparseState.from_amplitudes({}, 4), seq, params, P_drop=0.0)
+    assert final.keys.shape == (0, 1) and len(final.amps) == 0
+    assert final.dropped == 0.0 and report.active_states == [0] * len(seq)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
@@ -171,6 +183,14 @@ def pulse_on_sparse_state(draw):
                           min_size=len(support), max_size=len(support)))
     amps = np.array([complex(re, im) for re, im in parts]) + 1e-3
     amps /= np.linalg.norm(amps)
+    # exactly-zero real or imaginary parts of either sign, which the group
+    # sum meets as the oracle's pair updates do
+    zeros = draw(st.lists(st.none() | st.tuples(st.integers(0, 1), st.sampled_from([0.0, -0.0])),
+                          min_size=len(support), max_size=len(support)))
+    components = amps.view(np.float64).reshape(-1, 2)
+    for i, zero in enumerate(zeros):
+        if zero is not None:
+            components[i, zero[0]] = zero[1]
     params = ChainParams(L=L)
     pulse = Pulse(nu=params.omega0 + k * params.delta_omega
                   + draw(st.floats(-1.99, 1.99)) * params.J,
