@@ -9,14 +9,15 @@ frequency nu the generator
             - Omega sum_k I_k^x
 
 is exactly time independent, and one dense matrix exponential per pulse is
-exact (here via eigendecomposition of the real symmetric H_rot: one per
-distinct carrier, L for the remote-CN protocol, each freed after its last
-pulse).  Frame boundaries carry the phases e^{-i(E_p + nu*M_p) t}
-relating rotating-frame amplitudes to the interaction picture, where M_p is
-the total I^z of state p.  The tests pin these conventions against
-`chain_ode` in tests/oracles.py, a solve_ivp integration of the
-interaction-picture amplitude equations that computes its energies on its
-own.
+exact (here via eigendecomposition of the real symmetric H_rot, shared by
+the pulses of a carrier and of its mirror image, with at most one spectrum
+held across another decomposition: 5/6/8/10 for the remote-CN protocol at
+L = 6/8/10/12, see `evolve_exact`).  Frame boundaries carry the phases
+e^{-i(E_p + nu*M_p) t} relating rotating-frame amplitudes to the
+interaction picture, where M_p is the total I^z of state p.  The tests pin
+these conventions against `chain_ode` in tests/oracles.py, a solve_ivp
+integration of the interaction-picture amplitude equations that computes
+its energies on its own.
 """
 
 from __future__ import annotations
@@ -89,39 +90,97 @@ def rotating_frame_generator(pulse: Pulse, params: ChainParams) -> np.ndarray:
     return H
 
 
+def _mirror(L: int) -> np.ndarray:
+    """Packed basis state of each state with every spin flipped and the chain
+    reversed (an involution)."""
+    idx = np.arange(1 << L)
+    flipped = idx ^ ((1 << L) - 1)
+    mirror = np.zeros_like(idx)
+    for k in range(L):
+        mirror |= ((flipped >> k) & 1) << (L - 1 - k)
+    return mirror
+
+
+def _spectrum_sources(seq: PulseSequence, E: np.ndarray, M: np.ndarray,
+                      mirror: np.ndarray) -> list[tuple[int, bool]]:
+    """Per pulse, (r, mirrored): the spectrum of pulse r's generator serves
+    this pulse, directly or through the mirror.
+
+    H_rot depends on the pulse through (nu, Omega) only.  With the linear
+    field gradient, flipping every spin and reversing the chain maps E_p to
+    E_p + S M_p and M_p to -M_p, S = 2 omega0 + (L-1) delta_omega, so it
+    carries H_rot at nu onto H_rot at S - nu.  Rounding may break the
+    symmetry, so it is checked: a new carrier shares an earlier one's
+    spectrum only when Omega is equal and its diagonal E + nu M is the
+    earlier diagonal permuted, bit for bit.  Its generator is then exactly
+    the earlier one permuted, since the off-diagonal -Omega/2 on the
+    single-flip pairs is the same bits and the mirror keeps that pair set.
+    """
+    sources, carriers, roots = [], {}, []
+    for i, key in enumerate(zip(seq.nu.tolist(), seq.Omega.tolist())):
+        if key not in carriers:
+            nu, Omega = key
+            d = (E + nu * M).view(np.int64)
+            root = next((r for r, Omega_r, mirrored_d in roots
+                         if Omega_r == Omega and np.array_equal(mirrored_d, d)), None)
+            if root is None:
+                roots.append((i, Omega, d[mirror]))
+            carriers[key] = (i, False) if root is None else (root, True)
+        sources.append(carriers[key])
+    return sources
+
+
 def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -> DenseState:
     """Propagate through a pulse sequence, exact to machine roundoff.
 
     Per pulse: rotate in, apply exp(-i H_rot tau) via eigendecomposition,
-    rotate back to interaction-picture amplitudes.  H_rot depends on the
-    pulse through (nu, Omega) only, so each distinct carrier is decomposed
-    once and its spectrum freed after the last pulse that uses it.
+    rotate back to interaction-picture amplitudes.  The pulses of a carrier
+    (nu, Omega) share one spectrum, and so do those of a carrier whose
+    generator is an earlier one's with every spin flipped and the chain
+    reversed (see `_spectrum_sources`): they permute the frame-rotated
+    vector, apply the earlier spectrum, and permute back.  A spectrum is
+    freed after the last pulse that uses it, and before each decomposition
+    every held spectrum but the one needed soonest is dropped (and
+    decomposed again when next needed), so at most one is alive beside the
+    generator being decomposed.  For the remote-CN protocol that is
+    5/6/8/10 decompositions at L = 6/8/10/12, where its L distinct carriers
+    would need L; at odd L the centre spin's carrier is its own mirror and
+    gets no saving.
     """
     L = initial.L
     if L != params.L:
         raise ValueError(f"state has L={L}, params have L={params.L}")
     check_dense_cap(L)
     E, M = _diagonal_terms(params)
+    mirror = _mirror(L)
     C = initial.amplitudes.astype(complex).copy()
     t = initial.t
-    keys = list(zip(seq.nu.tolist(), seq.Omega.tolist()))
-    last_use = {key: i for i, key in enumerate(keys)}
-    spectra = {}
-    for i, (pulse, key) in enumerate(zip(seq.pulses, keys)):
+    pulses = seq.pulses
+    sources = _spectrum_sources(seq, E, M, mirror)
+    # the next pulse that uses each pulse's spectrum, None after the last
+    following, seen = [None] * len(sources), {}
+    for i in reversed(range(len(sources))):
+        following[i] = seen.get(sources[i][0])
+        seen[sources[i][0]] = i
+    spectra, due = {}, {}
+    for i, (pulse, (root, mirrored)) in enumerate(zip(pulses, sources)):
         d = E + pulse.nu * M
-        if key not in spectra:
-            spectra[key] = np.linalg.eigh(rotating_frame_generator(pulse, params))
-        w, U = spectra.pop(key) if last_use[key] == i else spectra[key]
+        if root not in spectra:
+            for held in sorted(spectra, key=due.get)[1:]:
+                del spectra[held]
+            spectra[root] = np.linalg.eigh(rotating_frame_generator(pulses[root], params))
+        w, U = spectra.pop(root) if following[i] is None else spectra[root]
+        due[root] = following[i]
+        perm = mirror if mirrored else slice(None)
         # phases that overflow give non-finite amplitudes, which the caller
         # reports (cmd_verify), so numpy need not warn about them first
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = np.exp(-1j * d * t) * C
+            phi = (np.exp(-1j * d * t) * C)[perm]
             # real products of the real U with each part of phi: a mixed
             # real-complex product copies U to complex on every call
             x = np.exp(-1j * w * pulse.tau) * (phi.real @ U + 1j * (phi.imag @ U))
-            phi = U @ x.real + 1j * (U @ x.imag)
-            del w, U  # an evicted spectrum must not be alive during the next eigh
+            phi = (U @ x.real + 1j * (U @ x.imag))[perm]
+            del w, U  # a dropped spectrum must not be alive during the next eigh
             t += pulse.tau
             C = np.exp(1j * d * t) * phi
     return DenseState(amplitudes=C, L=L, t=t)
-

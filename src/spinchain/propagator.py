@@ -317,6 +317,23 @@ _TABLE = (4 * ((_CODE & 1) + 2 * (_CODE >> 2)) + ((_CODE >> 1) & 1)
           + 2 * np.arange(2)[:, None])
 
 
+def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of equal-length float64 columns, deduplicated by their bytes (so
+    -0.0 is not +0.0): the first row of each distinct row, and every row's
+    index into those.  One lexsort of the columns' int64 views, then the
+    sorted rows' group starts, numbered in sorted order."""
+    keys = [column.view(np.int64) for column in columns]
+    order = np.lexsort(keys)
+    start = np.zeros(len(order), dtype=bool)
+    start[:1] = True
+    for key in keys:
+        key = key[order]
+        start[1:] |= key[1:] != key[:-1]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(start) - 1
+    return order[start], group
+
+
 def _plan(seq: PulseSequence, params: ChainParams,
           t0: float) -> tuple[list[int], np.ndarray]:
     """Resonant spin and (n, 2, 8) pair tables of the n pulses of a
@@ -331,17 +348,16 @@ def _plan(seq: PulseSequence, params: ChainParams,
     if not len(seq):
         return [], np.empty((0, 2, 8), dtype=np.complex128)
     # a drive is a distinct (nu, Omega, tau) by bytes: its spin, detunings, rotations
-    pulses = np.stack((seq.nu, seq.Omega, seq.tau), axis=-1)
-    drives, drive = np.unique(pulses.view("V24").ravel(), return_inverse=True)
-    nu, Omega, tau = drives.view(np.float64).reshape(-1, 3).T
+    first, drive = _distinct(seq.nu, seq.Omega, seq.tau)
+    nu, Omega, tau = seq.nu[first], seq.Omega[first], seq.tau[first]
     k = resonant_spin(nu, params)
     deltas = neighbour_gap(k[:, None], _BELOW, _ABOVE, params) - nu[:, None]
     # distinct (Delta, Omega, tau) by their bytes, which for finite floats
     # is by value, except that -0.0 would not share the factors of +0.0
-    triples = np.stack(np.broadcast_arrays(deltas, Omega[:, None], tau[:, None]), axis=-1)
-    rotations, factor = np.unique(triples.view("V24").ravel(), return_inverse=True)
-    rotation = np.array([_rotation(*key) for key in
-                         rotations.view(np.float64).reshape(-1, 3).tolist()],
+    triples = np.stack(np.broadcast_arrays(deltas, Omega[:, None], tau[:, None]),
+                       axis=-1).reshape(-1, 3)
+    first, factor = _distinct(*triples.T)
+    rotation = np.array([_rotation(*key) for key in triples[first].tolist()],
                         dtype=np.complex128)
     # start times as SparseState.t advances, one t += tau per pulse in order
     times = np.cumsum(np.concatenate(([t0], seq.tau)))[:, None]

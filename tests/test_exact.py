@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spinchain.exact import DenseState, evolve_exact, rotating_frame_generator
+import spinchain.exact
+from spinchain.exact import DenseState, _mirror, evolve_exact, rotating_frame_generator
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, run_protocol, total_variation_distance
 from spinchain.protocol import Pulse, cn_remote_protocol
@@ -161,20 +162,116 @@ def test_battery_reuses_spectra_by_carrier_and_rabi(monkeypatch):
     assert np.max(np.abs(final.amplitudes - integrated)) < 1e-7
 
 
-def test_protocol_decomposes_each_carrier_once(monkeypatch):
-    # flip j and unflip j share a carrier, so 2L-3 pulses need L spectra
+def _mirror_of(L: int) -> np.ndarray:
+    """Every spin flipped and the chain reversed, spelled on bit strings."""
+    flip = str.maketrans("01", "10")
+    return np.array([int(format(p, f"0{L}b").translate(flip)[::-1], 2)
+                     for p in range(1 << L)])
+
+
+def _mirror_carrier(nu: float, params) -> float:
+    """The carrier whose generator is the mirror image of the one at nu."""
+    return 2 * params.omega0 + (params.L - 1) * params.delta_omega - nu
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 6])
+def test_mirror_is_an_involution(L):
+    mirror = _mirror(L)
+    assert np.array_equal(mirror, _mirror_of(L))
+    assert np.array_equal(mirror[mirror], np.arange(1 << L))
+
+
+def test_mirrored_carrier_generator_is_the_permuted_generator():
+    # bit for bit, for every carrier of the protocol and its mirror carrier
+    params = ChainParams(L=6)
+    mirror = _mirror_of(6)
+    for nu in set(cn_remote_protocol(params, 0.0906).nu.tolist()):
+        H = rotating_frame_generator(Pulse(nu=nu, Omega=0.0906, tau=1.0), params)
+        H_mirror = rotating_frame_generator(
+            Pulse(nu=_mirror_carrier(nu, params), Omega=0.0906, tau=1.0), params)
+        assert np.array_equal(H_mirror.view(np.int64), H[mirror][:, mirror].view(np.int64))
+
+
+def test_protocol_decomposes_each_mirror_pair_once(monkeypatch):
+    # flip j and unflip j share a carrier, and a carrier whose generator is
+    # an earlier one's mirror image shares its spectrum: 2L-3 = 9 pulses,
+    # 4 spectra, 5 decompositions, as one spectrum is dropped to keep one
+    # held at a time and decomposed again.  The reference runs a mirrored
+    # pulse as its earlier carrier on the mirrored state and mirrors the
+    # result back: the frame phases are elementwise, so that is the shared
+    # path bit for bit
     L = 6
     params = ChainParams(L=L)
+    mirror = _mirror_of(L)
     seq = cn_remote_protocol(params, 0.0906)
     initial = _dense(BasisState.from_string("100000"))
-    chained = initial
+    chained, decomposed = initial, []
     for pulse in seq.pulses:
-        chained = evolve_exact(chained, sequence(pulse), params)
+        nu = _mirror_carrier(pulse.nu, params)
+        if pulse.nu not in decomposed and nu in decomposed:
+            mirrored = DenseState(chained.amplitudes[mirror], L, chained.t)
+            out = evolve_exact(mirrored, sequence(pulse._replace(nu=nu)), params)
+            chained = DenseState(out.amplitudes[mirror], L, out.t)
+        else:
+            if pulse.nu not in decomposed:
+                decomposed.append(pulse.nu)
+            chained = evolve_exact(chained, sequence(pulse), params)
     eigh_calls = _record_eigh(monkeypatch)
     final = evolve_exact(initial, seq, params)
-    assert len(seq.pulses) == 2 * L - 3 and len(eigh_calls) == L
+    assert len(seq.pulses) == 2 * L - 3 and len(decomposed) == 4
+    assert len(eigh_calls) == 5
     assert np.array_equal(final.amplitudes, chained.amplitudes)
     assert final.t == chained.t
+
+
+def test_mirrored_carrier_shares_a_spectrum_only_at_equal_rabi(monkeypatch):
+    # L = 3, carriers A and its mirror A' (exact dyadic arithmetic, so the
+    # mirrored diagonal matches bit for bit): A' at A's Omega reuses A's
+    # spectrum, A' at another Omega is decomposed
+    params = ChainParams(L=3)
+    nu_a = params.omega0 + 0.5
+    pulses = (Pulse(nu=nu_a, Omega=0.6, tau=0.9),
+              Pulse(nu=_mirror_carrier(nu_a, params), Omega=0.6, tau=0.7),
+              Pulse(nu=_mirror_carrier(nu_a, params), Omega=0.3, tau=1.2))
+    rng = np.random.default_rng(15)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps /= np.linalg.norm(amps)
+    eigh_calls = _record_eigh(monkeypatch)
+    final = evolve_exact(DenseState(amplitudes=amps.copy(), L=3, t=0.4),
+                         sequence(*pulses), params)
+    assert len(eigh_calls) == 2
+    integrated, t = amps.copy(), 0.4
+    for pulse in pulses:
+        integrated = chain_ode(integrated, pulse, params, t_start=t)
+        t += pulse.tau
+    assert np.max(np.abs(final.amplitudes - integrated)) < 1e-7
+
+
+class _Identity:
+    """Stands in for a spectrum's U: the matrix products return the vector."""
+
+    __array_ufunc__ = None  # numpy defers `vector @ self` to __rmatmul__
+
+    def __matmul__(self, vector):
+        return vector
+
+    __rmatmul__ = __matmul__
+
+
+@pytest.mark.parametrize("L,decompositions", [(8, 6), (10, 8), (12, 10)])
+def test_protocol_decomposition_count(monkeypatch, L, decompositions):
+    # counted without building or decomposing any 2^L x 2^L matrix
+    params = ChainParams(L=L)
+    calls = []
+
+    def fake_eigh(pulse):
+        calls.append(pulse)
+        return np.zeros(1 << L), _Identity()
+
+    monkeypatch.setattr(spinchain.exact, "rotating_frame_generator", lambda pulse, _: pulse)
+    monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+    evolve_exact(_dense(BasisState.ground(L)), cn_remote_protocol(params, 0.0906), params)
+    assert len(calls) == decompositions
 
 
 def test_protocol_frees_each_spectrum_after_its_last_pulse(monkeypatch):

@@ -309,6 +309,19 @@ def test_plan_matches_scalar_pair_map_bit_for_bit(case):
         t += pulse.tau
 
 
+def test_plan_keeps_signed_zero_drives_apart():
+    # Omega and tau of -0.0 and +0.0 are equal in value, not in bytes, and
+    # their rotation factors differ in the sign of zero parts
+    params = ChainParams(L=3)
+    pulses = [Pulse(nu=101.0, Omega=Omega, tau=tau)
+              for Omega, tau in ((0.0, 1.0), (-0.0, 1.0), (0.3, 0.0), (0.3, -0.0))]
+    _, tables = spinchain.propagator._plan(sequence(*pulses), params, 0.0)
+    t = 0.0
+    for pulse, table in zip(pulses, tables):
+        assert table.tobytes() == pair_table_scalar(pulse, params, t).tobytes()
+        t += pulse.tau
+
+
 @pytest.mark.parametrize("L,amplitudes,t", [
     (70, {0: 1.0}, 0.0),                                  # two key words
     (9, {0: 0.6, 1 << 8: 0.8j}, 123.25),                  # alpha/beta start, t != 0
