@@ -21,12 +21,12 @@ propagation is not finite.
 
 sweep-length runs the remote-CN protocol once, for the longest chain of its
 grid, and takes each length L's census from that run's state after pulse
-2L - 3, shifted down to chain L (the propagator's Prefix note says why this
-is chain L's own final state).  The ledger is checked at each of those
-snapshots.  An empty grid (L_max below L_min) is rejected.  Its analytic
-columns are truncated first-order sums; where one leaves [0, 1] the command
-warns on stderr, naming the column and the first such L, and writes the
-values unchanged.
+2L - 3, read in place as its top L spins (the propagator's Prefix note
+says why they are chain L's own final state).  The ledger is checked at
+each of those snapshots.  An empty grid (L_max below L_min) is rejected.
+Its analytic columns are truncated first-order sums; where one leaves
+[0, 1] the command warns on stderr, naming the column and the first such
+L, and writes the values unchanged.
 
 preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
 (J=1, Omega=0.0906 or 0.20844, P0=1e-6, or 1e-8 for fig4); explicit keys
@@ -344,7 +344,7 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
         cn_remote_protocol(longest, Omega), longest, P_drop=P_drop,
         snapshot_at=last_pulse,
         on_snapshot=lambda n, state: censuses.append(
-            unwanted_census(state.prefix(last_pulse[n]), threshold=P0)))
+            unwanted_census(state, threshold=P0, L=last_pulse[n])))
     budgets = error_budget(lengths, Omega, J=J, P0=P0)
     rows = [[L, budget.P1, census.p1_total, budget.P1cal, census.p1_target,
              census.count]
@@ -397,7 +397,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             "so there is no finite result to verify the map against")
     # the map's own |C|^2, scattered: squaring a dense copy would move last ulps
     p_map = np.zeros(1 << params.L)
-    p_map[final.states()] = final.probability_array()
+    p_map[final.keys[:, 0]] = final.probability_array()  # one word under the cap
     gap = np.abs(p_map - p_exact)
     tvd = total_variation_distance(p_map, p_exact)
     order = np.argsort(-gap, kind="stable")  # largest gap first, ties by state

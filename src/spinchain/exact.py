@@ -48,9 +48,11 @@ class DenseState:
 
     @classmethod
     def from_sparse(cls, state) -> "DenseState":
-        """Dense copy of a `SparseState`'s amplitudes, at the same time t."""
+        """Dense copy of a `SparseState`'s amplitudes, at the same time t;
+        raises ValueError past the dense cap, under which a key is one word."""
+        check_dense_cap(state.L)
         amps = np.zeros(1 << state.L, dtype=complex)
-        amps[state.states()] = state.amps
+        amps[state.keys[:, 0]] = state.amps
         return cls(amplitudes=amps, L=state.L, t=state.t)
 
     def probability_array(self) -> np.ndarray:

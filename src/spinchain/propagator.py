@@ -52,20 +52,19 @@ frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
 (Delta, Omega, tau).  A run's pulses, and so their start times, are known
 before the first one runs, so `run_protocol` builds every pulse's resonant
 spin and (2, 8) pair table up front, in array passes over the sequence's
-arrays (`_plan`).  The carrier step takes the run's distinct (nu, Omega,
-tau), one `np.unique` over their bytes: their resonant spins from the array
-form of `resonant_spin` (`np.rint` rounds half to even, as `round` does),
-and their four detunings from `neighbour_gap` on the four neighbour
-patterns, each the float the scalar `flip_gap` gives.  The rotation factors
-are computed once per distinct (Delta, Omega, tau), also by bytes: a
-remote-CN run has one Omega and tau, and at most five detunings (0, +-2J,
-+-4J).  The frame phases of all pulses are one `np.cos` and one `np.sin`
-call each, and the complex products are written out in real arithmetic in
-the order of Python's complex product, so each table is bit for bit the one
-the scalar map in tests/oracles.py gives (numpy's complex multiply rounds
-differently).  Start times are one `np.cumsum`, which adds in order as
-`SparseState.t` does, one `t += tau` per pulse.  Nothing is kept between
-runs.
+arrays (`_plan`).  Every pulse's resonant spin comes from the array form
+of `resonant_spin` (`np.rint` rounds half to even, as `round` does), and
+its four detunings from `neighbour_gap` on the four neighbour patterns,
+each the float the scalar `flip_gap` gives.  The rotation factors are
+computed once per distinct (Delta, Omega, tau), by bytes, from one
+`np.lexsort` (`_distinct`): a remote-CN run has one Omega and tau, and at
+most five detunings (0, +-2J, +-4J).  The frame phases of all pulses are
+one `np.cos` and one `np.sin` call each, and the complex products are
+written out in real arithmetic in the order of Python's complex product, so
+each table is bit for bit the one the scalar map in tests/oracles.py gives
+(numpy's complex multiply rounds differently).  Start times are one
+`np.cumsum`, which adds in order as `SparseState.t` does, one `t += tau`
+per pulse.  Nothing is kept between runs.
 
 Determinism.  The output lists the kept lower members in ascending
 pair-key order, then the kept upper members in the same order.  That order
@@ -80,13 +79,15 @@ its carrier is 0, +-2J or +-4J, and the Zeeman part omega0 + k*delta_omega
 cancels.  The spins beyond a shorter chain's end are never flipped in its
 first 2L - 3 pulses, so they stay 0 and their Ising terms drop out of every
 Delta.  Hence chain L after its last pulse is chain L_max after pulse
-2L - 3 with the low L_max - L bits removed (`SparseState.prefix`), bit for
-bit wherever the gaps are exactly representable, as they are for the
-default fields (integer multiples of J).  For other fields the carrier
-rounds at each chain's own magnitude, and the two agree only to rounding
-(rel 3.7e-12 at J = 0.7, omega0 = 100.1, delta_omega = 20.3).  This
-holds for the resonance map only: a map that also drives spins within a
-window around the resonant one stops being exact once its window reaches
+2L - 3 with the low L_max - L bits removed, bit for bit wherever the gaps
+are exactly representable, as they are for the default fields (integer
+multiples of J).  So `unwanted_census(state, L=L)` tallies chain L on that
+snapshot's own key rows: its ideal states and its target bit are read at
+bit L_max - L, and no key is copied or shifted.  For other fields the
+carrier rounds at each chain's own magnitude, and the two agree only to
+rounding (rel 3.7e-12 at J = 0.7, omega0 = 100.1, delta_omega = 20.3).
+This holds for the resonance map only: a map that also drives spins within
+a window around the resonant one stops being exact once its window reaches
 past the shorter chain's last spin.
 """
 
@@ -196,27 +197,6 @@ class SparseState:
 
     def total_probability(self) -> float:
         return float(self.probability_array().sum())
-
-    def prefix(self, L: int) -> "SparseState":
-        """The state of the chain made of the top L spins of this one.
-
-        Keys shift right by self.L - L, word by word; raises ValueError when
-        a state has one of the removed low spins flipped.
-        """
-        if not 1 <= L <= self.L:
-            raise ValueError(f"prefix length {L} outside [1, {self.L}]")
-        word, bit = divmod(self.L - L, _WORD)
-        keys = self.keys
-        if keys[:, :word].any() or (keys[:, word] & (_BIT[bit] - _BIT[0])).any():
-            raise ValueError(f"a state flips one of the {self.L - L} spins below the top {L}")
-        keys = keys[:, word:]
-        if bit:
-            shifted = keys >> _SHIFT[bit]
-            shifted[:, :-1] |= keys[:, 1:] << _SHIFT[_WORD - bit]
-            keys = shifted
-        W = (L + _WORD - 1) // _WORD
-        return SparseState(keys=np.ascontiguousarray(keys[:, :W]), amps=self.amps, L=L,
-                           t=self.t, dropped=self.dropped)
 
 
 def _rotation(Delta: float, Omega: float, tau: float) -> tuple[complex, complex, complex]:
@@ -347,23 +327,19 @@ def _plan(seq: PulseSequence, params: ChainParams,
     """
     if not len(seq):
         return [], np.empty((0, 2, 8), dtype=np.complex128)
-    # a drive is a distinct (nu, Omega, tau) by bytes: its spin, detunings, rotations
-    first, drive = _distinct(seq.nu, seq.Omega, seq.tau)
-    nu, Omega, tau = seq.nu[first], seq.Omega[first], seq.tau[first]
-    k = resonant_spin(nu, params)
-    deltas = neighbour_gap(k[:, None], _BELOW, _ABOVE, params) - nu[:, None]
+    k = resonant_spin(seq.nu, params)
+    deltas = neighbour_gap(k[:, None], _BELOW, _ABOVE, params) - seq.nu[:, None]
     # distinct (Delta, Omega, tau) by their bytes, which for finite floats
     # is by value, except that -0.0 would not share the factors of +0.0
-    triples = np.stack(np.broadcast_arrays(deltas, Omega[:, None], tau[:, None]),
+    triples = np.stack(np.broadcast_arrays(deltas, seq.Omega[:, None], seq.tau[:, None]),
                        axis=-1).reshape(-1, 3)
     first, factor = _distinct(*triples.T)
     rotation = np.array([_rotation(*key) for key in triples[first].tolist()],
                         dtype=np.complex128)
     # start times as SparseState.t advances, one t += tau per pulse in order
     times = np.cumsum(np.concatenate(([t0], seq.tau)))[:, None]
-    maps = _pair_maps(rotation[factor.reshape(-1, 4)[drive]], deltas[drive],
-                      times[:-1], times[1:])
-    return k[drive].tolist(), maps.reshape(len(seq), 16)[:, _TABLE]
+    maps = _pair_maps(rotation[factor.reshape(-1, 4)], deltas, times[:-1], times[1:])
+    return k.tolist(), maps.reshape(len(seq), 16)[:, _TABLE]
 
 
 def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: float, *,
@@ -439,6 +415,9 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
     if not 0.0 <= P_drop < 1.0:
         raise ValueError(f"P_drop must be in [0, 1), got {P_drop}")
     snapshot_at = frozenset(snapshot_at)
+    if snapshot_at and on_snapshot is None:
+        raise ValueError(f"snapshot pulse counts {sorted(snapshot_at)} given without "
+                         "on_snapshot to receive them")
     if not snapshot_at <= set(range(1, len(seq) + 1)):
         raise ValueError(f"snapshot pulse counts {sorted(snapshot_at)} outside "
                          f"[1, {len(seq)}]")
@@ -472,42 +451,55 @@ def _check_ledger(state: SparseState, norm: float, pulses: int) -> None:
 class Census:
     """Unwanted-state tally of a run started from the all-zeros state.
 
-    `keys` and `probabilities` hold the tallied states in array order.
+    `keys` and `probabilities` hold the tallied states in array order, as
+    rows of the censused state, `L` spins wide, whatever chain was tallied.
     """
 
     count: int
     p1_total: float        # total probability of unwanted states >= threshold
-    p1_target: float       # subset with target bit 0 = 1 and control bit L-1 = 0
+    p1_target: float       # subset with the chain's target bit set and control bit clear
     keys: np.ndarray
     probabilities: np.ndarray
     L: int
 
 
-def unwanted_census(final: SparseState, threshold: float = 1e-6) -> Census:
-    """Count and total the unwanted states left behind by the protocol.
+def unwanted_census(final: SparseState, threshold: float = 1e-6,
+                    L: int | None = None) -> Census:
+    """Count and total the unwanted states of chain L, the top L spins of
+    `final` (all of them by default), left behind by the protocol.
 
     Tallies every state with probability at or above the reporting
-    threshold other than the two ideal gate outputs |0...0> and |10...01>.
-    On a run started from |0...0> the target state carries no weight, so
-    this reduces to counting everything but the ground state.
+    threshold other than chain L's two ideal gate outputs |0...0> and
+    |10...01>, which set no bit of `final` or bits final.L - L (the target)
+    and final.L - 1 (the control).  The keys are read where they are (see
+    the Prefix note): raises ValueError when L is outside [1, final.L] or
+    a state has one of the spins below the top L flipped.  On a run started
+    from |0...0> the target state carries no weight, so this reduces to
+    counting everything but the ground state.
     """
-    L = final.L
-    W = final.keys.shape[1]
-    top_word, top_bit = divmod(L - 1, _WORD)
-    ideal = np.zeros((2, W), dtype=np.uint64)  # |0...0> and |10...01>
-    ideal[1, 0] = 1
+    L = final.L if L is None else L
+    if not 1 <= L <= final.L:
+        raise ValueError(f"prefix length {L} outside [1, {final.L}]")
+    low_word, low_bit = divmod(final.L - L, _WORD)
+    top_word, top_bit = divmod(final.L - 1, _WORD)
+    keys = final.keys
+    if keys[:, :low_word].any() or (keys[:, low_word] & (_BIT[low_bit] - _BIT[0])).any():
+        raise ValueError(f"a state flips one of the {final.L - L} spins below the top {L}")
+    ideal = np.zeros((2, keys.shape[1]), dtype=np.uint64)  # |0...0> and |10...01>
+    ideal[1, low_word] |= _BIT[low_bit]
     ideal[1, top_word] |= _BIT[top_bit]
-    rows = _rows(final.keys)
+    rows = _rows(keys)
     ground, target = _rows(ideal)
     p = final.probability_array()
     unwanted = (p >= threshold) & (rows != ground) & (rows != target)
-    keys, p = final.keys[unwanted], p[unwanted]
-    # target bit 0 set, control bit L-1 clear
+    keys, p = keys[unwanted], p[unwanted]
+    # target bit set, control bit clear
     one = _BIT[0]
-    flipped_target = (keys[:, 0] & one) > ((keys[:, top_word] >> _SHIFT[top_bit]) & one)
+    flipped_target = (((keys[:, low_word] >> _SHIFT[low_bit]) & one)
+                      > ((keys[:, top_word] >> _SHIFT[top_bit]) & one))
     return Census(count=len(p), p1_total=math.fsum(p.tolist()),
                   p1_target=math.fsum(p[flipped_target].tolist()),
-                  keys=keys, probabilities=p, L=L)
+                  keys=keys, probabilities=p, L=final.L)
 
 
 def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:

@@ -305,6 +305,12 @@ def test_dense_state_from_sparse():
     assert dense.L == 5 and dense.t == 3.7
 
 
+def test_dense_state_from_sparse_respects_cap():
+    sparse = SparseState.from_basis(BasisState.ground(13))
+    with pytest.raises(ValueError, match="L=13 exceeds the dense-propagation cap 12"):
+        DenseState.from_sparse(sparse)
+
+
 def test_tvd_to_sparse_decreases_with_rabi(params5):
     # the resonance approximation sharpens as Omega/delta_omega -> 0
     tvds = []

@@ -13,6 +13,7 @@ from spinchain.cli import _write_census_csv, main, write_report_csv, write_state
 from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import (
     SparseState,
+    _unpack,
     bitstrings,
     resonant_spin,
     run_protocol,
@@ -394,10 +395,6 @@ def test_shorter_chain_is_a_prefix_of_the_longest(Omega):
             assert all(s & ((1 << shift) - 1) == 0 for s in big.amplitudes)
             assert state.amplitudes == {s >> shift: c for s, c in big.amplitudes.items()}
             assert state.t == big.t and state.dropped == big.dropped
-            short = big.prefix(L)
-            assert np.array_equal(short.keys, state.keys)
-            assert np.array_equal(short.amps, state.amps)
-            assert (short.L, short.t, short.dropped) == (L, state.t, state.dropped)
 
 
 def test_run_protocol_rejects_snapshot_outside_the_run(params5):
@@ -408,29 +405,47 @@ def test_run_protocol_rejects_snapshot_outside_the_run(params5):
                          snapshot_at=[n], on_snapshot=lambda n, state: None)
 
 
+def test_run_protocol_rejects_snapshot_without_callback(params5):
+    seq = cn_remote_protocol(params5, 0.0906)
+    with pytest.raises(ValueError, match="on_snapshot"):
+        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
+                     snapshot_at=[2])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_prefix_is_a_word_wise_shift(data):
+def test_census_of_top_spins_reads_keys_in_place(data):
     big = data.draw(st.one_of(st.integers(2, 200), st.sampled_from([64, 65, 128, 129])))
     L = data.draw(st.one_of(st.integers(1, big),
                             st.sampled_from([big - s for s in (0, 1, 63, 64, 65, 128)
                                              if big - s >= 1])))
     rnd = data.draw(st.randoms(use_true_random=False))
     shift = big - L
-    states = {rnd.getrandbits(L) << shift for _ in range(data.draw(st.integers(0, 10)))}
-    amps = {s: complex(i + 1, -i) for i, s in enumerate(sorted(states))}
-    state = SparseState(keys=SparseState.from_amplitudes(amps, big).keys,
-                        amps=np.array(list(amps.values()), dtype=np.complex128),
-                        L=big, t=2.5, dropped=1e-7)
-    short = state.prefix(L)
-    assert short.keys.shape == (len(states), (L + 63) // 64)
-    assert short.amplitudes == {s >> shift: c for s, c in amps.items()}
-    assert (short.L, short.t, short.dropped) == (L, 2.5, 1e-7)
+    # chain L's ideal states and target-only flip, then random keys of chain L
+    top = 1 << (L - 1)
+    states = set(data.draw(st.lists(st.sampled_from([0, top | 1, top, 1]), max_size=4)))
+    states |= {rnd.getrandbits(L) for _ in range(data.draw(st.integers(0, 10)))}
+    amps = {s: complex(i + 1, -i) / 16 for i, s in enumerate(sorted(states))}
+    threshold = data.draw(st.sampled_from([1e-6, 0.01, 0.1]))
+    shifted = {s << shift: c for s, c in amps.items()}
+    state = SparseState.from_amplitudes(shifted, big)
+    short = SparseState.from_amplitudes(amps, L)
+    census = unwanted_census(state, threshold=threshold, L=L)
+    expect = unwanted_census(short, threshold=threshold)
+    assert (census.count, census.p1_total, census.p1_target) == (
+        expect.count, expect.p1_total, expect.p1_target)
+    assert census.probabilities.tobytes() == expect.probabilities.tobytes()
+    # the tallied rows are the big state's own, L = big spins wide
+    assert census.L == big and census.keys.shape[1] == state.keys.shape[1]
+    assert [s >> shift for s in _unpack(census.keys)] == _unpack(expect.keys)
     if shift:
         low = 1 << rnd.randrange(shift)
-        flipped = SparseState.from_amplitudes({**amps, low: 1j}, big)
+        flipped = SparseState.from_amplitudes({**shifted, low: 1j}, big)
         with pytest.raises(ValueError, match="spins below the top"):
-            flipped.prefix(L)
+            unwanted_census(flipped, threshold=threshold, L=L)
+    for outside in (0, big + 1):
+        with pytest.raises(ValueError, match="prefix length"):
+            unwanted_census(state, threshold=threshold, L=outside)
 
 
 def test_p_drop_validation(params5):
