@@ -52,19 +52,6 @@ def ground_branch_errors(Omega, J: float):
     return epsilon(Omega, 2.0 * J, tau), epsilon(Omega, 4.0 * J, tau)
 
 
-def suppression_rabi(Delta: float, k: int) -> float:
-    """k-th Rabi frequency at which a pi-pulse detuned by Delta is errorless,
-
-    Omega_k = |Delta| / sqrt(4k^2 - 1): the detuned pair then precesses
-    through exactly k full cycles while the resonant pair does half a turn.
-    """
-    if k < 1:
-        raise ValueError(f"cycle index must be a positive integer, got {k}")
-    if Delta == 0.0:
-        raise ValueError("suppression is defined for nonzero detuning only")
-    return abs(Delta) / math.sqrt(4.0 * k * k - 1.0)
-
-
 def n1(L):
     """Number of first-order unwanted states, one per pulse: 2L-3 (per entry of an int array)."""
     if np.min(L) < 3:

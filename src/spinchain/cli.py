@@ -17,7 +17,8 @@ included), a P0 outside (0, 1), a P_drop outside [0, 1), or alpha and beta
 whose squares do not sum to 1; the error names the key.  So is a Rabi
 frequency (Omega, omega_min, omega_max) so small that the pulse phases
 overflow; `verify` also rejects, with exit 1, an Omega at which the exact
-propagation is not finite.
+propagation is not finite.  The protocol is a CN on inputs with target
+bit 0 only, and `run` from an initial= with that bit set says so on stderr.
 
 sweep-length runs the remote-CN protocol once, for the longest chain of its
 grid, and takes each length L's census from that run's state after pulse
@@ -283,8 +284,11 @@ def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseS
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
-    seq, final, report, census = _run_and_census(
-        cfg, params, cfg.initial_state(params), drop_default=1e-6)
+    initial = cfg.initial_state(params)
+    if (initial.keys[:, 0] & 1).any():
+        print("spinchain: note: the initial state sets target bit 0; the protocol is a "
+              "CN on target-0 inputs only", file=sys.stderr)
+    seq, final, report, census = _run_and_census(cfg, params, initial, drop_default=1e-6)
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
     print(f"run: {len(seq)} pulses, {len(final.amps)} active states, "

@@ -108,26 +108,20 @@ def pack_keys(states, L: int) -> np.ndarray:
     return np.array(rows, dtype=np.uint64).reshape(len(rows), W)
 
 
-def flip_gap(bits, k, params: ChainParams):
-    """E(bit k set) - E(bit k cleared) for the flip pair containing `bits`,
-    the transition frequency of spin k.
+def flip_gap(keys: np.ndarray, k, params: ChainParams):
+    """E(bit k set) - E(bit k cleared) for the flip pair of each state of
+    `keys`, the transition frequency of spin k.
 
-    Depends only on the neighbour bits of k, so O(1):
-    gap = omega0 + k*delta_omega + 2J * (m_{k-1} + m_{k+1}), with the I^z
-    eigenvalue m = 1/2 - bit, and the term of a neighbour outside the chain
-    an exact zero.  Positive, because `ChainParams` enforces omega0 > 2J, so
-    a zero term leaves it unchanged bit for bit.
-
-    Evaluates on arrays too: `bits` as (..., W) uint64 key rows, bit j of a
-    state at bit j % 64 of word j // 64 (the layout of `SparseState.keys`),
-    and `k` an int array broadcasting against bits[..., 0].  Each entry is
-    the float the scalar call gives, from the same operations in the same
-    order.
+    `keys` are (..., W) uint64 key rows, bit j of a state at bit j % 64 of
+    word j // 64 (the layout of `SparseState.keys`), and `k` an int array
+    broadcasting against keys[..., 0].  Depends only on the neighbour bits
+    of k, so O(1) per state: gap = omega0 + k*delta_omega
+    + 2J * (m_{k-1} + m_{k+1}), with the I^z eigenvalue m = 1/2 - bit, and
+    the term of a neighbour outside the chain an exact zero.  Positive,
+    because `ChainParams` enforces omega0 > 2J, so a zero term leaves it
+    unchanged bit for bit.
     """
-    if isinstance(bits, np.ndarray):
-        below, above = _key_bit(bits, k - 1, params.L), _key_bit(bits, k + 1, params.L)
-    else:
-        below, above = (bits >> k - 1) & 1 if k else 0, (bits >> k + 1) & 1
+    below, above = _key_bit(keys, k - 1, params.L), _key_bit(keys, k + 1, params.L)
     return neighbour_gap(k, below, above, params)
 
 

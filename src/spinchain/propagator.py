@@ -55,7 +55,7 @@ spin and (2, 8) pair table up front, in array passes over the sequence's
 arrays (`_plan`).  Every pulse's resonant spin comes from the array form
 of `resonant_spin` (`np.rint` rounds half to even, as `round` does), and
 its four detunings from `neighbour_gap` on the four neighbour patterns,
-each the float the scalar `flip_gap` gives.  The rotation factors are
+each the float `flip_gap` gives.  The rotation factors are
 computed once per distinct (Delta, Omega, tau), by bytes, from one
 `np.lexsort` (`_distinct`): a remote-CN run has one Omega and tau, and at
 most five detunings (0, +-2J, +-4J).  The frame phases of all pulses are
@@ -168,23 +168,18 @@ class SparseState:
     dropped: float = 0.0
 
     @classmethod
-    def from_amplitudes(cls, amplitudes: dict[int, complex], L: int,
-                        t: float = 0.0) -> "SparseState":
-        """State from a {packed basis state: amplitude} map."""
+    def from_amplitudes(cls, amplitudes: dict[int, complex], L: int) -> "SparseState":
+        """State at t = 0 from a {packed basis state: amplitude} map."""
         for s in amplitudes:
             if not 0 <= s < (1 << L):
                 raise ValueError(f"state {s} out of range for L={L}")
         return cls(keys=pack_keys(amplitudes, L),
                    amps=np.array(list(amplitudes.values()), dtype=np.complex128),
-                   L=L, t=t)
+                   L=L)
 
     @classmethod
     def from_basis(cls, state: BasisState) -> "SparseState":
         return cls.from_amplitudes({state.bits: 1.0 + 0.0j}, state.L)
-
-    def states(self) -> list[int]:
-        """Packed basis states, in array order."""
-        return _unpack(self.keys)
 
     def probability_array(self) -> np.ndarray:
         """|C|^2 of every active state, in array order."""
@@ -193,7 +188,7 @@ class SparseState:
     @functools.cached_property
     def amplitudes(self) -> dict[int, complex]:
         """{packed basis state: amplitude}, derived from the arrays."""
-        return dict(zip(self.states(), self.amps.tolist()))
+        return dict(zip(_unpack(self.keys), self.amps.tolist()))
 
     def total_probability(self) -> float:
         return float(self.probability_array().sum())

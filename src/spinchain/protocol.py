@@ -1,6 +1,8 @@
 """Synthesis of the remote controlled-NOT pulse protocol.
 
-The gate flips target qubit 0 iff control qubit L-1 is |1>.  It is compiled
+The gate flips target qubit 0 iff control qubit L-1 is |1>, on inputs whose
+target is |0>, the paper's case.  It is no CN on the others: from L = 5 on,
+|0...01> ends near |0...0100> and |10...01> near |10...0101>.  It is compiled
 into 2L-3 resonant pi-pulses that walk the control branch along a chain of
 single-flip states,
 
@@ -130,16 +132,3 @@ def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
     return PulseSequence(nu=nu, Omega=np.full(n, Omega), tau=np.full(n, tau),
                          flip_qubits=flips, start=start)
 
-
-def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
-    """Detuning magnitudes seen by the all-zeros state under each pulse.
-
-    The all-zeros branch never moves at leading order, so each pulse is
-    compared against the spacing for flipping its annotated qubit out of
-    |0...0>.  For the CN protocol this is 2J for every pulse except the
-    third, which is 4J.
-    """
-    if seq.flip_qubits is None:
-        raise ValueError("sequence carries no flip annotations")
-    ground = np.zeros((len(seq), (params.L + 63) // 64), dtype=np.uint64)  # |0...0>
-    return np.abs(flip_gap(ground, seq.flip_qubits, params) - seq.nu).tolist()

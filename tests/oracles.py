@@ -5,7 +5,9 @@ code paths from the package (explicit bit lists, quadrature-grade ODE
 integration), so agreement is evidence rather than tautology.
 
 The last few helpers are not oracles but views of the package under test
-that only the tests need: the package's own pair map for one pulse
+that only the tests need: the suppression zeros of eps (`suppression_rabi`),
+the all-zeros branch's detuning under each pulse
+(`ground_branch_detunings`), the package's own pair map for one pulse
 (`pair_map`, `pair_update`), a one-pulse run (`run_pulse`), one basis
 state's probability (`probability`), a census as sorted rows
 (`census_table`), the first-order state families (`first_order_states`),
@@ -36,6 +38,21 @@ from spinchain.propagator import (
 from spinchain.protocol import Pulse, PulseSequence, cn_remote_protocol
 
 
+def flip_gap_scalar(bits: int, k: int, params: ChainParams) -> float:
+    """E(bit k set) - E(bit k cleared) of the flip pair containing the packed
+    state `bits`, from its neighbour bits one Python int at a time.
+
+    This is the packed-int form that `spinchain.model.flip_gap` dropped,
+    kept as its bitwise reference: the same float operations in the same
+    order, so the array form must give the same bits.
+    """
+    below = (bits >> k - 1) & 1 if k else 0
+    above = (bits >> k + 1) & 1
+    g = params.omega0 + k * params.delta_omega
+    g = g + 2.0 * params.J * (0.5 - below) * (k > 0)
+    return g + 2.0 * params.J * (0.5 - above) * (k < params.L - 1)
+
+
 def cn_trajectory(params: ChainParams) -> list[BasisState]:
     """Control-branch state path of the remote-CN protocol, 2L-2 states,
     one Python int at a time.
@@ -61,11 +78,11 @@ def cn_trajectory(params: ChainParams) -> list[BasisState]:
 
 def cn_carriers_scalar(params: ChainParams) -> tuple[list[float], list[int], list[BasisState]]:
     """(carriers, flip qubits, trajectory) of the remote-CN protocol, one
-    pulse at a time: each carrier the scalar `flip_gap` of its flip on the
+    pulse at a time: each carrier the `flip_gap_scalar` of its flip on the
     branch state before it, each flip qubit read off two adjacent states."""
     traj = cn_trajectory(params)
     flips = [(a.bits ^ b.bits).bit_length() - 1 for a, b in zip(traj, traj[1:])]
-    return [flip_gap(a.bits, k, params) for a, k in zip(traj, flips)], flips, traj
+    return [flip_gap_scalar(a.bits, k, params) for a, k in zip(traj, flips)], flips, traj
 
 
 def bits_of(state: int, L: int) -> list[int]:
@@ -178,7 +195,7 @@ def pair_table_scalar(pulse, params, t_start: float) -> np.ndarray:
         below, bit, above = code & 1, (code >> 1) & 1, code >> 2
         # the neighbour pattern as a state of the chain, bit k clear
         pattern = (below << k >> 1) | (above << (k + 1) & ((1 << params.L) - 1))
-        K = pair_coefficients_scalar(flip_gap(pattern, k, params) - pulse.nu,
+        K = pair_coefficients_scalar(flip_gap_scalar(pattern, k, params) - pulse.nu,
                                      pulse.Omega, pulse.tau, t_start)
         table[:, code] = (K[1], K[3]) if bit else (K[0], K[2])
     return table
@@ -192,8 +209,8 @@ def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
     This is the dict loop that the array kernel
     `spinchain.propagator.apply_pulse` replaced, kept as its reference.  It
     takes the pair map from `pair_coefficients_scalar` and the flip gap from
-    the package, so agreement checks the kernel's grouping into flip pairs,
-    its choice of map by the neighbour bits and its pruning.
+    `flip_gap_scalar`, so agreement checks the kernel's grouping into flip
+    pairs, its choice of map by the neighbour bits and its pruning.
     """
     k = resonant_spin(pulse.nu, params)
     mask = 1 << k
@@ -201,7 +218,7 @@ def apply_pulse_dict(amplitudes: dict[int, complex], t: float, pulse, params,
     above = (mask << 1) & ((1 << params.L) - 1)
     neighbours = below | above
     maps = {
-        pattern: pair_coefficients_scalar(flip_gap(pattern, k, params) - pulse.nu,
+        pattern: pair_coefficients_scalar(flip_gap_scalar(pattern, k, params) - pulse.nu,
                                           pulse.Omega, pulse.tau, t)
         for pattern in {0, below, above, neighbours}
     }
@@ -241,7 +258,7 @@ def census_bitstring(final, threshold: float):
     control_mask = 1 << (L - 1)
     target_bits = control_mask | 1
     rows = [(BasisState(bits, L), q)
-            for bits, q in zip(final.states(), final.probability_array().tolist())
+            for bits, q in zip(_unpack(final.keys), final.probability_array().tolist())
             if q >= threshold and bits != 0 and bits != target_bits]
     rows.sort(key=lambda item: (-item[1], str(item[0])))
     p1 = math.fsum(q for _, q in rows)
@@ -265,6 +282,33 @@ def sweep_length_per_run(lengths, Omega: float, P_drop: float, P0: float,
         rows.append([str(L), repr(budget.P1), repr(p1), repr(budget.P1cal), repr(p1cal),
                      str(count)])
     return rows
+
+
+def suppression_rabi(Delta: float, k: int) -> float:
+    """k-th Rabi frequency at which a pi-pulse detuned by Delta is errorless,
+
+    Omega_k = |Delta| / sqrt(4k^2 - 1): the detuned pair then precesses
+    through exactly k full cycles while the resonant pair does half a turn.
+    """
+    if k < 1:
+        raise ValueError(f"cycle index must be a positive integer, got {k}")
+    if Delta == 0.0:
+        raise ValueError("suppression is defined for nonzero detuning only")
+    return abs(Delta) / math.sqrt(4.0 * k * k - 1.0)
+
+
+def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
+    """Detuning magnitudes seen by the all-zeros state under each pulse.
+
+    The all-zeros branch never moves at leading order, so each pulse is
+    compared against the spacing for flipping its annotated qubit out of
+    |0...0>.  For the CN protocol this is 2J for every pulse except the
+    third, which is 4J.
+    """
+    if seq.flip_qubits is None:
+        raise ValueError("sequence carries no flip annotations")
+    ground = np.zeros((len(seq), (params.L + 63) // 64), dtype=np.uint64)  # |0...0>
+    return np.abs(flip_gap(ground, seq.flip_qubits, params) - seq.nu).tolist()
 
 
 def pair_map(Delta: float, Omega: float, tau: float,
@@ -296,7 +340,7 @@ def probability(state: SparseState, basis: BasisState | int) -> float:
     """|C|^2 of one basis state (a BasisState or a packed int) of a sparse
     state, 0 where it is not active."""
     bits = basis.bits if isinstance(basis, BasisState) else basis
-    return dict(zip(state.states(), state.probability_array().tolist())).get(bits, 0.0)
+    return dict(zip(_unpack(state.keys), state.probability_array().tolist())).get(bits, 0.0)
 
 
 def census_table(census: Census) -> list[tuple[BasisState, float]]:

@@ -53,24 +53,26 @@ from spinchain.analytics import (
     ground_branch_errors,
     n1,
     p1_target,
-    suppression_rabi,
 )
 from spinchain.exact import DenseState, evolve_exact
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import (
     SparseState,
+    _unpack,
     run_protocol,
     total_variation_distance,
     unwanted_census,
 )
-from spinchain.protocol import cn_remote_protocol, ground_branch_detunings
+from spinchain.protocol import cn_remote_protocol
 
 from oracles import (
     census_table,
     cn_trajectory,
     first_order_states,
+    ground_branch_detunings,
     pair_update,
     probability,
+    suppression_rabi,
     two_level_ode,
 )
 
@@ -300,6 +302,9 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_gate_correctness():
+    """The 2L - 3 protocol is a CN on target-0 inputs, the paper's case:
+    |10...0> goes to |10...01> and a control superposition splits.  It is no
+    CN on target-1 inputs (test_protocol pins where those go)."""
     print("\nACCEPTANCE 8: resonant-branch transfer and entangled-input splitting")
     failures = []
     worst_p, arg = 1.0, 3
@@ -328,7 +333,7 @@ def test_criterion_8_gate_correctness():
         gap_t = abs(probability(final, target) - beta**2)
         _check(failures, gap_t <= 1e-8,
                f"L={L}: P(target) = |beta|^2 within 1e-8", f"gap {gap_t:.2e}")
-        sector = sum(p for s, p in zip(final.states(), final.probability_array().tolist())
+        sector = sum(p for s, p in zip(_unpack(final.keys), final.probability_array().tolist())
                      if s >> (L - 1))
         gap_s = abs(sector - beta**2)
         _check(failures, gap_s <= 1e-8,

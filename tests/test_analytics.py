@@ -12,14 +12,13 @@ from spinchain.analytics import (
     p1_target,
     p1_total,
     regime,
-    suppression_rabi,
 )
 from spinchain.cli import write_error_budget_csv
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, run_protocol
 from spinchain.protocol import cn_remote_protocol
 
-from oracles import bit, first_order_states, probability, sequence, u3_table
+from oracles import bit, first_order_states, probability, sequence, suppression_rabi, u3_table
 
 
 def test_epsilon_published_anchors():

@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import spinchain
 import spinchain.cli
-from spinchain.analytics import epsilon, n1, suppression_rabi
-from spinchain.cli import load_config, main, write_csv
-from spinchain.model import ChainParams
+from spinchain.analytics import epsilon, n1
+from spinchain.cli import load_config, main, write_csv, write_state_csv
+from spinchain.model import BasisState, ChainParams
+from spinchain.propagator import SparseState, run_protocol
+from spinchain.protocol import cn_remote_protocol
 
-from oracles import sweep_length_per_run
+from oracles import suppression_rabi, sweep_length_per_run
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -52,6 +54,23 @@ def test_run_resonant_branch(tmp_path):
     assert rows[1][0] == "10001"
     assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-10)
     assert not (tmp_path / "census.csv").exists()  # census only from |0...0>
+
+
+def test_run_from_a_target_1_input_notes_it_is_no_cn(tmp_path, capsys):
+    # one stderr line, and the same exit code and tables as any run: the
+    # final state is the library's, written by the same writer
+    for start, notes in (("10000", 0), ("10001", 1), ("00001", 1)):
+        cfg = write_cfg(tmp_path, f"L=5\nOmega=0.0906\ninitial={start}\n", f"{start}.cfg")
+        out = tmp_path / start
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == notes
+        assert all("CN on target-0 inputs only" in line for line in err)
+        params = ChainParams(L=5)
+        final, _ = run_protocol(SparseState.from_basis(BasisState.from_string(start)),
+                                cn_remote_protocol(params, 0.0906), params)
+        write_state_csv(final, tmp_path / f"{start}.csv")
+        assert (out / "final_state.csv").read_bytes() == (tmp_path / f"{start}.csv").read_bytes()
 
 
 def test_run_ground_branch_census(tmp_path):

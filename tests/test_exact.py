@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,7 +297,8 @@ def test_protocol_frees_each_spectrum_after_its_last_pulse(monkeypatch):
 
 
 def test_dense_state_from_sparse():
-    sparse = SparseState.from_amplitudes({0b00110: 0.6 + 0.0j, 0b10001: 0.8j}, L=5, t=3.7)
+    sparse = replace(SparseState.from_amplitudes({0b00110: 0.6 + 0.0j, 0b10001: 0.8j}, L=5),
+                     t=3.7)
     dense = DenseState.from_sparse(sparse)
     expect = np.zeros(32, dtype=complex)
     expect[0b00110] = 0.6

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from spinchain.exact import _diagonal_terms
 from spinchain.model import BasisState, ChainParams, flip_gap, pack_keys
-from oracles import bit, energy_bruteforce, flipped
+from oracles import bit, energy_bruteforce, flip_gap_scalar, flipped
 
 
 def test_energy_two_qubit_hand_values():
@@ -45,21 +45,23 @@ def larmor(k, p):
     return p.omega0 + k * p.delta_omega
 
 
+def gaps(states, ks, p):
+    """The package's flip gap of each packed state at its spin, as floats."""
+    return flip_gap(pack_keys(states, p.L), np.array(ks), p).tolist()
+
+
 def test_transition_frequency_interior_cases():
     p = ChainParams(L=5)
-    # both neighbours up -> omega_k + 2J
-    assert flip_gap(0b00000, 2, p) == larmor(2, p) + 2 * p.J
-    # neighbours down/up cancel -> omega_k
-    assert flip_gap(0b01000, 2, p) == larmor(2, p)  # neighbours of 2 are {3:1, 1:0}
-    # both neighbours down -> omega_k - 2J
-    assert flip_gap(0b01010, 2, p) == larmor(2, p) - 2 * p.J
+    # both neighbours up -> omega_k + 2J; neighbours down/up cancel -> omega_k
+    # (the neighbours of 2 are {3:1, 1:0}); both neighbours down -> omega_k - 2J
+    assert gaps([0b00000, 0b01000, 0b01010], [2, 2, 2], p) == [
+        larmor(2, p) + 2 * p.J, larmor(2, p), larmor(2, p) - 2 * p.J]
 
 
 def test_transition_frequency_edge_spin_with_down_neighbour():
     # edge spin 0 with neighbour bit 1 -> omega_0 - J; edge spin L-1 likewise
     p = ChainParams(L=4)
-    assert flip_gap(0b0010, 0, p) == p.omega0 - p.J
-    assert flip_gap(0b0100, 3, p) == larmor(3, p) - p.J
+    assert gaps([0b0010, 0b0100], [0, 3], p) == [p.omega0 - p.J, larmor(3, p) - p.J]
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
@@ -67,10 +69,9 @@ def test_transition_frequency_equals_energy_difference(L):
     # flip_gap is E(bit k set) - E(bit k cleared) for every state and spin
     p = ChainParams(L=L, J=1.2, omega0=110.0, delta_omega=21.0)
     E = [energy_bruteforce(s, L, p.J, p.omega0, p.delta_omega) for s in range(1 << L)]
-    for s in range(1 << L):
-        for k in range(L):
-            gap = E[s | 1 << k] - E[s & ~(1 << k)]
-            assert flip_gap(s, k, p) == pytest.approx(gap, abs=1e-10)
+    states, ks = zip(*[(s, k) for s in range(1 << L) for k in range(L)])
+    expect = [E[s | 1 << k] - E[s & ~(1 << k)] for s, k in zip(states, ks)]
+    assert gaps(states, ks, p) == pytest.approx(expect, abs=1e-10)
 
 
 @pytest.mark.parametrize("L", [2, 3, 63, 64, 65, 128, 129])
@@ -88,7 +89,7 @@ def test_array_flip_gap_equals_scalar_bit_for_bit(L):
             s |= (pattern & 1) << k >> 1 | (pattern >> 1) << (k + 1)
             ks.append(k)
             states.append(s & ((1 << L) - 1))
-    scalar = [flip_gap(s, k, p) for s, k in zip(states, ks)]
+    scalar = [flip_gap_scalar(s, k, p) for s, k in zip(states, ks)]
     assert all(type(g) is float for g in scalar)
     array = flip_gap(pack_keys(states, L), np.array(ks), p)
     assert array.dtype == np.float64
@@ -103,7 +104,8 @@ def test_transition_frequency_flip_symmetry(L, data):
     bits = data.draw(st.integers(0, (1 << L) - 1))
     k = data.draw(st.integers(0, L - 1))
     p = ChainParams(L=L)
-    assert flip_gap(bits, k, p) == flip_gap(bits ^ (1 << k), k, p)
+    same, flipped_k = gaps([bits, bits ^ (1 << k)], [k, k], p)
+    assert same == flipped_k
 
 
 @pytest.mark.parametrize("L", [3, 6, 10])
@@ -113,7 +115,7 @@ def test_transition_bands_disjoint_across_spins(L):
     p = ChainParams(L=L)
     bands = []
     for k in range(L):
-        vals = {round(flip_gap(s, k, p), 9) for s in range(1 << L)}
+        vals = {round(g, 9) for g in gaps(range(1 << L), [k] * (1 << L), p)}
         bands.append(vals)
         assert all(abs(v - larmor(k, p)) <= 2 * p.J for v in vals)
     for k in range(L):
@@ -142,7 +144,8 @@ def test_chain_params_rejects_flip_gaps_float64_cannot_resolve():
     # the ulp of the largest flip gap must be at most J * 2^-20; just inside
     # that bound the neighbour terms of every gap still differ by 4J to it
     edge = ChainParams(L=5, omega0=2.0**33 - 100.0)
-    spread = flip_gap(0, 2, edge) - flip_gap(0b01010, 2, edge)
+    up, down = gaps([0, 0b01010], [2, 2], edge)
+    spread = up - down
     assert abs(spread - 4.0 * edge.J) <= 2.0**-20 * edge.J
     ChainParams(L=5, J=2.0, omega0=2.0**33)  # the bound scales with J
     for fields, key in (({"omega0": 2.0**33}, "omega0"),

@@ -1,6 +1,7 @@
 import csv
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spinchain.propagator
-from spinchain.analytics import epsilon, ground_branch_errors, suppression_rabi
+from spinchain.analytics import ground_branch_errors
 from spinchain.cli import _write_census_csv, main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import (
@@ -38,6 +39,7 @@ from oracles import (
     probability,
     run_pulse,
     sequence,
+    suppression_rabi,
 )
 
 
@@ -108,8 +110,8 @@ def test_pulse_without_pairs_keeps_the_table_products():
     expect = {s & ~(1 << k) | (row << k): c
               for row, shares in enumerate(products.tolist())
               for s, c in zip(inputs, shares) if abs(c) ** 2 >= floor}
-    assert out.states() == sorted(expect) == [0b1100, 0b1101]
-    assert out.amps.tobytes() == np.array([expect[s] for s in out.states()]).tobytes()
+    assert _unpack(out.keys) == sorted(expect) == [0b1100, 0b1101]
+    assert out.amps.tobytes() == np.array([expect[s] for s in _unpack(out.keys)]).tobytes()
     assert out.amps.tobytes().hex() == ("000000000000e03f" "0000000000000080"
                                         "000000000000e0bf" "0000000000000000")
     # an empty state passes through a whole run empty
@@ -132,8 +134,8 @@ def test_pulse_is_pair_update_at_every_spin(L):
             support = [s for s in range(1 << L) if rng.random() < 0.6] or [0]
             amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
             amps /= np.linalg.norm(amps)
-            state = SparseState.from_amplitudes(dict(zip(support, amps.tolist())), L,
-                                                t=rng.uniform(0.0, 10.0))
+            state = replace(SparseState.from_amplitudes(dict(zip(support, amps.tolist())), L),
+                            t=rng.uniform(0.0, 10.0))
             out = run_pulse(state, pulse, params, P_drop=0.0)
             mask = 1 << k
             for lo in range(1 << L):
@@ -204,7 +206,7 @@ def pulse_on_sparse_state(draw):
 @given(pulse_on_sparse_state())
 def test_kernel_matches_dict_oracle(case):
     params, pulse, amplitudes, t, P_drop = case
-    out = run_pulse(SparseState.from_amplitudes(amplitudes, params.L, t=t),
+    out = run_pulse(replace(SparseState.from_amplitudes(amplitudes, params.L), t=t),
                     pulse, params, P_drop=P_drop)
     expect, dropped = apply_pulse_dict(amplitudes, t, pulse, params, P_drop)
     assert out.keys.shape == (len(expect), (params.L + 63) // 64)
@@ -237,7 +239,7 @@ def test_planned_pulse_matches_pulse_applied_alone():
     amplitudes = {s: complex(1 + s % 5, s % 3 - 1) / 24.0 for s in range(64)}
     for params in SHARED_PARAMS:
         for t in (0.0, 37.5):
-            snapshots = {0: SparseState.from_amplitudes(amplitudes, 6, t=t)}
+            snapshots = {0: replace(SparseState.from_amplitudes(amplitudes, 6), t=t)}
             run_protocol(snapshots[0], sequence(*SHARED_PULSES), params,
                          P_drop=0.0, snapshot_at=range(1, len(SHARED_PULSES) + 1),
                          on_snapshot=snapshots.__setitem__)
@@ -330,7 +332,7 @@ def test_plan_keeps_signed_zero_drives_apart():
 def test_run_equals_chained_single_pulses(L, amplitudes, t):
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, 0.20844)
-    state = SparseState.from_amplitudes(amplitudes, L, t=t)
+    state = replace(SparseState.from_amplitudes(amplitudes, L), t=t)
     snapshots = {}
     final, _ = run_protocol(state, seq, params, P_drop=1e-8,
                             snapshot_at=range(1, len(seq) + 1),
@@ -497,7 +499,8 @@ def test_run_protocol_splits_superposition(params5):
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     # no pulse addresses the control spin, so the two sectors never mix
     assert probability(final, BasisState.from_string("10001")) == pytest.approx(beta**2, abs=1e-8)
-    control_sector = sum(p for s, p in zip(final.states(), final.probability_array().tolist())
+    control_sector = sum(p for s, p in zip(_unpack(final.keys),
+                                           final.probability_array().tolist())
                          if s >> 4)
     assert control_sector == pytest.approx(beta**2, abs=1e-12)
 
@@ -508,7 +511,7 @@ def test_suppression_window_run_has_no_visible_unwanted_states():
     omega = suppression_rabi(2.0, 50)
     assert max(ground_branch_errors(omega, 1.0)) < 1e-6
     final, _ = ground_run(6, omega, P_drop=0.0)
-    unwanted = {s: p for s, p in zip(final.states(), final.probability_array().tolist())
+    unwanted = {s: p for s, p in zip(_unpack(final.keys), final.probability_array().tolist())
                 if s != 0}
     assert unwanted
     assert max(unwanted.values()) < 1e-6
@@ -588,7 +591,7 @@ def test_array_census_matches_bitstring_census(case):
         state_csv = Path(tmp, "state.csv").read_text()
     assert census_csv == "".join(f"{row}\n" for row in ["state,probability"] + [
         f"{s},{p!r}" for s, p in rows])
-    labels = [format(s, f"0{state.L}b") for s in state.states()]
+    labels = [format(s, f"0{state.L}b") for s in _unpack(state.keys)]
     expect = sorted(zip(labels, state.probability_array().tolist(), state.amps.tolist()),
                     key=lambda r: (-r[1], r[0]))
     assert state_csv == "".join(f"{row}\n" for row in [

@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 
 from spinchain.cli import write_protocol_csv
+from spinchain.exact import DenseState, evolve_exact
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, _unpack, bitstrings, resonant_spin, run_protocol
-from spinchain.protocol import PulseSequence, cn_remote_protocol, ground_branch_detunings
+from spinchain.protocol import PulseSequence, cn_remote_protocol
 
-from oracles import cn_carriers_scalar, cn_trajectory, energy_bruteforce, probability
+from oracles import (
+    cn_carriers_scalar,
+    cn_trajectory,
+    energy_bruteforce,
+    ground_branch_detunings,
+    probability,
+    sequence,
+)
 
 
 def trajectory(L):
@@ -89,6 +97,9 @@ def test_ground_branch_detunings_frozen_values():
         cn_remote_protocol(ChainParams(L=3), 0.1), ChainParams(L=3)) == pytest.approx([2, 2, 4])
     assert ground_branch_detunings(
         cn_remote_protocol(ChainParams(L=5), 0.1), ChainParams(L=5)) == pytest.approx([2, 2, 4, 2, 2, 2, 2])
+    with pytest.raises(ValueError, match="no flip annotations"):
+        ground_branch_detunings(sequence(*cn_remote_protocol(ChainParams(L=3), 0.1).pulses),
+                                ChainParams(L=3))
 
 
 def test_ground_branch_detunings_against_energy_oracle(params5):
@@ -124,6 +135,35 @@ def test_resonant_run_reaches_target(params5):
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     target = cn_trajectory(params5)[-1]
     assert probability(final, target) >= 1 - 1e-10
+
+
+# The protocol is a CN on target-0 inputs only.  Where it takes the two
+# target-1 inputs at Omega = 0.0906, P_drop = 0: (input, most probable
+# output, its probability under the resonance map and under dense eigh).
+# A CN would leave |0...01> alone and send |10...01> to |10...00>.
+TARGET_1_OUTPUTS = {
+    4: [("0001", "0010", 0.99986, 0.99975), ("1001", "1101", 0.99981, 0.99973)],
+    6: [("000001", "000100", 0.99978, 0.99959), ("100001", "100101", 0.99981, 0.99959)],
+    8: [("00000001", "00000100", 0.99959, 0.99936),
+        ("10000001", "10000101", 0.99981, 0.99950)],
+    10: [("0000000001", "0000000100", 0.99939, 0.99897),
+         ("1000000001", "1000000101", 0.99981, 0.99945)],
+}
+
+
+@pytest.mark.parametrize("L", sorted(TARGET_1_OUTPUTS))
+def test_protocol_is_not_a_cn_on_target_1_inputs(L):
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, 0.0906)
+    for start, end, p_map, p_dense in TARGET_1_OUTPUTS[L]:
+        initial = SparseState.from_basis(BasisState.from_string(start))
+        final, _ = run_protocol(initial, seq, params, P_drop=0.0)
+        p = final.probability_array()
+        assert _unpack(final.keys[[np.argmax(p)]]) == [int(end, 2)]
+        assert p.max() == pytest.approx(p_map, abs=5e-6)
+        dense = evolve_exact(DenseState.from_sparse(initial), seq, params).probability_array()
+        assert np.argmax(dense) == int(end, 2)
+        assert dense.max() == pytest.approx(p_dense, abs=5e-6)
 
 
 def pulses(n=3, bad=None, at=1, value=None):
