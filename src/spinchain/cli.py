@@ -155,11 +155,12 @@ def parse_keyval_file(path) -> dict[str, str]:
     """Parse a plain-text key=value file into a string dict.
 
     '#' starts a comment; blank lines are skipped; whitespace around keys
-    and values is ignored.  A key given twice is rejected, naming both lines.
+    and values is ignored; a UTF-8 byte-order mark is skipped.  A key given
+    twice is rejected, naming both lines.
     """
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -391,17 +392,14 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     initial = cfg.initial_state(params)
     seq = cn_remote_protocol(params, Omega)
     final, _ = run_protocol(initial, seq, params, P_drop=0.0)
-    exact_final = evolve_exact(DenseState.from_sparse(initial), seq, params)
-    p_exact = exact_final.probability_array()
+    p_exact = evolve_exact(DenseState.from_sparse(initial), seq, params).probability_array()
     # exit 2 is for two finite propagations that disagree
     if not np.isfinite(p_exact).all():
         raise ValueError(
             f"config key 'Omega' = {Omega!r}: the exact propagation overflows at "
             f"J={params.J}, omega0={params.omega0}, delta_omega={params.delta_omega}, "
             "so there is no finite result to verify the map against")
-    # the map's own |C|^2, scattered: squaring a dense copy would move last ulps
-    p_map = np.zeros(1 << params.L)
-    p_map[final.keys[:, 0]] = final.probability_array()  # one word under the cap
+    p_map = DenseState.from_sparse(final).probability_array()
     gap = np.abs(p_map - p_exact)
     tvd = total_variation_distance(p_map, p_exact)
     order = np.argsort(-gap, kind="stable")  # largest gap first, ties by state

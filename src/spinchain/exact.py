@@ -56,8 +56,10 @@ class DenseState:
         return cls(amplitudes=amps, L=state.L, t=state.t)
 
     def probability_array(self) -> np.ndarray:
-        """|C|^2 of every basis state, indexed by packed basis state."""
-        return np.abs(self.amplitudes) ** 2
+        """|C|^2 of every basis state, indexed by packed basis state, as
+        `SparseState.probability_array` computes it."""
+        a = self.amplitudes
+        return a.real * a.real + a.imag * a.imag
 
 
 def _diagonal_terms(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +86,8 @@ def rotating_frame_generator(pulse: Pulse, params: ChainParams) -> np.ndarray:
     check_dense_cap(L)
     E, M = _diagonal_terms(params)
     dim = 1 << L
-    H = np.zeros((dim, dim))
+    # column-major, so LAPACK's eigh takes it without a transposing copy
+    H = np.zeros((dim, dim), order="F")
     np.fill_diagonal(H, E + pulse.nu * M)
     idx = np.arange(dim)
     for k in range(L):

@@ -97,9 +97,6 @@ class BasisState:
     def ground(cls, L: int) -> "BasisState":
         return cls(bits=0, L=L)
 
-    def __str__(self) -> str:
-        return format(self.bits, f"0{self.L}b")
-
 
 def pack_keys(states, L: int) -> np.ndarray:
     """(n, ceil(L/64)) uint64 rows of packed states, bit k at bit k % 64 of word k // 64."""

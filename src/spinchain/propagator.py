@@ -62,9 +62,10 @@ most five detunings (0, +-2J, +-4J).  The frame phases of all pulses are
 one `np.cos` and one `np.sin` call each, and the complex products are
 written out in real arithmetic in the order of Python's complex product, so
 each table is bit for bit the one the scalar map in tests/oracles.py gives
-(numpy's complex multiply rounds differently).  Start times are one
-`np.cumsum`, which adds in order as `SparseState.t` does, one `t += tau`
-per pulse.  Nothing is kept between runs.
+(numpy's complex multiply rounds differently).  Start and end times are
+one `np.cumsum` of t0 and the durations, which adds in order, one
+`t += tau` per pulse; a pulse's end time is the `t` of the state it makes,
+so the kernel keeps no clock of its own.  Nothing is kept between runs.
 
 Determinism.  The output lists the kept lower members in ascending
 pair-key order, then the kept upper members in the same order.  That order
@@ -310,9 +311,9 @@ def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plan(seq: PulseSequence, params: ChainParams,
-          t0: float) -> tuple[list[int], np.ndarray]:
-    """Resonant spin and (n, 2, 8) pair tables of the n pulses of a
-    sequence applied in order from time t0 (see Plan).
+          t0: float) -> tuple[list[int], np.ndarray, list[float]]:
+    """Resonant spin, (n, 2, 8) pair tables and end time of the n pulses of
+    a sequence applied in order from time t0 (see Plan).
 
     The flip gap depends only on the neighbour bits k-1 and k+1 (absent at
     the chain's edges, where flip_gap's terms are zero), so a pulse has at
@@ -321,7 +322,7 @@ def _plan(seq: PulseSequence, params: ChainParams,
     its lower level.
     """
     if not len(seq):
-        return [], np.empty((0, 2, 8), dtype=np.complex128)
+        return [], np.empty((0, 2, 8), dtype=np.complex128), []
     k = resonant_spin(seq.nu, params)
     deltas = neighbour_gap(k[:, None], _BELOW, _ABOVE, params) - seq.nu[:, None]
     # distinct (Delta, Omega, tau) by their bytes, which for finite floats
@@ -331,14 +332,14 @@ def _plan(seq: PulseSequence, params: ChainParams,
     first, factor = _distinct(*triples.T)
     rotation = np.array([_rotation(*key) for key in triples[first].tolist()],
                         dtype=np.complex128)
-    # start times as SparseState.t advances, one t += tau per pulse in order
+    # start and end times, one t += tau per pulse in order
     times = np.cumsum(np.concatenate(([t0], seq.tau)))[:, None]
     maps = _pair_maps(rotation[factor.reshape(-1, 4)], deltas, times[:-1], times[1:])
-    return k.tolist(), maps.reshape(len(seq), 16)[:, _TABLE]
+    return k.tolist(), maps.reshape(len(seq), 16)[:, _TABLE], times[1:, 0].tolist()
 
 
 def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: float, *,
-                planned: tuple[int, np.ndarray]) -> SparseState:
+                planned: tuple[int, np.ndarray, float]) -> SparseState:
     """Advance a sparse state through one pulse in the two-level approximation.
 
     Every active basis state is paired with its single-flip partner at the
@@ -348,11 +349,12 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: f
     AMPLITUDE_FLOOR) are removed and their probability added to the dropped
     ledger.
 
-    `planned` is this pulse's (resonant spin, pair table) row of the `_plan`
-    that `run_protocol` makes from state.t.  The plan holds what the kernel
-    needs of `params`, which stays for callers such as perfbench/tracing.py.
+    `planned` is this pulse's (resonant spin, pair table, end time) row of
+    the `_plan` that `run_protocol` makes from state.t.  The kernel reads
+    nothing of `pulse` or `params`; they stay for callers such as
+    perfbench/tracing.py.
     """
-    k, table = planned
+    k, table, t = planned
     word, bit = divmod(k, _WORD)
     # sort by pair key (bit k cleared) so that partners become neighbours
     clear = _CLEAR[bit]
@@ -370,7 +372,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: f
     if len(first) < len(rows):
         out = np.add.reduceat(out, first, axis=1)
         pair_keys = pair_keys.take(first, axis=0)
-    p = (out * out.conj()).real  # |C|^2 in two array operations
+    p = (out * out.conj()).real  # |C|^2, fastest form; fused, so not bit for bit re*re + im*im
     keep = p >= max(P_drop, AMPLITUDE_FLOOR)
     dropped = state.dropped + float(p[~keep].sum())
     # kept lower members in pair-key order, then kept upper members
@@ -378,8 +380,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: f
     out_keys = pair_keys.take(pair, axis=0)
     lower = np.count_nonzero(keep[0])
     out_keys[lower:, word] |= _BIT[bit]
-    return SparseState(keys=out_keys, amps=out[keep], L=state.L,
-                       t=state.t + pulse.tau, dropped=dropped)
+    return SparseState(keys=out_keys, amps=out[keep], L=state.L, t=t, dropped=dropped)
 
 
 @dataclass
@@ -420,9 +421,9 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
     report = RunReport()
     t0 = time.perf_counter()
     state = initial
-    spins, tables = _plan(seq, params, initial.t)
-    for n, (pulse, k, table) in enumerate(zip(seq.pulses, spins, tables), start=1):
-        state = apply_pulse(state, pulse, params, P_drop=P_drop, planned=(k, table))
+    plan = zip(*_plan(seq, params, initial.t))
+    for n, (pulse, planned) in enumerate(zip(seq.pulses, plan), start=1):
+        state = apply_pulse(state, pulse, params, P_drop=P_drop, planned=planned)
         report.active_states.append(len(state.amps))
         report.dropped_cumulative.append(state.dropped)
         if n in snapshot_at:

@@ -260,7 +260,8 @@ def census_bitstring(final, threshold: float):
     rows = [(BasisState(bits, L), q)
             for bits, q in zip(_unpack(final.keys), final.probability_array().tolist())
             if q >= threshold and bits != 0 and bits != target_bits]
-    rows.sort(key=lambda item: (-item[1], str(item[0])))
+    # ties by bitstring, which at one L is by packed value
+    rows.sort(key=lambda item: (-item[1], item[0].bits))
     p1 = math.fsum(q for _, q in rows)
     p1cal = math.fsum(q for state, q in rows
                       if (state.bits & 1) and not (state.bits & control_mask))

@@ -79,8 +79,9 @@ def test_short_chain_rejected_with_one_message(call):
 
 def test_first_order_families_L4():
     family_a, family_b = first_order_states(4)
-    assert [str(s) for s in family_a] == ["0001", "0011", "0111"]
-    assert [str(s) for s in family_b] == ["0010", "0110"]
+    assert [s.bits for s in family_a] == [0b0001, 0b0011, 0b0111]
+    assert [s.bits for s in family_b] == [0b0010, 0b0110]
+    assert {s.L for s in family_a + family_b} == {4}
 
 
 @given(L=st.integers(3, 60))

@@ -12,7 +12,15 @@ from hypothesis import given, settings, strategies as st
 import spinchain
 import spinchain.cli
 from spinchain.analytics import epsilon, n1
-from spinchain.cli import load_config, main, write_csv, write_state_csv
+from spinchain.cli import (
+    COMMANDS,
+    ExperimentConfig,
+    load_config,
+    main,
+    parse_keyval_file,
+    write_csv,
+    write_state_csv,
+)
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, run_protocol
 from spinchain.protocol import cn_remote_protocol
@@ -384,6 +392,57 @@ def test_unread_key_names_the_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "L=5\nOmega=0.0906\nP_drop=0.5\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "verify does not read config key 'P_drop'" in capsys.readouterr().err
+
+
+def test_config_saved_with_byte_order_mark(tmp_path, capsys):
+    # some editors begin a UTF-8 file with U+FEFF; it is no part of the first key
+    path = tmp_path / "bom.cfg"
+    path.write_text("L=5\nOmega=0.1\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_keyval_file(path) == {"L": "5", "Omega": "0.1"}
+    assert main(["protocol", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / "protocol.csv")) == 1 + 7
+    capsys.readouterr()
+
+
+_CHAIN = "L=4\nJ=1\nomega0=100\ndelta_omega=20\nOmega=0.2\n"
+_STARTS = ("initial=1000\n", "alpha=0.6\nbeta=0.8\n")
+# per command, configs that between them set every key it lists in COMMANDS
+# (a start is given either as initial= or as alpha=/beta=)
+FULL_CONFIGS = {
+    "protocol": [_CHAIN],
+    "run": [_CHAIN + "P_drop=1e-6\nP0=1e-6\n" + start for start in _STARTS],
+    "sweep-omega": ["J=1\nP0=1e-6\nomega_min=0.1\nomega_max=0.2\nomega_steps=3\n"],
+    "sweep-length": ["J=1\nomega0=100\ndelta_omega=20\nOmega=0.2\nP_drop=1e-6\nP0=1e-6\n"
+                     "L_min=3\nL_max=5\nL_step=2\n"],
+    "spectrum": [_CHAIN + "P_drop=1e-8\nP0=1e-8\n"],
+    "verify": [_CHAIN + start for start in _STARTS],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_reads_exactly_the_keys_it_lists(tmp_path, capsys, monkeypatch, command):
+    # a listed key the command never reads would be accepted and ignored
+    listed = COMMANDS[command][1]
+    texts = FULL_CONFIGS[command]
+    given = set()
+    for i, text in enumerate(texts):
+        given |= set(parse_keyval_file(write_cfg(tmp_path, text, f"{i}.cfg")))
+    assert given == listed
+    read = set()
+    get = ExperimentConfig.get
+
+    def recording_get(self, key, parse, default):
+        read.add(key)
+        return get(self, key, parse, default)
+
+    monkeypatch.setattr(ExperimentConfig, "get", recording_get)
+    for i in range(len(texts)):
+        code = main([command, "--config", str(tmp_path / f"{i}.cfg"),
+                     "--out", str(tmp_path / str(i))])
+        assert code in (0, 2)  # verify may fail: two finite propagations disagree
+    capsys.readouterr()
+    assert read == listed
 
 
 def test_repeated_config_key_names_both_lines(tmp_path):

@@ -55,7 +55,7 @@ COMMAND_DIGESTS = [
         "report.csv": "d352d303229f3297e48458618ffb70487e3db7e93c7f311be38689c5128c37f0",
     }),
     ("verify", "L=8\nOmega=0.0906\nalpha=0.7071067811865476\nbeta=0.7071067811865476\n", 2, {
-        "verify.csv": "d327e01a408a54657203a657ad8950ccc5b38135994832e8d663153b94802e6a",
+        "verify.csv": "1f4b4dea13472eb3d8fd01473f8ca69acfe806815f1b40c0215baaf7cefe0cfc",
     }),
     ("protocol", "L=10\nOmega=0.0906\n", 0, {
         "protocol.csv": "ba1211e08124622ebe80a255e2b50f69ecfbf85e7cfeefb0653909f1d06b68be",

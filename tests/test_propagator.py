@@ -303,13 +303,14 @@ EDGE_PLANS = [
 @example(EDGE_PLANS[2])
 def test_plan_matches_scalar_pair_map_bit_for_bit(case):
     params, pulses, t0 = case
-    spins, tables = spinchain.propagator._plan(sequence(*pulses), params, t0)
+    spins, tables, ends = spinchain.propagator._plan(sequence(*pulses), params, t0)
     assert tables.shape == (len(pulses), 2, 8)
     t = t0
-    for pulse, k, table in zip(pulses, spins, tables):
+    for pulse, k, table, end in zip(pulses, spins, tables, ends):
         assert k == resonant_spin(pulse.nu, params)
         assert table.tobytes() == pair_table_scalar(pulse, params, t).tobytes()
         t += pulse.tau
+        assert type(end) is float and end == t  # the end time, added as t += tau adds it
 
 
 def test_plan_keeps_signed_zero_drives_apart():
@@ -318,7 +319,7 @@ def test_plan_keeps_signed_zero_drives_apart():
     params = ChainParams(L=3)
     pulses = [Pulse(nu=101.0, Omega=Omega, tau=tau)
               for Omega, tau in ((0.0, 1.0), (-0.0, 1.0), (0.3, 0.0), (0.3, -0.0))]
-    _, tables = spinchain.propagator._plan(sequence(*pulses), params, 0.0)
+    _, tables, _ = spinchain.propagator._plan(sequence(*pulses), params, 0.0)
     t = 0.0
     for pulse, table in zip(pulses, tables):
         assert table.tobytes() == pair_table_scalar(pulse, params, t).tobytes()
@@ -590,7 +591,7 @@ def test_array_census_matches_bitstring_census(case):
         census_csv = Path(tmp, "census.csv").read_text()
         state_csv = Path(tmp, "state.csv").read_text()
     assert census_csv == "".join(f"{row}\n" for row in ["state,probability"] + [
-        f"{s},{p!r}" for s, p in rows])
+        f"{s.bits:0{state.L}b},{p!r}" for s, p in rows])
     labels = [format(s, f"0{state.L}b") for s in _unpack(state.keys)]
     expect = sorted(zip(labels, state.probability_array().tolist(), state.amps.tolist()),
                     key=lambda r: (-r[1], r[0]))

@@ -65,7 +65,7 @@ def test_array_synthesis_equals_scalar_bit_for_bit(L, fields):
     nus, flips, traj = cn_carriers_scalar(params)
     assert seq.nu.view(np.uint64).tolist() == np.array(nus).view(np.uint64).tolist()
     assert seq.flip_qubits.tolist() == flips
-    assert list(bitstrings(seq.trajectory, L)) == [str(s) for s in traj]
+    assert list(bitstrings(seq.trajectory, L)) == [format(s.bits, f"0{L}b") for s in traj]
     assert seq.start == traj[0]
 
 
