@@ -402,10 +402,11 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     p_map = DenseState.from_sparse(final).probability_array()
     gap = np.abs(p_map - p_exact)
     tvd = total_variation_distance(p_map, p_exact)
-    order = np.argsort(-gap, kind="stable")  # largest gap first, ties by state
+    keys = np.arange(len(gap), dtype=np.uint64)[:, None]
+    order = _by_probability(keys, gap)  # largest gap first, ties by state
     path = _out(cfg, "verify.csv")
     write_csv(path, ["state", "p_resonance", "p_exact", "abs_gap"],
-              zip(bitstrings(order.astype(np.uint64)[:, None], params.L),
+              zip(bitstrings(keys[order], params.L),
                   p_map[order].tolist(), p_exact[order].tolist(), gap[order].tolist()))
     passed = tvd <= VERIFY_TVD_BOUND
     print(f"verify: TVD={tvd:.6e} max_gap={gap.max():.6e} threshold={VERIFY_TVD_BOUND:g} "

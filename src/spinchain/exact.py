@@ -158,7 +158,7 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     check_dense_cap(L)
     E, M = _diagonal_terms(params)
     mirror = _mirror(L)
-    C = initial.amplitudes.astype(complex).copy()
+    C = np.asarray(initial.amplitudes, dtype=complex)
     t = initial.t
     pulses = seq.pulses
     sources = _spectrum_sources(seq, E, M, mirror)

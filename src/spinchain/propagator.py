@@ -42,10 +42,12 @@ members of a flip pair, at most two, form a group of consecutive rows.  A
 state's bits k-1, k and k+1 (the neighbours may sit in the previous or the
 next word) pick one column of a 2x8 table, built from the pulse's at most
 four pair maps, that holds what the state adds to its pair's lower and
-upper amplitude.  When some group has two members, one `np.add.reduceat`
-over the group starts sums each group's shares; a state without a partner
-keeps its table products untouched, signed zeros included.  So all pairs
-are updated by array arithmetic, and pruning is one mask.
+upper amplitude.  The group starts come from one compare of each sorted
+row with the row before it, word by word (`_starts`), with no byte view.
+When some group has two members, one `np.add.reduceat` over the group
+starts sums each group's shares; a state without a partner keeps its
+table products untouched, signed zeros included.  So all pairs are
+updated by array arithmetic, and pruning is one mask.
 
 Plan.  A pair map depends on its pulse's start time only through the two
 frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
@@ -55,10 +57,11 @@ spin and (2, 8) pair table up front, in array passes over the sequence's
 arrays (`_plan`).  Every pulse's resonant spin comes from the array form
 of `resonant_spin` (`np.rint` rounds half to even, as `round` does), and
 its four detunings from `neighbour_gap` on the four neighbour patterns,
-each the float `flip_gap` gives.  The rotation factors are
-computed once per distinct (Delta, Omega, tau), by bytes, from one
-`np.lexsort` (`_distinct`): a remote-CN run has one Omega and tau, and at
-most five detunings (0, +-2J, +-4J).  The frame phases of all pulses are
+each the float `flip_gap` gives.  The rotation factors are computed once
+per distinct (Delta, Omega, tau), by bytes, from one `np.lexsort` of the
+triples' int64 view and the same word-by-word group starts (`_distinct`):
+a remote-CN run has one Omega and tau, and at most five detunings
+(0, +-2J, +-4J).  The frame phases of all pulses are
 one `np.cos` and one `np.sin` call each, and the complex products are
 written out in real arithmetic in the order of Python's complex product, so
 each table is bit for bit the one the scalar map in tests/oracles.py gives
@@ -260,12 +263,15 @@ def resonant_spin(nu, params: ChainParams):
     return k if k.ndim else int(k)
 
 
-def _rows(keys: np.ndarray) -> np.ndarray:
-    """One value per key, equal exactly when the keys are: the word itself
-    for one-word keys (a fast integer compare), else the raw bytes."""
-    if keys.shape[1] == 1:
-        return keys[:, 0]
-    return keys.view(f"V{8 * keys.shape[1]}").ravel()
+def _starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted 2-D array that differ from the row before
+    them, compared column by column; the first row is always marked."""
+    start = np.zeros(len(rows), dtype=bool)
+    start[:1] = True
+    differs = start[1:]
+    for column in rows.T:
+        differs |= column[1:] != column[:-1]
+    return start
 
 
 def _neighbourhood(keys: np.ndarray, k: int) -> np.ndarray:
@@ -293,18 +299,14 @@ _TABLE = (4 * ((_CODE & 1) + 2 * (_CODE >> 2)) + ((_CODE >> 1) & 1)
           + 2 * np.arange(2)[:, None])
 
 
-def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of equal-length float64 columns, deduplicated by their bytes (so
-    -0.0 is not +0.0): the first row of each distinct row, and every row's
-    index into those.  One lexsort of the columns' int64 views, then the
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a contiguous 2-D float64 array, deduplicated by their bytes
+    (so -0.0 is not +0.0): the first row of each distinct row, and every
+    row's index into those.  One lexsort of the rows' int64 view, then the
     sorted rows' group starts, numbered in sorted order."""
-    keys = [column.view(np.int64) for column in columns]
-    order = np.lexsort(keys)
-    start = np.zeros(len(order), dtype=bool)
-    start[:1] = True
-    for key in keys:
-        key = key[order]
-        start[1:] |= key[1:] != key[:-1]
+    keys = rows.view(np.int64)
+    order = np.lexsort(keys.T)
+    start = _starts(keys[order])
     group = np.empty(len(order), dtype=np.int64)
     group[order] = np.cumsum(start) - 1
     return order[start], group
@@ -329,7 +331,7 @@ def _plan(seq: PulseSequence, params: ChainParams,
     # is by value, except that -0.0 would not share the factors of +0.0
     triples = np.stack(np.broadcast_arrays(deltas, seq.Omega[:, None], seq.tau[:, None]),
                        axis=-1).reshape(-1, 3)
-    first, factor = _distinct(*triples.T)
+    first, factor = _distinct(triples)
     rotation = np.array([_rotation(*key) for key in triples[first].tolist()],
                         dtype=np.complex128)
     # start and end times, one t += tau per pulse in order
@@ -366,10 +368,9 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: f
     out = table.take(_neighbourhood(pair_keys, k), axis=1)
     out *= state.amps.take(order)
     pair_keys[:, word] &= clear
-    rows = _rows(pair_keys)
     # each pair's shares summed at its first member (see Grouping)
-    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    if len(first) < len(rows):
+    first = np.flatnonzero(_starts(pair_keys))
+    if len(first) < len(pair_keys):
         out = np.add.reduceat(out, first, axis=1)
         pair_keys = pair_keys.take(first, axis=0)
     p = (out * out.conj()).real  # |C|^2, fastest form; fused, so not bit for bit re*re + im*im
@@ -481,13 +482,10 @@ def unwanted_census(final: SparseState, threshold: float = 1e-6,
     keys = final.keys
     if keys[:, :low_word].any() or (keys[:, low_word] & (_BIT[low_bit] - _BIT[0])).any():
         raise ValueError(f"a state flips one of the {final.L - L} spins below the top {L}")
-    ideal = np.zeros((2, keys.shape[1]), dtype=np.uint64)  # |0...0> and |10...01>
-    ideal[1, low_word] |= _BIT[low_bit]
-    ideal[1, top_word] |= _BIT[top_bit]
-    rows = _rows(keys)
-    ground, target = _rows(ideal)
+    # chain L's ideal outputs: |0...0> sets no word, |10...01> is one row
+    ideal = pack_keys([(1 << (final.L - 1)) | (1 << (final.L - L))], final.L)
     p = final.probability_array()
-    unwanted = (p >= threshold) & (rows != ground) & (rows != target)
+    unwanted = (p >= threshold) & keys.any(axis=1) & (keys != ideal).any(axis=1)
     keys, p = keys[unwanted], p[unwanted]
     # target bit set, control bit clear
     one = _BIT[0]

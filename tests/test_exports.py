@@ -1,13 +1,14 @@
-"""Export rule: no public name in src/spinchain/ without a caller.
+"""Export rule: no name in src/spinchain/ without a caller.
 
-A public name is one that a module of the package defines at its top level
-(a function, a class or an assigned constant) and that does not start with
-an underscore.  It has a caller when something outside its own definition
-refers to it in the program, that is in src/, scripts/ or perfbench/, or in
-the script entry of pyproject.toml.  A reference is a name or an attribute
-node, an imported name, or a string constant that is the name or ends in
-".name" (perfbench's tracer names the attributes it wraps in strings).
-Tests do not count: a name that only tests use belongs in tests/oracles.py.
+A name is one that a module of the package defines at its top level (a
+function, a class or an assigned constant); it is private when it starts
+with an underscore, else public.  A public name has a caller when something
+outside its own definition refers to it in the program, that is in src/,
+scripts/ or perfbench/, or in the script entry of pyproject.toml; a private
+name needs one in src/.  A reference is a name or an attribute node, an
+imported name, or a string constant that is the name or ends in ".name"
+(perfbench's tracer names the attributes it wraps in strings).  Tests do
+not count: a name that only tests use belongs in tests/oracles.py.
 """
 
 import ast
@@ -20,8 +21,8 @@ PACKAGE = ROOT / "src" / "spinchain"
 PROGRAM = ("src", "scripts", "perfbench")
 
 
-def public_definitions(tree: ast.Module):
-    """(name, first line, last line) of each public top-level definition."""
+def definitions(tree: ast.Module):
+    """(name, first line, last line) of each top-level definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -31,8 +32,7 @@ def public_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+            yield name, node.lineno, node.end_lineno
 
 
 def references(tree: ast.Module):
@@ -48,22 +48,31 @@ def references(tree: ast.Module):
             yield node.value.rpartition(".")[2], node.lineno
 
 
-def test_every_public_name_has_a_caller():
+def uncalled(tops, private: bool, entries=frozenset()) -> list[str]:
+    """module.name of each public or private top-level name of the package
+    that nothing in the directories `tops` refers to outside its own
+    definition, and that is not in `entries`."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for top in PROGRAM for path in sorted((ROOT / top).rglob("*.py"))}
+             for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
     used = defaultdict(set)  # name -> (file, line) of each reference
     for path, tree in trees.items():
         for name, line in references(tree):
             used[name].add((path, line))
+    return [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name, first, last in definitions(trees[path])
+            if name.startswith("_") == private and name not in entries
+            and not any(p != path or not first <= line <= last for p, line in used[name])]
+
+
+def test_every_public_name_has_a_caller():
     # the [project.scripts] table: name = "module:function"
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     entries = set(re.findall(r':(\w+)"', scripts))
-    uncalled = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in public_definitions(trees[path]):
-            if name in entries or any(p != path or not first <= line <= last
-                                      for p, line in used[name]):
-                continue
-            uncalled.append(f"{path.stem}.{name}")
-    assert not uncalled, f"public names that nothing in {PROGRAM} calls: {uncalled}"
+    missing = uncalled(PROGRAM, private=False, entries=entries)
+    assert not missing, f"public names that nothing in {PROGRAM} calls: {missing}"
+
+
+def test_every_private_name_has_a_caller_in_src():
+    missing = uncalled(("src",), private=True)
+    assert not missing, f"private names that nothing in src/ calls: {missing}"
