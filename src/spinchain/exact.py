@@ -10,9 +10,10 @@ frequency nu the generator
 
 is exactly time independent, and one dense matrix exponential per pulse is
 exact (here via eigendecomposition of the real symmetric H_rot, shared by
-the pulses of a carrier and of its mirror image, with at most one spectrum
-held across another decomposition: 5/6/8/10 for the remote-CN protocol at
-L = 6/8/10/12, see `evolve_exact`).  Frame boundaries carry the phases
+the pulses of a carrier and of its mirror image, each spectrum decomposed
+once: 4/5/6/7 for the remote-CN protocol at L = 6/8/10/12, with the
+eigenvectors of a spectrum that a later pulse reuses waiting in a temporary
+file, see `evolve_exact`).  Frame boundaries carry the phases
 e^{-i(E_p + nu*M_p) t} relating rotating-frame amplitudes to the
 interaction picture, where M_p is the total I^z of state p.  The tests pin
 these conventions against `chain_ode` in tests/oracles.py, a solve_ivp
@@ -22,6 +23,8 @@ its energies on its own.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,14 +146,17 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     (nu, Omega) share one spectrum, and so do those of a carrier whose
     generator is an earlier one's with every spin flipped and the chain
     reversed (see `_spectrum_sources`): they permute the frame-rotated
-    vector, apply the earlier spectrum, and permute back.  A spectrum is
-    freed after the last pulse that uses it, and before each decomposition
-    every held spectrum but the one needed soonest is dropped (and
-    decomposed again when next needed), so at most one is alive beside the
-    generator being decomposed.  For the remote-CN protocol that is
-    5/6/8/10 decompositions at L = 6/8/10/12, where its L distinct carriers
-    would need L; at odd L the centre spin's carrier is its own mirror and
-    gets no saving.
+    vector, apply the earlier spectrum, and permute back.  Each spectrum is
+    decomposed once, and no spectrum is held in memory while another is
+    decomposed.  The eigenvalues of every spectrum stay in memory.  When the
+    run moves off a spectrum that a later pulse still uses, its eigenvectors
+    are written once to a file in a temporary directory, and read back
+    memory-mapped when the run returns; the file is deleted after the
+    spectrum's last pulse, and the directory when the call ends.  That needs
+    up to (distinct spectra - 1) * 8 * 4^L bytes of temporary space.  For the
+    remote-CN protocol it is 4/5/6/7 decompositions at L = 6/8/10/12, where
+    its L distinct carriers would need L; at odd L the centre spin's carrier
+    is its own mirror and gets no saving.
     """
     L = initial.L
     if L != params.L:
@@ -162,30 +168,42 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     t = initial.t
     pulses = seq.pulses
     sources = _spectrum_sources(seq, E, M, mirror)
-    # the next pulse that uses each pulse's spectrum, None after the last
-    following, seen = [None] * len(sources), {}
-    for i in reversed(range(len(sources))):
-        following[i] = seen.get(sources[i][0])
-        seen[sources[i][0]] = i
-    spectra, due = {}, {}
-    for i, (pulse, (root, mirrored)) in enumerate(zip(pulses, sources)):
-        d = E + pulse.nu * M
-        if root not in spectra:
-            for held in sorted(spectra, key=due.get)[1:]:
-                del spectra[held]
-            spectra[root] = np.linalg.eigh(rotating_frame_generator(pulses[root], params))
-        w, U = spectra.pop(root) if following[i] is None else spectra[root]
-        due[root] = following[i]
-        perm = mirror if mirrored else slice(None)
-        # phases that overflow give non-finite amplitudes, which the caller
-        # reports (cmd_verify), so numpy need not warn about them first
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = (np.exp(-1j * d * t) * C)[perm]
-            # real products of the real U with each part of phi: a mixed
-            # real-complex product copies U to complex on every call
-            x = np.exp(-1j * w * pulse.tau) * (phi.real @ U + 1j * (phi.imag @ U))
-            phi = (U @ x.real + 1j * (U @ x.imag))[perm]
-            del w, U  # a dropped spectrum must not be alive during the next eigh
-            t += pulse.tau
-            C = np.exp(1j * d * t) * phi
+    last = {root: i for i, (root, _) in enumerate(sources)}
+    eigenvalues, spilled, current, U = {}, set(), None, None
+    with tempfile.TemporaryDirectory(prefix="spinchain-") as spill:
+        path = os.path.join(spill, "{}.npy").format
+        try:
+            for i, (pulse, (root, mirrored)) in enumerate(zip(pulses, sources)):
+                if root != current:
+                    # a spectrum is dropped at its last pulse, so one still
+                    # held has a later pulse
+                    if current is not None and current not in spilled:
+                        np.save(path(current), U)
+                        spilled.add(current)
+                    U = None  # no spectrum is in memory during a decomposition
+                    if root in spilled:
+                        U = np.load(path(root), mmap_mode="r")
+                    else:
+                        eigenvalues[root], U = np.linalg.eigh(
+                            rotating_frame_generator(pulses[root], params))
+                    current = root
+                w = eigenvalues[root]
+                d = E + pulse.nu * M
+                perm = mirror if mirrored else slice(None)
+                # phases that overflow give non-finite amplitudes, which the
+                # caller reports (cmd_verify), so numpy need not warn first
+                with np.errstate(over="ignore", invalid="ignore"):
+                    phi = (np.exp(-1j * d * t) * C)[perm]
+                    # real products of the real U with each part of phi: a
+                    # mixed real-complex product copies U to complex per call
+                    x = np.exp(-1j * w * pulse.tau) * (phi.real @ U + 1j * (phi.imag @ U))
+                    phi = (U @ x.real + 1j * (U @ x.imag))[perm]
+                    t += pulse.tau
+                    C = np.exp(1j * d * t) * phi
+                if last[root] == i:
+                    current = U = None
+                    if root in spilled:
+                        os.remove(path(root))
+        finally:
+            U = None  # no mapping outlives the directory's cleanup
     return DenseState(amplitudes=C, L=L, t=t)

@@ -290,6 +290,18 @@ def test_verify_rejects_chain_over_cap(tmp_path, capsys):
     assert "L=13 exceeds the dense-propagation cap 12" in capsys.readouterr().err
 
 
+def test_verify_without_temporary_space_exits_one(tmp_path, capsys, monkeypatch):
+    # the exact propagation spills spectra that later pulses reuse to a
+    # temporary directory; without one, verify fails as bad input does
+    cfg = write_cfg(tmp_path, "L=5\nOmega=0.0906\n")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinchain: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bad_inputs_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["run", "--config", missing]) == 1
