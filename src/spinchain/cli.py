@@ -56,7 +56,6 @@ from .analytics import ErrorBudget, error_budget, ground_branch_errors
 from .exact import DenseState, check_dense_cap, evolve_exact
 from .model import BasisState, ChainParams
 from .propagator import (
-    Census,
     RunReport,
     SparseState,
     bitstrings,
@@ -216,21 +215,21 @@ def write_protocol_csv(seq: PulseSequence, path) -> None:
                   seq.tau.tolist(), seq.flip_qubits.tolist(), states, states[1:]))
 
 
+def _write_states(path, keys: np.ndarray, L: int, by: np.ndarray, **columns) -> None:
+    """State table: a `state` column of each key row's bitstring, then one
+    column per keyword, rows by descending `by`, ties by bitstring
+    (ascending key, most significant word first)."""
+    order = np.lexsort((*keys.T, -by))
+    write_csv(path, ["state", *columns],
+              zip(bitstrings(keys[order], L), *(c[order].tolist() for c in columns.values())))
+
+
 def write_state_csv(state: SparseState, path) -> None:
     """Final-state table: state,probability,amplitude_re,amplitude_im,
     sorted by descending probability, ties by bitstring."""
     p = state.probability_array()
-    order = _by_probability(state.keys, p)
-    amps = state.amps[order]
-    write_csv(path, ["state", "probability", "amplitude_re", "amplitude_im"],
-              zip(bitstrings(state.keys[order], state.L), p[order].tolist(),
-                  amps.real.tolist(), amps.imag.tolist()))
-
-
-def _by_probability(keys: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row order of a state table: descending probability, ties by
-    bitstring (ascending key, most significant word first)."""
-    return np.lexsort((*keys.T, -p))
+    _write_states(path, state.keys, state.L, p, probability=p,
+                  amplitude_re=state.amps.real, amplitude_im=state.amps.imag)
 
 
 def write_report_csv(report: RunReport, path) -> None:
@@ -246,13 +245,6 @@ def write_error_budget_csv(budgets: list[ErrorBudget], path) -> None:
                      "E", "Gamma", "regime"],
               ([b.L, b.Omega, b.eps, b.eps_prime, b.N1, b.P1, b.P1cal, b.E, b.Gamma,
                 b.regime] for b in budgets))
-
-
-def _write_census_csv(census: Census, path) -> None:
-    order = _by_probability(census.keys, census.probabilities)
-    write_csv(path, ["state", "probability"],
-              zip(bitstrings(census.keys[order], census.L),
-                  census.probabilities[order].tolist()))
 
 
 def _out(cfg: ExperimentConfig, name: str) -> str:
@@ -295,7 +287,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     print(f"run: {len(seq)} pulses, {len(final.amps)} active states, "
           f"dropped={final.dropped:.3e}, wall={report.wall_time:.3f}s")
     if census is not None:
-        _write_census_csv(census, _out(cfg, "census.csv"))
+        _write_states(_out(cfg, "census.csv"), census.keys, census.L, census.probabilities,
+                      probability=census.probabilities)
         print(f"census: {census.count} unwanted states, P1={census.p1_total:.6e}, "
               f"P1cal={census.p1_target:.6e}")
     return 0
@@ -379,7 +372,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     _, _, report, census = _run_and_census(
         cfg, params, SparseState.from_basis(BasisState.ground(params.L)), drop_default=1e-8)
     path = _out(cfg, "spectrum.csv")
-    _write_census_csv(census, path)
+    _write_states(path, census.keys, census.L, census.probabilities,
+                  probability=census.probabilities)
     print(f"wrote {path}: {census.count} unwanted states at or above P0, "
           f"wall={report.wall_time:.3f}s")
     return 0
@@ -402,12 +396,9 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     p_map = DenseState.from_sparse(final).probability_array()
     gap = np.abs(p_map - p_exact)
     tvd = total_variation_distance(p_map, p_exact)
-    keys = np.arange(len(gap), dtype=np.uint64)[:, None]
-    order = _by_probability(keys, gap)  # largest gap first, ties by state
-    path = _out(cfg, "verify.csv")
-    write_csv(path, ["state", "p_resonance", "p_exact", "abs_gap"],
-              zip(bitstrings(keys[order], params.L),
-                  p_map[order].tolist(), p_exact[order].tolist(), gap[order].tolist()))
+    # largest gap first, ties by state
+    _write_states(_out(cfg, "verify.csv"), np.arange(len(gap), dtype=np.uint64)[:, None],
+                  params.L, gap, p_resonance=p_map, p_exact=p_exact, abs_gap=gap)
     passed = tvd <= VERIFY_TVD_BOUND
     print(f"verify: TVD={tvd:.6e} max_gap={gap.max():.6e} threshold={VERIFY_TVD_BOUND:g} "
           f"-> {'PASS' if passed else 'FAIL'}")

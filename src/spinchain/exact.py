@@ -11,9 +11,10 @@ frequency nu the generator
 is exactly time independent, and one dense matrix exponential per pulse is
 exact (here via eigendecomposition of the real symmetric H_rot, shared by
 the pulses of a carrier and of its mirror image, each spectrum decomposed
-once: 4/5/6/7 for the remote-CN protocol at L = 6/8/10/12, with the
-eigenvectors of a spectrum that a later pulse reuses waiting in a temporary
-file, see `evolve_exact`).  Frame boundaries carry the phases
+once: 4/5/6/7 for the remote-CN protocol at L = 6/8/10/12.  Every spectrum's
+eigenvectors go to a temporary file when it is decomposed, and every pulse
+reads them memory-mapped, at most 3/3/4/5 files at once, see
+`evolve_exact`).  Frame boundaries carry the phases
 e^{-i(E_p + nu*M_p) t} relating rotating-frame amplitudes to the
 interaction picture, where M_p is the total I^z of state p.  The tests pin
 these conventions against `chain_ode` in tests/oracles.py, a solve_ivp
@@ -118,24 +119,37 @@ def _spectrum_sources(seq: PulseSequence, E: np.ndarray, M: np.ndarray,
     field gradient, flipping every spin and reversing the chain maps E_p to
     E_p + S M_p and M_p to -M_p, S = 2 omega0 + (L-1) delta_omega, so it
     carries H_rot at nu onto H_rot at S - nu.  Rounding may break the
-    symmetry, so it is checked: a new carrier shares an earlier one's
-    spectrum only when Omega is equal and its diagonal E + nu M is the
-    earlier diagonal permuted, bit for bit.  Its generator is then exactly
-    the earlier one permuted, since the off-diagonal -Omega/2 on the
+    symmetry, so it is checked: a pulse shares an earlier one's spectrum
+    only when Omega is equal and its diagonal E + nu M is the earlier
+    diagonal, or that diagonal permuted, bit for bit.  Its generator is then
+    exactly the earlier one permuted, since the off-diagonal -Omega/2 on the
     single-flip pairs is the same bits and the mirror keeps that pair set.
     """
-    sources, carriers, roots = [], {}, []
-    for i, key in enumerate(zip(seq.nu.tolist(), seq.Omega.tolist())):
-        if key not in carriers:
-            nu, Omega = key
-            d = (E + nu * M).view(np.int64)
-            root = next((r for r, Omega_r, mirrored_d in roots
-                         if Omega_r == Omega and np.array_equal(mirrored_d, d)), None)
-            if root is None:
-                roots.append((i, Omega, d[mirror]))
-            carriers[key] = (i, False) if root is None else (root, True)
-        sources.append(carriers[key])
+    sources, spectra = [], {}  # (Omega, diagonal bytes) -> pulse that decomposes it
+    for i, (nu, Omega) in enumerate(zip(seq.nu.tolist(), seq.Omega.tolist())):
+        d = E + nu * M
+        direct, mirrored = (Omega, d.tobytes()), (Omega, d[mirror].tobytes())
+        if direct not in spectra and mirrored in spectra:
+            sources.append((spectra[mirrored], True))
+        else:
+            sources.append((spectra.setdefault(direct, i), False))
     return sources
+
+
+def _propagate(C: np.ndarray, d: np.ndarray, t: float, tau: float, w: np.ndarray,
+               U: np.ndarray, perm) -> np.ndarray:
+    """Amplitudes C at time t after a pulse of length tau: d is the pulse's
+    diagonal E + nu M, and (w, U) the spectrum of its generator with the
+    basis permuted by perm."""
+    # phases that overflow give non-finite amplitudes, which the caller
+    # reports (cmd_verify), so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = (np.exp(-1j * d * t) * C)[perm]
+        # real products of the real U with each part of phi: a mixed
+        # real-complex product copies U to complex per call
+        x = np.exp(-1j * w * tau) * (phi.real @ U + 1j * (phi.imag @ U))
+        phi = (U @ x.real + 1j * (U @ x.imag))[perm]
+        return np.exp(1j * d * (t + tau)) * phi
 
 
 def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -> DenseState:
@@ -147,16 +161,17 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     generator is an earlier one's with every spin flipped and the chain
     reversed (see `_spectrum_sources`): they permute the frame-rotated
     vector, apply the earlier spectrum, and permute back.  Each spectrum is
-    decomposed once, and no spectrum is held in memory while another is
-    decomposed.  The eigenvalues of every spectrum stay in memory.  When the
-    run moves off a spectrum that a later pulse still uses, its eigenvectors
-    are written once to a file in a temporary directory, and read back
-    memory-mapped when the run returns; the file is deleted after the
-    spectrum's last pulse, and the directory when the call ends.  That needs
-    up to (distinct spectra - 1) * 8 * 4^L bytes of temporary space.  For the
-    remote-CN protocol it is 4/5/6/7 decompositions at L = 6/8/10/12, where
-    its L distinct carriers would need L; at odd L the centre spin's carrier
-    is its own mirror and gets no saving.
+    decomposed once.  Its eigenvalues stay in memory; its eigenvectors are
+    written to a file in a temporary directory as soon as they are
+    decomposed, and every pulse, the first included, reads them
+    memory-mapped, so no spectrum is held in memory during a decomposition.
+    The file is deleted after the spectrum's last pulse, and the directory
+    when the call ends.  That needs up to (distinct spectra) * 8 * 4^L bytes
+    of temporary space; an OSError names it and the directory when the
+    directory cannot be made or written.  For the remote-CN protocol it is
+    4/5/6/7 decompositions at L = 6/8/10/12, where its L distinct carriers
+    would need L, with at most 3/3/4/5 files at once; at odd L the centre
+    spin's carrier is its own mirror and gets no saving.
     """
     L = initial.L
     if L != params.L:
@@ -166,44 +181,27 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     mirror = _mirror(L)
     C = np.asarray(initial.amplitudes, dtype=complex)
     t = initial.t
-    pulses = seq.pulses
     sources = _spectrum_sources(seq, E, M, mirror)
     last = {root: i for i, (root, _) in enumerate(sources)}
-    eigenvalues, spilled, current, U = {}, set(), None, None
-    with tempfile.TemporaryDirectory(prefix="spinchain-") as spill:
-        path = os.path.join(spill, "{}.npy").format
-        try:
-            for i, (pulse, (root, mirrored)) in enumerate(zip(pulses, sources)):
-                if root != current:
-                    # a spectrum is dropped at its last pulse, so one still
-                    # held has a later pulse
-                    if current is not None and current not in spilled:
-                        np.save(path(current), U)
-                        spilled.add(current)
-                    U = None  # no spectrum is in memory during a decomposition
-                    if root in spilled:
-                        U = np.load(path(root), mmap_mode="r")
-                    else:
-                        eigenvalues[root], U = np.linalg.eigh(
-                            rotating_frame_generator(pulses[root], params))
-                    current = root
-                w = eigenvalues[root]
-                d = E + pulse.nu * M
-                perm = mirror if mirrored else slice(None)
-                # phases that overflow give non-finite amplitudes, which the
-                # caller reports (cmd_verify), so numpy need not warn first
-                with np.errstate(over="ignore", invalid="ignore"):
-                    phi = (np.exp(-1j * d * t) * C)[perm]
-                    # real products of the real U with each part of phi: a
-                    # mixed real-complex product copies U to complex per call
-                    x = np.exp(-1j * w * pulse.tau) * (phi.real @ U + 1j * (phi.imag @ U))
-                    phi = (U @ x.real + 1j * (U @ x.imag))[perm]
-                    t += pulse.tau
-                    C = np.exp(1j * d * t) * phi
+    eigenvalues = {}
+    try:
+        with tempfile.TemporaryDirectory(prefix="spinchain-") as spill:
+            path = os.path.join(spill, "{}.npy").format
+            for i, (pulse, (root, mirrored)) in enumerate(zip(seq.pulses, sources)):
+                if root == i:  # the first pulse on this spectrum
+                    eigenvalues[root], U = np.linalg.eigh(
+                        rotating_frame_generator(pulse, params))
+                    np.save(path(root), U)
+                    del U  # no spectrum is in memory during the next decomposition
+                C = _propagate(C, E + pulse.nu * M, t, pulse.tau, eigenvalues[root],
+                               np.load(path(root), mmap_mode="r"),
+                               mirror if mirrored else slice(None))
+                t += pulse.tau
                 if last[root] == i:
-                    current = U = None
-                    if root in spilled:
-                        os.remove(path(root))
-        finally:
-            U = None  # no mapping outlives the directory's cleanup
+                    os.remove(path(root))
+    except OSError as exc:
+        raise OSError(
+            f"the exact propagation needs up to {len(last) * 8 * 4 ** L} bytes ({len(last)} "
+            f"spectra x {8 * 4 ** L}) of temporary space in {tempfile.gettempdir()} "
+            f"(TMPDIR sets the directory): {exc}") from exc
     return DenseState(amplitudes=C, L=L, t=t)

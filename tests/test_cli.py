@@ -1,11 +1,14 @@
 import csv
+import errno
 import io
 import math
+import os
 import tempfile
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -291,15 +294,30 @@ def test_verify_rejects_chain_over_cap(tmp_path, capsys):
 
 
 def test_verify_without_temporary_space_exits_one(tmp_path, capsys, monkeypatch):
-    # the exact propagation spills spectra that later pulses reuse to a
-    # temporary directory; without one, verify fails as bad input does
+    # the exact propagation writes each spectrum to a temporary directory;
+    # when it cannot make that directory, or write to it, verify fails as
+    # bad input does, naming the directory, TMPDIR and the space it needs:
+    # at L = 5, up to 4 spectra of 8 * 4^5 bytes
     cfg = write_cfg(tmp_path, "L=5\nOmega=0.0906\n")
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("spinchain: error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not list(tmp_path.glob("*.csv"))
+    spill = tmp_path / "spill"
+    spill.mkdir()
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for where, save, cause in ((tmp_path / "missing", np.save, "No such file or directory"),
+                               (spill, full_disk, os.strerror(errno.ENOSPC))):
+        monkeypatch.setattr(tempfile, "tempdir", str(where))
+        monkeypatch.setattr(np, "save", save)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "spinchain: error: the exact propagation needs up to 32768 bytes (4 spectra "
+            f"x 8192) of temporary space in {where} (TMPDIR sets the directory): ")
+        assert cause in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+    assert not list(spill.iterdir())
 
 
 def test_bad_inputs_exit_one(tmp_path, capsys):

@@ -4,9 +4,10 @@ Every CSV the commands write is deterministic, so a refactor that claims to
 leave the outputs unchanged can be checked byte for byte.  This test
 regenerates the four figure datasets (through scripts/reproduce_figures.py),
 a sparse `run` at L = 100 and one from the control branch, a failing
-`verify` and two `protocol` tables (L = 10 and L = 100), and compares the
-full SHA-256 digests of all files with the values recorded here in one
-assertion, so that a failure lists every file that moved.
+`verify` at L = 8 and a passing one at L = 10, and two `protocol` tables
+(L = 10 and L = 100), and compares the full SHA-256 digests of all files
+with the values recorded here in one assertion, so that a failure lists
+every file that moved.
 
 A digest may change only together with a line in CHANGES.md that says which
 output moved and why.  Never record a new value just to make this test pass:
@@ -56,6 +57,11 @@ COMMAND_DIGESTS = [
     }),
     ("verify", "L=8\nOmega=0.0906\nalpha=0.7071067811865476\nbeta=0.7071067811865476\n", 2, {
         "verify.csv": "1f4b4dea13472eb3d8fd01473f8ca69acfe806815f1b40c0215baaf7cefe0cfc",
+    }),
+    # the benchmark's verify op: six spectra, each decomposed once and
+    # read back from the spill
+    ("verify", "L=10\nOmega=0.0906\n", 0, {
+        "verify.csv": "5dbfceffb64068fdf0a421e20e6dbf83fa5a51f6ac864de97c1aaadeaeb16231",
     }),
     ("protocol", "L=10\nOmega=0.0906\n", 0, {
         "protocol.csv": "ba1211e08124622ebe80a255e2b50f69ecfbf85e7cfeefb0653909f1d06b68be",

@@ -2,6 +2,7 @@ import math
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,28 +249,40 @@ def test_mirrored_carrier_shares_a_spectrum_only_at_equal_rabi(monkeypatch):
     assert np.max(np.abs(final.amplitudes - integrated)) < 1e-7
 
 
-@pytest.mark.parametrize("L,decompositions", [(8, 5), (10, 6), (12, 7)])
-def test_protocol_decomposition_count(monkeypatch, L, decompositions):
+def _counting(log: list, name: str, call):
+    """`call`, logging (name, spill files present) before each call."""
+    def counted(*args, **kwargs):
+        log.append((name, len(list(Path(tempfile.gettempdir()).glob("spinchain-*/*.npy")))))
+        return call(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("L,decompositions", [(6, 4), (8, 5), (10, 6), (12, 7)])
+def test_protocol_decomposition_count(monkeypatch, tmp_path, L, decompositions):
     # counted without building or decomposing any 2^L x 2^L matrix: each
-    # spectrum is one eigenvector, which the spill writes and reads back
+    # spectrum is one eigenvector.  Each is decomposed and saved once, and
+    # every pulse reads its spectrum from the spill, which holds at most
+    # 3/3/4/5 spectra at once
     params = ChainParams(L=L)
-    calls = []
-
-    def fake_eigh(pulse):
-        calls.append(pulse)
-        return np.zeros(1), np.ones((1 << L, 1))
-
+    log = []
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(spinchain.exact, "rotating_frame_generator", lambda pulse, _: pulse)
-    monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", _counting(
+        log, "eigh", lambda pulse: (np.zeros(1), np.ones((1 << L, 1)))))
+    monkeypatch.setattr(np, "save", _counting(log, "save", np.save))
+    monkeypatch.setattr(np, "load", _counting(log, "load", np.load))
     evolve_exact(_dense(BasisState.ground(L)), cn_remote_protocol(params, 0.0906), params)
-    assert len(calls) == decompositions
+    calls = [name for name, _ in log]
+    assert [calls.count(name) for name in ("eigh", "save", "load")] == [
+        decompositions, decompositions, 2 * L - 3]
+    assert max(n for name, n in log if name == "load") == {6: 3, 8: 3, 10: 4, 12: 5}[L]
 
 
 def test_protocol_frees_each_spectrum_after_its_last_pulse(monkeypatch):
     # keeping all L spectra costs about 10 matrices at L = 8.  LAPACK's
     # workspace, which tracemalloc does not see, makes eigh the peak of the
     # resident set, so no spectrum may be alive there beside the new
-    # generator: one that a later pulse reuses waits in a file
+    # generator: every spectrum waits in a file
     L = 8
     matrix = 8 * 4 ** L
     params = ChainParams(L=L)
@@ -295,7 +308,7 @@ def test_spill_directory_is_removed_on_return_and_on_error(monkeypatch, tmp_path
     evolve_exact(initial, seq, params)
     assert not list(tmp_path.iterdir())
 
-    # the second decomposition comes after the first spectrum is spilled
+    # the first spectrum is in the spill at the second decomposition
     eigh, calls = np.linalg.eigh, []
 
     def failing(H):
@@ -312,33 +325,30 @@ def test_spill_directory_is_removed_on_return_and_on_error(monkeypatch, tmp_path
 
 
 def test_no_spill_file_outlives_its_spectrum(monkeypatch, tmp_path):
-    # whenever the run decomposes a spectrum or reads one back, the spill
-    # holds exactly the spectra begun before that pulse that are used at it
-    # or after it.  Spectra are told apart here by carrier and mirror carrier
+    # at every decomposition and every read, the spill holds exactly the
+    # spectra begun at or before that pulse that are used at it or after it;
+    # a spectrum's file is written right after its decomposition, so it is
+    # not there yet at that eigh.  Spectra are told apart here by carrier
+    # and mirror carrier
     L = 8
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, 0.0906)
     keys = [min(nu, _mirror_carrier(nu, params)) for nu in seq.nu.tolist()]
     first = {key: keys.index(key) for key in keys}
     last = {key: i for i, key in enumerate(keys)}
-    switches = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
-    expected = [sum(first[k] < i <= last[k] for k in first) for i in switches]
-    assert len(first) == 5 and max(expected) == 3
+    expected = []
+    for i, key in enumerate(keys):
+        if first[key] == i:
+            expected.append(("eigh", sum(first[k] < i <= last[k] for k in first)))
+        expected.append(("load", sum(first[k] <= i <= last[k] for k in first)))
+    assert len(first) == 5 and max(n for _, n in expected) == 3
 
-    spilled = []
-    eigh, load = np.linalg.eigh, np.load
-
-    def count(call):
-        def counting(*args, **kwargs):
-            spilled.append(len(list(tmp_path.glob("*/*.npy"))))
-            return call(*args, **kwargs)
-        return counting
-
+    log = []
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(np.linalg, "eigh", count(eigh))
-    monkeypatch.setattr(np, "load", count(load))
+    monkeypatch.setattr(np.linalg, "eigh", _counting(log, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(np, "load", _counting(log, "load", np.load))
     evolve_exact(_dense(BasisState.ground(L)), seq, params)
-    assert spilled == expected
+    assert log == expected
     assert not list(tmp_path.iterdir())
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import spinchain.propagator
 from spinchain.analytics import ground_branch_errors
-from spinchain.cli import _write_census_csv, main, write_report_csv, write_state_csv
+from spinchain.cli import _write_states, main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import (
     SparseState,
@@ -591,7 +591,8 @@ def test_array_census_matches_bitstring_census(case):
     # the written tables, rows rendered from the key arrays, in the order of
     # the bitstring census and of a sort of (-probability, bitstring)
     with tempfile.TemporaryDirectory() as tmp:
-        _write_census_csv(census, Path(tmp, "census.csv"))
+        _write_states(Path(tmp, "census.csv"), census.keys, census.L, census.probabilities,
+                      probability=census.probabilities)
         write_state_csv(state, Path(tmp, "state.csv"))
         census_csv = Path(tmp, "census.csv").read_text()
         state_csv = Path(tmp, "state.csv").read_text()
