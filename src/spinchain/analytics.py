@@ -31,7 +31,6 @@ above eps3 = P0^(1/3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,35 +111,19 @@ def regime(eps: float, P0: float) -> str:
     return "above-eps3"
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Analytic error budget of one (L, Omega) operating point.
+def error_budget(lengths, Omega: float, J: float = 1.0, P0: float = 1e-6) -> dict[str, list]:
+    """The columns of `budgets.csv`, name to values: the analytic budget at
+    Omega of each of a non-empty sequence of chain lengths, with eps and eps'
+    the `ground_branch_errors` at (Omega, J).
 
     P1 and P1cal are the uniform-eps sums `p1_total` and `p1_target`.  P1
     differs from the protocol's per-pulse first-order total by eps - eps'
     (the third pulse errs with eps'); P1cal is unaffected.
     """
-
-    L: int
-    Omega: float
-    eps: float
-    eps_prime: float
-    N1: int
-    P1: float
-    P1cal: float
-    E: float
-    Gamma: float
-    regime: str
-
-
-def error_budget(lengths, Omega: float, J: float = 1.0,
-                 P0: float = 1e-6) -> list[ErrorBudget]:
-    """The analytic budget at Omega of each of a non-empty sequence of chain
-    lengths, with eps and eps' the `ground_branch_errors` at (Omega, J)."""
     eps, eps_prime = ground_branch_errors(Omega, J)
     L, kind = np.asarray(lengths), regime(eps, P0)
-    return [ErrorBudget(L=length, Omega=Omega, eps=eps, eps_prime=eps_prime, N1=N, P1=P1,
-                        P1cal=P1cal, E=(2 * length - 3) * eps, Gamma=(length - 2) * eps,
-                        regime=kind)
-            for length, N, P1, P1cal in zip(L.tolist(), n1(L).tolist(),
-                                            p1_total(L, eps).tolist(), p1_target(L, eps).tolist())]
+    n = len(L)
+    return {"L": L.tolist(), "Omega": [Omega] * n, "eps": [eps] * n,
+            "eps_prime": [eps_prime] * n, "N1": n1(L).tolist(), "P1": p1_total(L, eps).tolist(),
+            "P1cal": p1_target(L, eps).tolist(), "E": ((2 * L - 3) * eps).tolist(),
+            "Gamma": ((L - 2) * eps).tolist(), "regime": [kind] * n}

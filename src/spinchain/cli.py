@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ErrorBudget, error_budget, ground_branch_errors
+from .analytics import error_budget, ground_branch_errors
 from .exact import DenseState, check_dense_cap, evolve_exact
 from .model import BasisState, ChainParams
 from .propagator import (
@@ -188,14 +188,17 @@ def load_config(path: str, outdir: str) -> ExperimentConfig:
 _CSV_ROWS = 4096
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a header and rows as CSV with Unix line ends, each field as its
-    str.  Floats are Python floats, whose str is their repr, so identical
-    inputs give byte-identical files.  No field the package writes (floats,
-    ints, bitstrings, regime names) holds a comma, quote or line break, so
-    none is quoted, and the bytes are those of
-    `csv.writer(fh, lineterminator="\n")`."""
-    lines = itertools.chain([header], rows)
+def write_csv(path, columns: dict) -> None:
+    """Write a table given as one mapping from column name to values, in
+    column order, as CSV with Unix line ends: the header is the names, and
+    row i holds the i-th value of each column.  Columns of unequal length
+    raise ValueError instead of dropping rows.  Each field is written as its
+    str.  Floats are
+    Python floats, whose str is their repr, so identical inputs give
+    byte-identical files.  No field the package writes (floats, ints,
+    bitstrings, regime names) holds a comma, quote or line break, so none is
+    quoted, and the bytes are those of `csv.writer(fh, lineterminator="\n")`."""
+    lines = itertools.chain([columns], zip(*columns.values(), strict=True))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         while chunk := [",".join(map(str, row)) for row in itertools.islice(lines, _CSV_ROWS)]:
             chunk.append("")
@@ -210,9 +213,10 @@ def write_protocol_csv(seq: PulseSequence, path) -> None:
     if seq.start is None:
         raise ValueError("sequence carries no annotations to export")
     states = list(bitstrings(seq.trajectory, seq.start.L))
-    write_csv(path, ["index", "nu", "Omega", "tau", "flip_qubit", "from_state", "to_state"],
-              zip(range(1, len(seq) + 1), seq.nu.tolist(), seq.Omega.tolist(),
-                  seq.tau.tolist(), seq.flip_qubits.tolist(), states, states[1:]))
+    write_csv(path, {"index": range(1, len(seq) + 1), "nu": seq.nu.tolist(),
+                     "Omega": seq.Omega.tolist(), "tau": seq.tau.tolist(),
+                     "flip_qubit": seq.flip_qubits.tolist(), "from_state": states[:-1],
+                     "to_state": states[1:]})
 
 
 def _write_states(path, keys: np.ndarray, L: int, by: np.ndarray, **columns) -> None:
@@ -220,8 +224,8 @@ def _write_states(path, keys: np.ndarray, L: int, by: np.ndarray, **columns) -> 
     column per keyword, rows by descending `by`, ties by bitstring
     (ascending key, most significant word first)."""
     order = np.lexsort((*keys.T, -by))
-    write_csv(path, ["state", *columns],
-              zip(bitstrings(keys[order], L), *(c[order].tolist() for c in columns.values())))
+    write_csv(path, {"state": bitstrings(keys[order], L),
+                     **{name: c[order].tolist() for name, c in columns.items()}})
 
 
 def write_state_csv(state: SparseState, path) -> None:
@@ -234,17 +238,14 @@ def write_state_csv(state: SparseState, path) -> None:
 
 def write_report_csv(report: RunReport, path) -> None:
     """Run report: pulse_index,active_states,dropped_cumulative (1-based)."""
-    write_csv(path, ["pulse_index", "active_states", "dropped_cumulative"],
-              ([i + 1, n, d] for i, (n, d) in
-               enumerate(zip(report.active_states, report.dropped_cumulative))))
+    write_csv(path, {"pulse_index": range(1, len(report.active_states) + 1),
+                     "active_states": report.active_states,
+                     "dropped_cumulative": report.dropped_cumulative})
 
 
-def write_error_budget_csv(budgets: list[ErrorBudget], path) -> None:
-    """One CSV row per (L, Omega) with every budget field."""
-    write_csv(path, ["L", "Omega", "eps", "eps_prime", "N1", "P1", "P1cal",
-                     "E", "Gamma", "regime"],
-              ([b.L, b.Omega, b.eps, b.eps_prime, b.N1, b.P1, b.P1cal, b.E, b.Gamma,
-                b.regime] for b in budgets))
+def write_error_budget_csv(budget: dict[str, list], path) -> None:
+    """Budget table: the columns of `error_budget`, one row per (L, Omega)."""
+    write_csv(path, budget)
 
 
 def _out(cfg: ExperimentConfig, name: str) -> str:
@@ -312,10 +313,9 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     grid[-1:] = hi
     grid[:1] = lo
     e1, e2 = ground_branch_errors(grid, J)
-    below = ((e1 < P0) & (e2 < P0)).astype(int)
-    rows = zip(grid.tolist(), e1.tolist(), e2.tolist(), below.tolist())
     path = _out(cfg, "sweep_omega.csv")
-    write_csv(path, ["Omega", "eps", "eps_prime", "below_P0"], rows)
+    write_csv(path, {"Omega": grid.tolist(), "eps": e1.tolist(), "eps_prime": e2.tolist(),
+                     "below_P0": ((e1 < P0) & (e2 < P0)).astype(int).tolist()})
     print(f"wrote {path}: {steps} points")
     return 0
 
@@ -343,23 +343,24 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
         snapshot_at=last_pulse,
         on_snapshot=lambda n, state: censuses.append(
             unwanted_census(state, threshold=P0, L=last_pulse[n])))
-    budgets = error_budget(lengths, Omega, J=J, P0=P0)
-    rows = [[L, budget.P1, census.p1_total, budget.P1cal, census.p1_target,
-             census.count]
-            for L, budget, census in zip(lengths, budgets, censuses)]
+    budget = error_budget(lengths, Omega, J=J, P0=P0)
+    table = {"L": budget["L"], "P1_analytic": budget["P1"],
+             "P1_numeric": [census.p1_total for census in censuses],
+             "P1cal_analytic": budget["P1cal"],
+             "P1cal_numeric": [census.p1_target for census in censuses],
+             "N_unwanted": [census.count for census in censuses]}
     path = _out(cfg, "sweep_length.csv")
-    write_csv(path, ["L", "P1_analytic", "P1_numeric",
-                     "P1cal_analytic", "P1cal_numeric", "N_unwanted"], rows)
-    write_error_budget_csv(budgets, _out(cfg, "budgets.csv"))
-    print(f"wrote {path}: {len(rows)} lengths from one L={longest.L} run, "
+    write_csv(path, table)
+    write_error_budget_csv(budget, _out(cfg, "budgets.csv"))
+    print(f"wrote {path}: {len(lengths)} lengths from one L={longest.L} run, "
           f"propagation and census wall={report.wall_time:.3f}s")
     # the analytic columns are first-order sums truncated at second order,
     # which leave [0, 1] once (2L - 3) eps nears 1
     first_outside: dict[str, int] = {}
-    for b in budgets:
-        for column, value in (("P1_analytic", b.P1), ("P1cal_analytic", b.P1cal)):
-            if not 0.0 <= value <= 1.0:
-                first_outside.setdefault(column, b.L)
+    for i, L in enumerate(table["L"]):
+        for column in ("P1_analytic", "P1cal_analytic"):
+            if not 0.0 <= table[column][i] <= 1.0:
+                first_outside.setdefault(column, L)
     if first_outside:
         where = ", ".join(f"{column} first at L={L}" for column, L in first_outside.items())
         print(f"spinchain: warning: first-order budget leaves [0, 1]: {where}; "

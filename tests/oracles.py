@@ -279,9 +279,9 @@ def sweep_length_per_run(lengths, Omega: float, P_drop: float, P0: float,
         final, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
                                 cn_remote_protocol(params, Omega), params, P_drop=P_drop)
         count, p1, p1cal, _ = census_bitstring(final, P0)
-        [budget] = error_budget([L], Omega, J=params.J, P0=P0)
-        rows.append([str(L), repr(budget.P1), repr(p1), repr(budget.P1cal), repr(p1cal),
-                     str(count)])
+        budget = error_budget([L], Omega, J=params.J, P0=P0)
+        [P1], [P1cal] = budget["P1"], budget["P1cal"]
+        rows.append([str(L), repr(P1), repr(p1), repr(P1cal), repr(p1cal), str(count)])
     return rows
 
 

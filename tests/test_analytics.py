@@ -194,26 +194,54 @@ def test_ground_branch_errors_are_eps_at_2J_and_4J():
         eps, eps_prime = ground_branch_errors(grid, J)
         pointwise = [ground_branch_errors(om, J) for om in grid.tolist()]
         assert list(zip(eps.tolist(), eps_prime.tolist())) == pointwise
-    [b] = error_budget([10], Omega=0.20844, J=0.7)
-    assert (b.eps, b.eps_prime) == ground_branch_errors(0.20844, 0.7)
+    budget = error_budget([10], Omega=0.20844, J=0.7)
+    assert (*budget["eps"], *budget["eps_prime"]) == ground_branch_errors(0.20844, 0.7)
 
 
 def test_error_budget_fields():
-    [b] = error_budget([10], Omega=0.0906, J=1.0, P0=1e-6)
-    assert b.N1 == 17
-    assert b.eps == pytest.approx(4.78e-5, rel=0.01)
-    assert b.eps_prime == pytest.approx(3.23e-5, rel=0.01)
-    assert b.E == pytest.approx(17 * b.eps)
-    assert b.Gamma == pytest.approx(8 * b.eps)
-    assert b.P1 == p1_total(10, b.eps)
-    assert b.P1cal == p1_target(10, b.eps)
-    assert b.regime == "eps1-eps2"
+    # each column of a one-length budget holds one value
+    budget = error_budget([10], Omega=0.0906, J=1.0, P0=1e-6)
+    b = {name: value for name, [value] in budget.items()}
+    assert b["N1"] == 17
+    assert b["eps"] == pytest.approx(4.78e-5, rel=0.01)
+    assert b["eps_prime"] == pytest.approx(3.23e-5, rel=0.01)
+    assert b["E"] == pytest.approx(17 * b["eps"])
+    assert b["Gamma"] == pytest.approx(8 * b["eps"])
+    assert b["P1"] == p1_total(10, b["eps"])
+    assert b["P1cal"] == p1_target(10, b["eps"])
+    assert b["regime"] == "eps1-eps2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(3, 2000), min_size=1, max_size=30),
+       Omega=st.floats(0.005, 3.0), J=st.floats(0.05, 5.0), P0=st.floats(1e-15, 0.9))
+def test_error_budget_columns_are_the_per_length_scalars(lengths, Omega, J, P0):
+    # each column, from array calls over every length at once, holds the
+    # scalar value of each length bit for bit, as the Python int, float or
+    # str that a CSV field is written from (reprs differ otherwise)
+    eps, eps_prime = ground_branch_errors(Omega, J)
+    expected = {
+        "L": lengths,
+        "Omega": [Omega] * len(lengths),
+        "eps": [eps] * len(lengths),
+        "eps_prime": [eps_prime] * len(lengths),
+        "N1": [2 * L - 3 for L in lengths],
+        "P1": [p1_total(L, eps) for L in lengths],
+        "P1cal": [p1_target(L, eps) for L in lengths],
+        "E": [(2 * L - 3) * eps for L in lengths],
+        "Gamma": [(L - 2) * eps for L in lengths],
+        "regime": [regime(eps, P0)] * len(lengths),
+    }
+    budget = error_budget(lengths, Omega, J=J, P0=P0)
+    assert list(budget) == list(expected)
+    for name, values in expected.items():
+        assert list(map(repr, budget[name])) == list(map(repr, values)), name
 
 
 def test_error_budget_csv(tmp_path):
-    budgets = error_budget((4, 6), 0.0906)
+    budget = error_budget((4, 6), 0.0906)
     path = tmp_path / "budgets.csv"
-    write_error_budget_csv(budgets, path)
+    write_error_budget_csv(budget, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "L,Omega,eps,eps_prime,N1,P1,P1cal,E,Gamma,regime"
     assert len(lines) == 3

@@ -3,6 +3,7 @@ import errno
 import io
 import math
 import os
+import re
 import tempfile
 import subprocess
 import sys
@@ -509,17 +510,36 @@ EVERY_TABLE = [
 ]
 
 
-def test_written_tables_are_csv_module_bytes(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def every_table(tmp_path_factory):
+    """(file name, text) of each table that the EVERY_TABLE commands write."""
+    tmp = tmp_path_factory.mktemp("tables")
+    tables = []
+    for i, (command, text) in enumerate(EVERY_TABLE):
+        out = tmp / str(i)
+        assert main([command, "--config", write_cfg(tmp, text, f"{i}.cfg"),
+                     "--out", str(out)]) in (0, 2)
+        tables += [(path.name, path.read_text()) for path in sorted(out.glob("*.csv"))]
+    return tables
+
+
+def test_written_tables_are_csv_module_bytes(every_table):
     # each file parses and re-writes through the csv module to its own bytes:
     # no field needed quoting
-    for i, (command, text) in enumerate(EVERY_TABLE):
-        out = tmp_path / str(i)
-        assert main([command, "--config", write_cfg(tmp_path, text, f"{i}.cfg"),
-                     "--out", str(out)]) in (0, 2)
-        for path in sorted(out.glob("*.csv")):
-            text = path.read_text()
-            assert text == _csv_module_text(csv.reader(io.StringIO(text))), path.name
-    capsys.readouterr()
+    for name, text in every_table:
+        assert text == _csv_module_text(csv.reader(io.StringIO(text))), name
+
+
+def test_readme_lists_every_written_header(every_table):
+    # README's "Emitted files" gives each file as `name.csv` and then its
+    # header in backticks; every table written has one, and it is the
+    # table's first line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    emitted = readme.split("### Emitted files\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = dict(re.findall(r"`(\w+\.csv)`[\s:(]*`([^`]*,[^`]*)`", emitted))
+    assert {name for name, _ in every_table} == set(documented)
+    for name, text in every_table:
+        assert text.split("\n", 1)[0] == documented[name], name
 
 
 FIELDS = st.one_of(
@@ -531,27 +551,38 @@ FIELDS = st.one_of(
 )
 
 
+NAMES = ["state", "probability", "amplitude_re", "amplitude_im", "N1", "regime"]
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.lists(FIELDS, min_size=1, max_size=6), max_size=40),
-       as_repr=st.booleans(), chunk=st.sampled_from([1, 3, 4096]))
-def test_write_csv_bytes_equal_csv_writer(rows, as_repr, chunk):
+@given(columns=st.integers(0, 40).flatmap(lambda n: st.lists(
+           st.lists(FIELDS, min_size=n, max_size=n), min_size=1, max_size=len(NAMES) - 1)),
+       as_repr=st.booleans(), chunk=st.sampled_from([1, 3, 4096]),
+       odd=st.integers(0, len(NAMES) - 1), longer=st.booleans())
+def test_write_csv_bytes_equal_csv_writer(columns, as_repr, chunk, odd, longer):
     # the fields the package writes: reprs of floats, or the floats
     # themselves (a float's str is its repr), ints, bitstrings, regime names;
-    # written in chunks of 1, 3 and 4096 rows
+    # equal-length columns, lists or iterators, written in chunks of 1, 3
+    # and 4096 rows; one more column, a row longer or shorter, raises
     if as_repr:
-        rows = [[repr(f) if isinstance(f, float) else f for f in row] for row in rows]
-    header = ["state", "probability", "regime"]
+        columns = [[repr(f) if isinstance(f, float) else f for f in c] for c in columns]
+    header = NAMES[:len(columns)]
+    n, odd = len(columns[0]), odd % (len(columns) + 1)
+    unequal = [*columns[:odd], ["0"] * (n + 1 if longer or not n else n - 1), *columns[odd:]]
     rows_per_write = spinchain.cli._CSV_ROWS
     spinchain.cli._CSV_ROWS = chunk
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/table.csv"
-            write_csv(path, header, iter(rows))
+            write_csv(path, {name: iter(c) if i % 2 else c
+                             for i, (name, c) in enumerate(zip(header, columns))})
             with open(path, "rb") as fh:
                 got = fh.read()
+            with pytest.raises(ValueError):
+                write_csv(path, dict(zip(NAMES, unequal)))
     finally:
         spinchain.cli._CSV_ROWS = rows_per_write
-    assert got == _csv_module_text([header, *rows]).encode()
+    assert got == _csv_module_text([header, *zip(*columns)]).encode()
 
 
 def test_identical_config_gives_identical_bytes(tmp_path):
