@@ -48,6 +48,7 @@ import math
 import os
 import sys
 from collections import ChainMap
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,17 +193,36 @@ def write_csv(path, columns: dict) -> None:
     """Write a table given as one mapping from column name to values, in
     column order, as CSV with Unix line ends: the header is the names, and
     row i holds the i-th value of each column.  Columns of unequal length
-    raise ValueError instead of dropping rows.  Each field is written as its
-    str.  Floats are
+    raise ValueError instead of dropping rows: sized columns are compared
+    before the file is opened, and a column without a length (an iterator)
+    that ends before or after the others leaves no file behind.  Each field
+    is written as its str, converted a column at a time.  Floats are
     Python floats, whose str is their repr, so identical inputs give
     byte-identical files.  No field the package writes (floats, ints,
     bitstrings, regime names) holds a comma, quote or line break, so none is
     quoted, and the bytes are those of `csv.writer(fh, lineterminator="\n")`."""
-    lines = itertools.chain([columns], zip(*columns.values(), strict=True))
+    names = list(columns)
+    sized = [(name, len(c)) for name, c in columns.items() if isinstance(c, Sized)]
+    for name, rows in sized[1:]:
+        if rows != sized[0][1]:
+            raise ValueError(f"column {name!r} has {rows} rows, column {sized[0][0]!r} "
+                             f"has {sized[0][1]}; {path} not written")
+    values = [iter(c) for c in columns.values()]
+    written = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        while chunk := [",".join(map(str, row)) for row in itertools.islice(lines, _CSV_ROWS)]:
-            chunk.append("")
-            fh.write("\n".join(chunk))
+        fh.write(",".join(names) + "\n")
+        while True:
+            chunk = [list(map(str, itertools.islice(c, _CSV_ROWS))) for c in values]
+            lengths = [len(c) for c in chunk]
+            if not any(lengths) or min(lengths) < max(lengths):
+                break
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+            written += lengths[0]
+    if any(lengths):
+        os.remove(path)
+        short, long = names[lengths.index(min(lengths))], names[lengths.index(max(lengths))]
+        raise ValueError(f"column {short!r} ends after {written + min(lengths)} rows, "
+                         f"before column {long!r}; {path} removed")
 
 
 def write_protocol_csv(seq: PulseSequence, path) -> None:

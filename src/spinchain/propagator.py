@@ -42,10 +42,10 @@ members of a flip pair, at most two, form a group of consecutive rows.  A
 state's bits k-1, k and k+1 (the neighbours may sit in the previous or the
 next word) pick one column of a 2x8 table, built from the pulse's at most
 four pair maps, that holds what the state adds to its pair's lower and
-upper amplitude.  The group starts come from one compare of each sorted
-row with the row before it, word by word (`_starts`), with no byte view.
-When some group has two members, one `np.add.reduceat` over the group
-starts sums each group's shares; a state without a partner keeps its
+upper amplitude.  The group starts come from one compare of all adjacent
+sorted rows, its word columns ORed into one mask (`_starts`), with no byte
+view.  When some group has two members, one `np.add.reduceat` over the
+group starts sums each group's shares; a state without a partner keeps its
 table products untouched, signed zeros included.  So all pairs are
 updated by array arithmetic, and pruning is one mask.
 
@@ -59,7 +59,7 @@ of `resonant_spin` (`np.rint` rounds half to even, as `round` does), and
 its four detunings from `neighbour_gap` on the four neighbour patterns,
 each the float `flip_gap` gives.  The rotation factors are computed once
 per distinct (Delta, Omega, tau), by bytes, from one `np.lexsort` of the
-triples' int64 view and the same word-by-word group starts (`_distinct`):
+triples' int64 view and the same group starts (`_starts`, in `_distinct`):
 a remote-CN run has one Omega and tau, and at most five detunings
 (0, +-2J, +-4J).  The frame phases of all pulses are
 one `np.cos` and one `np.sin` call each, and the complex products are
@@ -265,12 +265,17 @@ def resonant_spin(nu, params: ChainParams):
 
 def _starts(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows of a sorted 2-D array that differ from the row before
-    them, compared column by column; the first row is always marked."""
-    start = np.zeros(len(rows), dtype=bool)
+    them, the first row always marked: one compare of all adjacent rows, its
+    columns ORed into the mask (numpy reduces a row of a few words slowly)."""
+    differs = (rows[1:] != rows[:-1]).T
+    start = np.empty(len(rows), dtype=bool)
     start[:1] = True
-    differs = start[1:]
-    for column in rows.T:
-        differs |= column[1:] != column[:-1]
+    if len(differs) == 1:
+        start[1:] = differs[0]
+    else:
+        np.logical_or(differs[0], differs[1], out=start[1:])
+        for column in differs[2:]:
+            np.logical_or(start[1:], column, out=start[1:])
     return start
 
 
@@ -369,7 +374,7 @@ def apply_pulse(state: SparseState, pulse: Pulse, params: ChainParams, P_drop: f
     out *= state.amps.take(order)
     pair_keys[:, word] &= clear
     # each pair's shares summed at its first member (see Grouping)
-    first = np.flatnonzero(_starts(pair_keys))
+    first = _starts(pair_keys).nonzero()[0]
     if len(first) < len(pair_keys):
         out = np.add.reduceat(out, first, axis=1)
         pair_keys = pair_keys.take(first, axis=0)
@@ -468,7 +473,8 @@ def unwanted_census(final: SparseState, threshold: float = 1e-6,
     Tallies every state with probability at or above the reporting
     threshold other than chain L's two ideal gate outputs |0...0> and
     |10...01>, which set no bit of `final` or bits final.L - L (the target)
-    and final.L - 1 (the control).  The keys are read where they are (see
+    and final.L - 1 (the control): its target and control bits are equal
+    and it sets no other bit.  The keys are read where they are (see
     the Prefix note): raises ValueError when L is outside [1, final.L] or
     a state has one of the spins below the top L flipped.  On a run started
     from |0...0> the target state carries no weight, so this reduces to
@@ -480,20 +486,28 @@ def unwanted_census(final: SparseState, threshold: float = 1e-6,
     low_word, low_bit = divmod(final.L - L, _WORD)
     top_word, top_bit = divmod(final.L - 1, _WORD)
     keys = final.keys
-    if keys[:, :low_word].any() or (keys[:, low_word] & (_BIT[low_bit] - _BIT[0])).any():
+    low, top = keys[:, low_word], keys[:, top_word]
+    if keys[:, :low_word].any() or (low & (_BIT[low_bit] - _BIT[0])).any():
         raise ValueError(f"a state flips one of the {final.L - L} spins below the top {L}")
-    # chain L's ideal outputs: |0...0> sets no word, |10...01> is one row
-    ideal = pack_keys([(1 << (final.L - 1)) | (1 << (final.L - L))], final.L)
-    p = final.probability_array()
-    unwanted = (p >= threshold) & keys.any(axis=1) & (keys != ideal).any(axis=1)
-    keys, p = keys[unwanted], p[unwanted]
-    # target bit set, control bit clear
+    # chain L's ideal outputs: target bit equal to control bit, no other bit
     one = _BIT[0]
-    flipped_target = (((keys[:, low_word] >> _SHIFT[low_bit]) & one)
-                      > ((keys[:, top_word] >> _SHIFT[top_bit]) & one))
-    return Census(count=len(p), p1_total=math.fsum(p.tolist()),
+    target = (low >> _SHIFT[low_bit]) & one
+    control = (top >> _SHIFT[top_bit]) & one
+    others = top & _CLEAR[top_bit]
+    if low_word == top_word:
+        others &= _CLEAR[low_bit]
+    else:
+        others |= low & _CLEAR[low_bit]
+    for column in keys.T[low_word + 1:top_word]:
+        others |= column
+    p = final.probability_array()
+    above = p >= threshold
+    unwanted = above & ((others | (target ^ control)) != 0)
+    flipped_target = above & (target > control)  # target bit set, control bit clear
+    tallied = p[unwanted]
+    return Census(count=len(tallied), p1_total=math.fsum(tallied.tolist()),
                   p1_target=math.fsum(p[flipped_target].tolist()),
-                  keys=keys, probabilities=p, L=final.L)
+                  keys=keys[unwanted], probabilities=tallied, L=final.L)
 
 
 def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:

@@ -563,7 +563,9 @@ def test_write_csv_bytes_equal_csv_writer(columns, as_repr, chunk, odd, longer):
     # the fields the package writes: reprs of floats, or the floats
     # themselves (a float's str is its repr), ints, bitstrings, regime names;
     # equal-length columns, lists or iterators, written in chunks of 1, 3
-    # and 4096 rows; one more column, a row longer or shorter, raises
+    # and 4096 rows; one more column, a row longer or shorter, raises a
+    # message naming it and the file, and leaves no file: lists are compared
+    # before writing, an iterator that ends early or late removes the file
     if as_repr:
         columns = [[repr(f) if isinstance(f, float) else f for f in c] for c in columns]
     header = NAMES[:len(columns)]
@@ -578,8 +580,12 @@ def test_write_csv_bytes_equal_csv_writer(columns, as_repr, chunk, odd, longer):
                              for i, (name, c) in enumerate(zip(header, columns))})
             with open(path, "rb") as fh:
                 got = fh.read()
-            with pytest.raises(ValueError):
-                write_csv(path, dict(zip(NAMES, unequal)))
+            path = f"{tmp}/unequal.csv"
+            with pytest.raises(ValueError, match=re.escape(repr(NAMES[odd]))) as error:
+                write_csv(path, {name: iter(c) if i % 2 else c
+                                 for i, (name, c) in enumerate(zip(NAMES, unequal))})
+            assert path in str(error.value)
+            assert not os.path.exists(path)
     finally:
         spinchain.cli._CSV_ROWS = rows_per_write
     assert got == _csv_module_text([header, *zip(*columns)]).encode()

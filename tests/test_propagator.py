@@ -14,6 +14,7 @@ from spinchain.cli import _write_states, main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import (
     SparseState,
+    _starts,
     _unpack,
     bitstrings,
     resonant_spin,
@@ -263,6 +264,27 @@ def test_planned_pulse_matches_pulse_applied_alone():
         K_mm, _, K_pm, _ = got
         cm, cp = pair_map_closed_form(*call)
         assert abs(K_mm - cm) <= 1e-12 and abs(K_pm - cp) <= 1e-12
+
+
+@st.composite
+def sorted_rows(draw):
+    W = draw(st.sampled_from([1, 2, 3, 7]))
+    words = st.integers(0, 2**64 - 1)
+    base = draw(st.lists(words, min_size=W, max_size=W))
+    # a small pool, so that rows repeat: a base row and rows that differ
+    # from it only in the first, a middle or the last word
+    pool = [base] + [base[:j] + [draw(words)] + base[j + 1:]
+                     for j in draw(st.lists(st.sampled_from([0, W // 2, W - 1]), max_size=4))]
+    rows = sorted(draw(st.lists(st.sampled_from(pool), max_size=40)))
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), W)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_rows())
+def test_starts_marks_rows_unequal_to_the_row_before(rows):
+    as_tuples = [tuple(row) for row in rows.tolist()]
+    expect = [i == 0 or row != as_tuples[i - 1] for i, row in enumerate(as_tuples)]
+    assert _starts(rows).tolist() == expect
 
 
 @st.composite
