@@ -49,20 +49,15 @@ group starts sums each group's shares; a state without a partner keeps its
 table products untouched, signed zeros included.  So all pairs are
 updated by array arithmetic, and pruning is one mask.
 
-Plan.  A pair map depends on its pulse's start time only through the two
-frame phases e^{-i Delta t0} and e^{i Delta t1}; the rest is fixed by
-(Delta, Omega, tau).  A run's pulses, and so their start times, are known
-before the first one runs, so `run_protocol` builds every pulse's resonant
-spin and (2, 8) pair table up front, in array passes over the sequence's
-arrays (`_plan`).  Every pulse's resonant spin comes from the array form
-of `resonant_spin` (`np.rint` rounds half to even, as `round` does), and
-its four detunings from `neighbour_gap` on the four neighbour patterns,
-each the float `flip_gap` gives.  The rotation factors are computed once
-per distinct (Delta, Omega, tau), by bytes, from one `np.lexsort` of the
-triples' int64 view and the same group starts (`_starts`, in `_distinct`):
-a remote-CN run has one Omega and tau, and at most five detunings
-(0, +-2J, +-4J).  The frame phases of all pulses are
-one `np.cos` and one `np.sin` call each, and the complex products are
+Plan.  A run's pulses, and so their start times, are known before the
+first one runs, so `run_protocol` builds every pulse's resonant spin and
+(2, 8) pair table up front, in array passes over the sequence's arrays
+(`_plan`).  Every pulse's resonant spin comes from the array form of
+`resonant_spin` (`np.rint` rounds half to even, as `round` does), and its
+four detunings from `neighbour_gap` on the four neighbour patterns, each
+the float `flip_gap` gives.  All 4n pair maps of n pulses are then one
+array formula (`_pair_maps`): lam is `math.hypot` mapped over the entries
+(`np.hypot` rounds some of them differently), and the complex products are
 written out in real arithmetic in the order of Python's complex product, so
 each table is bit for bit the one the scalar map in tests/oracles.py gives
 (numpy's complex multiply rounds differently).  Start and end times are
@@ -198,44 +193,46 @@ class SparseState:
         return float(self.probability_array().sum())
 
 
-def _rotation(Delta: float, Omega: float, tau: float) -> tuple[complex, complex, complex]:
-    """The factors of a pair map that do not depend on time: (ph (u + iv),
-    ph i w, ph (u - iv)) with ph = e^{-i tau Delta/2}, u = cos(lam*tau/2) and
-    (v, w) = (Delta, Omega)/lam sin(lam*tau/2), so u^2 + v^2 + w^2 = 1."""
-    lam = math.hypot(Omega, Delta)
-    if lam == 0.0:
-        u, v, w = 1.0, 0.0, 0.0
-    else:
-        half = 0.5 * lam * tau
-        s = math.sin(half)
-        u, v, w = math.cos(half), Delta / lam * s, Omega / lam * s
-    ph = complex(math.cos(0.5 * Delta * tau), -math.sin(0.5 * Delta * tau))
-    return (ph * complex(u, v), ph * 1j * w, ph * complex(u, -v))
-
-
 def _product(ar, ai, br, bi):
     """Real and imaginary part of (ar + i ai)(br + i bi), rounded as Python's
     complex product rounds them."""
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _pair_maps(rotation: np.ndarray, Delta: np.ndarray, t0, t1) -> np.ndarray:
+def _pair_maps(Delta, Omega, tau, t0, t1) -> np.ndarray:
     """The 2x2 unitaries (K_mm, K_mp, K_pm, K_pp) on (C_m, C_p) that solve
     i dC_p/dt = -(Omega/2) e^{i Delta t} C_m, i dC_m/dt = -(Omega/2) e^{-i Delta t} C_p
-    over [t0, t1], along a new last axis: (rot_m, cross e0, cross e1,
-    rot_p e0 e1) from the rotation factors (..., 3) of `_rotation` and the
-    frame phases e0 = e^{-i Delta t0}, e1 = e^{i Delta t1}."""
+    over [t0, t1], for the broadcast arrays of the arguments, along a new
+    last axis.
+
+    With ph = e^{-i tau Delta/2}, u = cos(lam*tau/2), (v, w) = (Delta,
+    Omega)/lam sin(lam*tau/2) (so u^2 + v^2 + w^2 = 1; (1, 0, 0) where
+    lam = 0) and the frame phases e0 = e^{-i Delta t0}, e1 = e^{i Delta t1},
+    K = (ph (u + iv), ph i w e0, ph i w e1, ph (u - iv) e0 e1).
+    """
+    Delta, Omega, tau = np.broadcast_arrays(Delta, Omega, tau)
+    # math.hypot: np.hypot rounds some (Omega, Delta) differently
+    lam = np.reshape(list(map(math.hypot, Omega.ravel().tolist(), Delta.ravel().tolist())),
+                     Delta.shape)
+    still = lam == 0.0
+    half = 0.5 * lam * tau
+    s = np.sin(half)
+    with np.errstate(invalid="ignore"):  # 0/0 where lam == 0, replaced below
+        v, w = Delta / lam * s, Omega / lam * s
+    u = np.where(still, 1.0, np.cos(half))
+    v = np.where(still, 0.0, v)
+    w = np.where(still, 0.0, w)
+    ph = np.cos(0.5 * Delta * tau), -np.sin(0.5 * Delta * tau)
     x0 = Delta * t0
     x1 = Delta * t1
     e0 = np.cos(x0), -np.sin(x0)
     e1 = np.cos(x1), np.sin(x1)
-    cross = rotation[..., 1].real, rotation[..., 1].imag
-    rot_p = rotation[..., 2].real, rotation[..., 2].imag
-    K = np.empty(np.shape(Delta) + (4,), dtype=np.complex128)
-    K[..., 0] = rotation[..., 0]
+    cross = _product(*_product(*ph, 0.0, 1.0), w, 0.0)  # ph * 1j * w, in Python's order
+    K = np.empty(Delta.shape + (4,), dtype=np.complex128)
+    K.real[..., 0], K.imag[..., 0] = _product(*ph, u, v)
     K.real[..., 1], K.imag[..., 1] = _product(*cross, *e0)
     K.real[..., 2], K.imag[..., 2] = _product(*cross, *e1)
-    K.real[..., 3], K.imag[..., 3] = _product(*_product(*rot_p, *e0), *e1)
+    K.real[..., 3], K.imag[..., 3] = _product(*_product(*_product(*ph, u, -v), *e0), *e1)
     return K
 
 
@@ -304,19 +301,6 @@ _TABLE = (4 * ((_CODE & 1) + 2 * (_CODE >> 2)) + ((_CODE >> 1) & 1)
           + 2 * np.arange(2)[:, None])
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a contiguous 2-D float64 array, deduplicated by their bytes
-    (so -0.0 is not +0.0): the first row of each distinct row, and every
-    row's index into those.  One lexsort of the rows' int64 view, then the
-    sorted rows' group starts, numbered in sorted order."""
-    keys = rows.view(np.int64)
-    order = np.lexsort(keys.T)
-    start = _starts(keys[order])
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(start) - 1
-    return order[start], group
-
-
 def _plan(seq: PulseSequence, params: ChainParams,
           t0: float) -> tuple[list[int], np.ndarray, list[float]]:
     """Resonant spin, (n, 2, 8) pair tables and end time of the n pulses of
@@ -326,22 +310,13 @@ def _plan(seq: PulseSequence, params: ChainParams,
     the chain's edges, where flip_gap's terms are zero), so a pulse has at
     most four pair maps, one per neighbour pattern.  Every gap is positive
     (ChainParams enforces omega0 > 2J): the bit-k-clear member of a pair is
-    its lower level.
+    its lower level.  All 4n maps are one `_pair_maps` call.
     """
-    if not len(seq):
-        return [], np.empty((0, 2, 8), dtype=np.complex128), []
     k = resonant_spin(seq.nu, params)
     deltas = neighbour_gap(k[:, None], _BELOW, _ABOVE, params) - seq.nu[:, None]
-    # distinct (Delta, Omega, tau) by their bytes, which for finite floats
-    # is by value, except that -0.0 would not share the factors of +0.0
-    triples = np.stack(np.broadcast_arrays(deltas, seq.Omega[:, None], seq.tau[:, None]),
-                       axis=-1).reshape(-1, 3)
-    first, factor = _distinct(triples)
-    rotation = np.array([_rotation(*key) for key in triples[first].tolist()],
-                        dtype=np.complex128)
     # start and end times, one t += tau per pulse in order
     times = np.cumsum(np.concatenate(([t0], seq.tau)))[:, None]
-    maps = _pair_maps(rotation[factor.reshape(-1, 4)], deltas, times[:-1], times[1:])
+    maps = _pair_maps(deltas, seq.Omega[:, None], seq.tau[:, None], times[:-1], times[1:])
     return k.tolist(), maps.reshape(len(seq), 16)[:, _TABLE], times[1:, 0].tolist()
 
 

@@ -30,7 +30,6 @@ from spinchain.propagator import (
     Census,
     SparseState,
     _pair_maps,
-    _rotation,
     _unpack,
     resonant_spin,
     run_protocol,
@@ -315,10 +314,9 @@ def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[flo
 def pair_map(Delta: float, Omega: float, tau: float,
              t_start: float) -> tuple[complex, complex, complex, complex]:
     """(K_mm, K_mp, K_pm, K_pp) of the package's own pair map over one pulse
-    from t_start: `_rotation` and `_pair_maps`, as a run's plan evaluates
-    them, for a single pulse."""
-    K = _pair_maps(np.array([_rotation(Delta, Omega, tau)]), np.array([Delta]),
-                   t_start, t_start + tau)
+    from t_start: `_pair_maps`, as a run's plan evaluates it, for a single
+    pulse."""
+    K = _pair_maps(np.array([Delta]), Omega, tau, t_start, t_start + tau)
     return tuple(K[0].tolist())
 
 

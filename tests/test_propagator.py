@@ -320,6 +320,12 @@ EDGE_PLANS = [
      [Pulse(nu=nu, Omega=Omega, tau=tau)
       for nu in (100.1 - 0.7, 100.1 + 64 * 20.3 + 0.7)
       for Omega, tau in ((0.2, math.pi / 0.2), (0.09, math.pi / 0.2), (0.2, 7.0))], 12.5),
+    # drives at which np.hypot(Omega, Delta) rounds lam differently from
+    # math.hypot, at Delta = +-2J (carrier on spin 1) and +4J (carrier 2J
+    # below it)
+    (ChainParams(L=3),
+     [Pulse(nu=120.0, Omega=0.0546255, tau=math.pi / 0.0546255),
+      Pulse(nu=118.0, Omega=0.11000774999999999, tau=math.pi / 0.11000774999999999)], 0.0),
 ]
 
 
@@ -328,6 +334,7 @@ EDGE_PLANS = [
 @example(EDGE_PLANS[0])
 @example(EDGE_PLANS[1])
 @example(EDGE_PLANS[2])
+@example(EDGE_PLANS[3])
 def test_plan_matches_scalar_pair_map_bit_for_bit(case):
     params, pulses, t0 = case
     spins, tables, ends = spinchain.propagator._plan(sequence(*pulses), params, t0)
@@ -342,10 +349,12 @@ def test_plan_matches_scalar_pair_map_bit_for_bit(case):
 
 def test_plan_keeps_signed_zero_drives_apart():
     # Omega and tau of -0.0 and +0.0 are equal in value, not in bytes, and
-    # their rotation factors differ in the sign of zero parts
+    # their pair maps differ in the sign of zero parts; where Omega and
+    # Delta are 0, the rotation is (u, v, w) = (1, +0, +0) whatever tau's sign
     params = ChainParams(L=3)
     pulses = [Pulse(nu=101.0, Omega=Omega, tau=tau)
-              for Omega, tau in ((0.0, 1.0), (-0.0, 1.0), (0.3, 0.0), (0.3, -0.0))]
+              for Omega, tau in ((0.0, 1.0), (-0.0, 1.0), (0.3, 0.0), (0.3, -0.0),
+                                 (0.0, -0.0))]
     _, tables, _ = spinchain.propagator._plan(sequence(*pulses), params, 0.0)
     t = 0.0
     for pulse, table in zip(pulses, tables):
@@ -374,11 +383,11 @@ def test_run_equals_chained_single_pulses(L, amplitudes, t):
 
 
 def test_run_protocol_asserts_norm_ledger(params5, monkeypatch, tmp_path):
-    # scale every pair map by 1.001 through the rotation factors the plan
-    # takes from the module
-    exact = spinchain.propagator._rotation
-    monkeypatch.setattr(spinchain.propagator, "_rotation",
-                        lambda *args: tuple(1.001 * K for K in exact(*args)))
+    # scale every pair map by 1.001 through the pair maps the plan takes
+    # from the module
+    exact = spinchain.propagator._pair_maps
+    monkeypatch.setattr(spinchain.propagator, "_pair_maps",
+                        lambda *args: 1.001 * exact(*args))
     seq = cn_remote_protocol(params5, 0.0906)
     with pytest.raises(RuntimeError, match="norm ledger defect"):
         run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5)
