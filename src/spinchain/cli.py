@@ -43,12 +43,10 @@ data files.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
 from collections import ChainMap
-from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,44 +183,34 @@ def load_config(path: str, outdir: str) -> ExperimentConfig:
     return ExperimentConfig(raw=ChainMap(raw, PRESETS.get(preset, {})), outdir=outdir)
 
 
-# rows joined per write: bounds the text held at once
+# rows sliced from each column per write: bounds the text held at once
 _CSV_ROWS = 4096
 
 
 def write_csv(path, columns: dict) -> None:
     """Write a table given as one mapping from column name to values, in
     column order, as CSV with Unix line ends: the header is the names, and
-    row i holds the i-th value of each column.  Columns of unequal length
-    raise ValueError instead of dropping rows: sized columns are compared
-    before the file is opened, and a column without a length (an iterator)
-    that ends before or after the others leaves no file behind.  Each field
-    is written as its str, converted a column at a time.  Floats are
-    Python floats, whose str is their repr, so identical inputs give
-    byte-identical files.  No field the package writes (floats, ints,
-    bitstrings, regime names) holds a comma, quote or line break, so none is
-    quoted, and the bytes are those of `csv.writer(fh, lineterminator="\n")`."""
+    row i holds the i-th value of each column.  Every column is a sized
+    sequence (a list, a range or a `bitstrings` view), read in slices of
+    `_CSV_ROWS` rows.  A column without a length, or of another length than
+    the first, raises ValueError naming it before the file is opened.  Each
+    field is written as its str.  Floats are Python floats, whose str is
+    their repr, so identical inputs give byte-identical files.  No field the
+    package writes (floats, ints, bitstrings, regime names) holds a comma,
+    quote or line break, so none is quoted, and the bytes are those of
+    `csv.writer(fh, lineterminator="\n")`."""
     names = list(columns)
-    sized = [(name, len(c)) for name, c in columns.items() if isinstance(c, Sized)]
-    for name, rows in sized[1:]:
-        if rows != sized[0][1]:
-            raise ValueError(f"column {name!r} has {rows} rows, column {sized[0][0]!r} "
-                             f"has {sized[0][1]}; {path} not written")
-    values = [iter(c) for c in columns.values()]
-    written = 0
+    for name, c in columns.items():
+        if not hasattr(c, "__len__"):
+            raise ValueError(f"column {name!r} has no length; {path} not written")
+        if len(c) != len(columns[names[0]]):
+            raise ValueError(f"column {name!r} has {len(c)} rows, column {names[0]!r} "
+                             f"has {len(columns[names[0]])}; {path} not written")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        while True:
-            chunk = [list(map(str, itertools.islice(c, _CSV_ROWS))) for c in values]
-            lengths = [len(c) for c in chunk]
-            if not any(lengths) or min(lengths) < max(lengths):
-                break
+        for start in range(0, len(columns[names[0]]), _CSV_ROWS):
+            chunk = [map(str, c[start:start + _CSV_ROWS]) for c in columns.values()]
             fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
-            written += lengths[0]
-    if any(lengths):
-        os.remove(path)
-        short, long = names[lengths.index(min(lengths))], names[lengths.index(max(lengths))]
-        raise ValueError(f"column {short!r} ends after {written + min(lengths)} rows, "
-                         f"before column {long!r}; {path} removed")
 
 
 def write_protocol_csv(seq: PulseSequence, path) -> None:
@@ -232,11 +220,12 @@ def write_protocol_csv(seq: PulseSequence, path) -> None:
     """
     if seq.start is None:
         raise ValueError("sequence carries no annotations to export")
-    states = list(bitstrings(seq.trajectory, seq.start.L))
+    L = seq.start.L
     write_csv(path, {"index": range(1, len(seq) + 1), "nu": seq.nu.tolist(),
                      "Omega": seq.Omega.tolist(), "tau": seq.tau.tolist(),
-                     "flip_qubit": seq.flip_qubits.tolist(), "from_state": states[:-1],
-                     "to_state": states[1:]})
+                     "flip_qubit": seq.flip_qubits.tolist(),
+                     "from_state": bitstrings(seq.trajectory[:-1], L),
+                     "to_state": bitstrings(seq.trajectory[1:], L)})
 
 
 def _write_states(path, keys: np.ndarray, L: int, by: np.ndarray, **columns) -> None:

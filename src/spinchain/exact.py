@@ -44,7 +44,9 @@ def check_dense_cap(L: int) -> None:
 
 @dataclass
 class DenseState:
-    """All 2^L interaction-picture amplitudes, indexed by packed basis state."""
+    """All 2^L interaction-picture amplitudes, indexed by packed basis state:
+    one (2^L,) row, or an (m, 2^L) block of m states that `evolve_exact`
+    carries through every pulse together, on one decomposition per spectrum."""
 
     amplitudes: np.ndarray
     L: int
@@ -138,17 +140,17 @@ def _spectrum_sources(seq: PulseSequence, E: np.ndarray, M: np.ndarray,
 
 def _propagate(C: np.ndarray, d: np.ndarray, t: float, tau: float, w: np.ndarray,
                U: np.ndarray, perm) -> np.ndarray:
-    """Amplitudes C at time t after a pulse of length tau: d is the pulse's
-    diagonal E + nu M, and (w, U) the spectrum of its generator with the
-    basis permuted by perm."""
+    """Amplitudes C at time t after a pulse of length tau, a row or a block
+    of rows: d is the pulse's diagonal E + nu M, and (w, U) the spectrum of
+    its generator with the basis permuted by perm."""
     # phases that overflow give non-finite amplitudes, which the caller
     # reports (cmd_verify), so numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = (np.exp(-1j * d * t) * C)[perm]
+        phi = (np.exp(-1j * d * t) * C)[..., perm]
         # real products of the real U with each part of phi: a mixed
         # real-complex product copies U to complex per call
         x = np.exp(-1j * w * tau) * (phi.real @ U + 1j * (phi.imag @ U))
-        phi = (U @ x.real + 1j * (U @ x.imag))[perm]
+        phi = (x.real @ U.T + 1j * (x.imag @ U.T))[..., perm]
         return np.exp(1j * d * (t + tau)) * phi
 
 

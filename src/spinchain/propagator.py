@@ -130,23 +130,24 @@ def _unpack(keys: np.ndarray) -> list[int]:
     return states
 
 
-# rows per block of `bitstrings`: about 2^20 bits, so a block's arrays stay
-# a few MB at any L (all labels of a 181k-state L = 1000 run take 181 MB)
-_LABEL_BITS = 1 << 20
-
-
-def bitstrings(keys: np.ndarray, L: int):
+class bitstrings:
     """The bitstrings b_{L-1}...b_0 of bitset rows, in row order, as
-    `format(s, f"0{L}b")` renders each packed state s; rendered in array
-    passes over blocks of rows."""
-    W = keys.shape[1]
-    rows = max(1, _LABEL_BITS // (_WORD * W))
-    for start in range(0, len(keys), rows):
+    `format(s, f"0{L}b")` renders each packed state s: a sized view over
+    the rows whose `len` is the row count and whose slice renders just the
+    sliced rows, in array passes, as a list of str."""
+
+    def __init__(self, keys: np.ndarray, L: int):
+        self.keys, self.L = keys, L
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, rows: slice) -> list[str]:
         # most significant word first, each word's bytes most significant first
-        block = keys[start:start + rows, ::-1].astype(">u8").view(np.uint8)
-        bits = np.unpackbits(block, axis=1)[:, _WORD * W - L:]
+        block = self.keys[rows, ::-1].astype(">u8").view(np.uint8)
+        bits = np.unpackbits(block, axis=1)[:, _WORD * self.keys.shape[1] - self.L:]
         # '0' + bit as UCS4 code points, one row a string of L characters
-        yield from (bits + np.uint32(ord("0"))).view(f"U{L}").ravel().tolist()
+        return (bits + np.uint32(ord("0"))).view(f"U{self.L}").ravel().tolist()
 
 
 @dataclass(eq=False)

@@ -25,8 +25,8 @@ from spinchain.cli import (
     write_csv,
     write_state_csv,
 )
-from spinchain.model import BasisState, ChainParams
-from spinchain.propagator import SparseState, run_protocol
+from spinchain.model import BasisState, ChainParams, pack_keys
+from spinchain.propagator import SparseState, bitstrings, run_protocol
 from spinchain.protocol import cn_remote_protocol
 
 from oracles import suppression_rabi, sweep_length_per_run
@@ -551,44 +551,55 @@ FIELDS = st.one_of(
 )
 
 
-NAMES = ["state", "probability", "amplitude_re", "amplitude_im", "N1", "regime"]
+NAMES = ["probability", "amplitude_re", "amplitude_im", "N1", "regime"]
 
 
 @settings(max_examples=200, deadline=None)
-@given(columns=st.integers(0, 40).flatmap(lambda n: st.lists(
-           st.lists(FIELDS, min_size=n, max_size=n), min_size=1, max_size=len(NAMES) - 1)),
+@given(table=st.integers(0, 40).flatmap(lambda n: st.tuples(
+           st.lists(st.integers(0, (1 << 130) - 1), min_size=n, max_size=n),
+           st.lists(st.lists(FIELDS, min_size=n, max_size=n), min_size=0,
+                    max_size=len(NAMES)))),
        as_repr=st.booleans(), chunk=st.sampled_from([1, 3, 4096]),
-       odd=st.integers(0, len(NAMES) - 1), longer=st.booleans())
-def test_write_csv_bytes_equal_csv_writer(columns, as_repr, chunk, odd, longer):
-    # the fields the package writes: reprs of floats, or the floats
-    # themselves (a float's str is its repr), ints, bitstrings, regime names;
-    # equal-length columns, lists or iterators, written in chunks of 1, 3
-    # and 4096 rows; one more column, a row longer or shorter, raises a
-    # message naming it and the file, and leaves no file: lists are compared
-    # before writing, an iterator that ends early or late removes the file
+       odd=st.integers(0, len(NAMES) + 2), longer=st.booleans())
+def test_write_csv_bytes_equal_csv_writer(table, as_repr, chunk, odd, longer):
+    # the fields the package writes: a range of indices, a bitstrings view of
+    # L = 130 key rows, and lists of reprs of floats or of the floats
+    # themselves (a float's str is its repr), ints, bitstrings, regime
+    # names; equal-length columns written in chunks of 1, 3 and 4096 rows.
+    # One more column, a row longer or shorter, raises a message naming it
+    # and the file; so does a column without a length, a generator; neither
+    # creates the file
+    states, columns = table
     if as_repr:
         columns = [[repr(f) if isinstance(f, float) else f for f in c] for c in columns]
-    header = NAMES[:len(columns)]
-    n, odd = len(columns[0]), odd % (len(columns) + 1)
-    unequal = [*columns[:odd], ["0"] * (n + 1 if longer or not n else n - 1), *columns[odd:]]
+    n = len(states)
+    sized = {"index": range(1, n + 1), "state": bitstrings(pack_keys(states, 130), 130),
+             **dict(zip(NAMES, columns))}
+    rows = zip(range(1, n + 1), [format(s, "0130b") for s in states], *columns)
+    odd %= len(sized) + 1
+    items = list(sized.items())
+    unequal = dict([*items[:odd], ("odd", ["0"] * (n + 1 if longer or not n else n - 1)),
+                    *items[odd:]])
+    unsized = dict(items)
+    name, c = items[odd % len(items)]
+    unsized[name] = (x for x in c[:])
     rows_per_write = spinchain.cli._CSV_ROWS
     spinchain.cli._CSV_ROWS = chunk
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/table.csv"
-            write_csv(path, {name: iter(c) if i % 2 else c
-                             for i, (name, c) in enumerate(zip(header, columns))})
+            write_csv(path, sized)
             with open(path, "rb") as fh:
                 got = fh.read()
-            path = f"{tmp}/unequal.csv"
-            with pytest.raises(ValueError, match=re.escape(repr(NAMES[odd]))) as error:
-                write_csv(path, {name: iter(c) if i % 2 else c
-                                 for i, (name, c) in enumerate(zip(NAMES, unequal))})
-            assert path in str(error.value)
-            assert not os.path.exists(path)
+            for bad, named in ((unequal, "odd"), (unsized, name)):
+                path = f"{tmp}/bad.csv"
+                with pytest.raises(ValueError, match=re.escape(repr(named))) as error:
+                    write_csv(path, bad)
+                assert path in str(error.value)
+                assert not os.path.exists(path)
     finally:
         spinchain.cli._CSV_ROWS = rows_per_write
-    assert got == _csv_module_text([header, *zip(*columns)]).encode()
+    assert got == _csv_module_text([list(sized), *rows]).encode()
 
 
 def test_identical_config_gives_identical_bytes(tmp_path):

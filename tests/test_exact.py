@@ -278,6 +278,26 @@ def test_protocol_decomposition_count(monkeypatch, tmp_path, L, decompositions):
     assert max(n for name, n in log if name == "load") == {6: 3, 8: 3, 10: 4, 12: 5}[L]
 
 
+def test_block_rows_match_one_row_runs(monkeypatch):
+    # the four computational inputs of control and target as one (4, 2^L)
+    # block: one decomposition per spectrum serves them all, and each row
+    # is its one-row run up to gemm against gemv rounding
+    L = 8
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, 0.0906)
+    inputs = [_dense(BasisState.from_string(s))
+              for s in ("00000000", "00000001", "10000000", "10000001")]
+    eigh_calls = _record_eigh(monkeypatch)
+    block = evolve_exact(DenseState(np.stack([d.amplitudes for d in inputs]), L=L),
+                         seq, params)
+    assert len(eigh_calls) == 5
+    assert block.amplitudes.shape == (4, 1 << L)
+    for row, initial in zip(block.amplitudes, inputs):
+        single = evolve_exact(initial, seq, params)
+        assert single.t == block.t
+        assert np.max(np.abs(row - single.amplitudes)) <= 1e-14
+
+
 def test_protocol_frees_each_spectrum_after_its_last_pulse(monkeypatch):
     # keeping all L spectra costs about 10 matrices at L = 8.  LAPACK's
     # workspace, which tracemalloc does not see, makes eigh the peak of the

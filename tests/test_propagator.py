@@ -638,15 +638,24 @@ def test_array_census_matches_bitstring_census(case):
 
 
 @pytest.mark.parametrize("L", [1, 63, 64, 65, 128, 129])
-@pytest.mark.parametrize("block_bits", [1 << 20, 1], ids=["one-block", "row-blocks"])
-def test_bitstrings_equal_format(monkeypatch, L, block_bits):
-    monkeypatch.setattr(spinchain.propagator, "_LABEL_BITS", block_bits)
+@pytest.mark.parametrize("rows", [None, 4096], ids=["one-block", "row-blocks"])
+def test_bitstrings_equal_format(L, rows):
+    # the view's length is the row count, and a slice renders its rows:
+    # read whole or in the 4096-row slices that write_csv takes, and sliced
+    # empty, one row, and from and to rows inside and across those slices
     rng = np.random.default_rng(L)
     states = [0, (1 << L) - 1, 1, 1 << (L - 1)]
-    states += [int.from_bytes(rng.bytes(17), "little") % (1 << L) for _ in range(60)]
-    keys = pack_keys(states, L)
-    assert list(bitstrings(keys, L)) == [format(s, f"0{L}b") for s in states]
-    assert list(bitstrings(keys[:0], L)) == []
+    states += [int.from_bytes(rng.bytes(17), "little") % (1 << L) for _ in range(2 * 4096 + 60)]
+    labels, expect = bitstrings(pack_keys(states, L), L), [format(s, f"0{L}b") for s in states]
+    n = len(states)
+    assert len(labels) == n
+    step = rows or n
+    assert [s for start in range(0, n, step) for s in labels[start:start + step]] == expect
+    for start, stop in [(0, 0), (4096, 4096), (n, n), (0, 1), (4095, 4096), (4096, 4097),
+                        (n - 1, n), (10, 4000), (4000, 4100), (4095, 8193), (1, n - 1)]:
+        assert labels[start:stop] == expect[start:stop], (start, stop)
+    assert len(bitstrings(pack_keys([], L), L)) == 0
+    assert bitstrings(pack_keys([], L), L)[:] == []
 
 
 @pytest.mark.parametrize("L", [25, 50, 100])
