@@ -339,7 +339,6 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     cfg.require("L_min", lmin, lmin >= 3, ">= 3, the remote-CN protocol's shortest chain")
     cfg.require("L_step", lstep, lstep >= 1, ">= 1")
     cfg.require("L_max", lmax, lmax >= lmin, f">= L_min ({lmin})")
-    J = cfg.get_float("J", 1.0)
     lengths = range(lmin, lmax + 1, lstep)
     # one run of the grid's longest chain: chain L is its top L spins after
     # pulse 2L-3 (see the propagator's Prefix note)
@@ -352,7 +351,7 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
         snapshot_at=last_pulse,
         on_snapshot=lambda n, state: censuses.append(
             unwanted_census(state, threshold=P0, L=last_pulse[n])))
-    budget = error_budget(lengths, Omega, J=J, P0=P0)
+    budget = error_budget(lengths, Omega, J=longest.J, P0=P0)
     table = {"L": budget["L"], "P1_analytic": budget["P1"],
              "P1_numeric": [census.p1_total for census in censuses],
              "P1cal_analytic": budget["P1cal"],

@@ -16,7 +16,10 @@ eigenvectors go to a temporary file when it is decomposed, and every pulse
 reads them memory-mapped, at most 3/3/4/5 files at once, see
 `evolve_exact`).  Frame boundaries carry the phases
 e^{-i(E_p + nu*M_p) t} relating rotating-frame amplitudes to the
-interaction picture, where M_p is the total I^z of state p.  The tests pin
+interaction picture, where M_p is the total I^z of state p.  One table of
+every basis state's spins (`_spins`) gives E, M and the mirror permutation,
+and `evolve_exact` forms each pulse's diagonal E + nu M once, which both
+keys its spectrum and carries its frame phases.  The tests pin
 these conventions against `chain_ode` in tests/oracles.py, a solve_ivp
 integration of the interaction-picture amplitude equations that computes
 its energies on its own.
@@ -68,18 +71,18 @@ class DenseState:
         return a.real * a.real + a.imag * a.imag
 
 
+def _spins(L: int) -> np.ndarray:
+    """(L, 2^L) table of 0s and 1s: row k is bit k of every packed basis state."""
+    return (np.arange(1 << L) >> np.arange(L)[:, None]) & 1
+
+
 def _diagonal_terms(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
     """(E, M) over all 2^L basis states: diagonal energies and total I^z."""
-    L = params.L
-    idx = np.arange(1 << L)
-    m = np.empty((L, idx.size))
-    for k in range(L):
-        m[k] = 0.5 - ((idx >> k) & 1)
-    omegas = params.omega0 + params.delta_omega * np.arange(L)
+    m = 0.5 - _spins(params.L)  # I_k^z of every spin in every basis state
+    omegas = params.omega0 + params.delta_omega * np.arange(params.L)
     E = -(omegas @ m)
     E -= 2.0 * params.J * np.sum(m[:-1] * m[1:], axis=0)
-    M = m.sum(axis=0)
-    return E, M
+    return E, m.sum(axis=0)
 
 
 def rotating_frame_generator(pulse: Pulse, params: ChainParams) -> np.ndarray:
@@ -96,26 +99,22 @@ def rotating_frame_generator(pulse: Pulse, params: ChainParams) -> np.ndarray:
     H = np.zeros((dim, dim), order="F")
     np.fill_diagonal(H, E + pulse.nu * M)
     idx = np.arange(dim)
-    for k in range(L):
-        H[idx ^ (1 << k), idx] -= pulse.Omega / 2.0
+    # -= rather than =, so that Omega = 0 leaves +0.0 off the diagonal
+    H[idx ^ (1 << np.arange(L))[:, None], idx] -= pulse.Omega / 2.0
     return H
 
 
 def _mirror(L: int) -> np.ndarray:
     """Packed basis state of each state with every spin flipped and the chain
     reversed (an involution)."""
-    idx = np.arange(1 << L)
-    flipped = idx ^ ((1 << L) - 1)
-    mirror = np.zeros_like(idx)
-    for k in range(L):
-        mirror |= ((flipped >> k) & 1) << (L - 1 - k)
-    return mirror
+    return (1 << np.arange(L)) @ (1 - _spins(L)[::-1])
 
 
-def _spectrum_sources(seq: PulseSequence, E: np.ndarray, M: np.ndarray,
+def _spectrum_sources(diagonals: np.ndarray, Omega: np.ndarray,
                       mirror: np.ndarray) -> list[tuple[int, bool]]:
     """Per pulse, (r, mirrored): the spectrum of pulse r's generator serves
-    this pulse, directly or through the mirror.
+    this pulse, directly or through the mirror.  Row i of `diagonals` is
+    pulse i's diagonal E + nu M, and Omega[i] its Rabi frequency.
 
     H_rot depends on the pulse through (nu, Omega) only.  With the linear
     field gradient, flipping every spin and reversing the chain maps E_p to
@@ -128,9 +127,8 @@ def _spectrum_sources(seq: PulseSequence, E: np.ndarray, M: np.ndarray,
     single-flip pairs is the same bits and the mirror keeps that pair set.
     """
     sources, spectra = [], {}  # (Omega, diagonal bytes) -> pulse that decomposes it
-    for i, (nu, Omega) in enumerate(zip(seq.nu.tolist(), seq.Omega.tolist())):
-        d = E + nu * M
-        direct, mirrored = (Omega, d.tobytes()), (Omega, d[mirror].tobytes())
+    for i, (d, rabi) in enumerate(zip(diagonals, Omega.tolist())):
+        direct, mirrored = (rabi, d.tobytes()), (rabi, d[mirror].tobytes())
         if direct not in spectra and mirrored in spectra:
             sources.append((spectra[mirrored], True))
         else:
@@ -180,10 +178,11 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
         raise ValueError(f"state has L={L}, params have L={params.L}")
     check_dense_cap(L)
     E, M = _diagonal_terms(params)
+    diagonals = E + seq.nu[:, None] * M  # row i: pulse i's diagonal E + nu M
     mirror = _mirror(L)
     C = np.asarray(initial.amplitudes, dtype=complex)
     t = initial.t
-    sources = _spectrum_sources(seq, E, M, mirror)
+    sources = _spectrum_sources(diagonals, seq.Omega, mirror)
     last = {root: i for i, (root, _) in enumerate(sources)}
     eigenvalues = {}
     try:
@@ -195,7 +194,7 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
                         rotating_frame_generator(pulse, params))
                     np.save(path(root), U)
                     del U  # no spectrum is in memory during the next decomposition
-                C = _propagate(C, E + pulse.nu * M, t, pulse.tau, eigenvalues[root],
+                C = _propagate(C, diagonals[i], t, pulse.tau, eigenvalues[root],
                                np.load(path(root), mmap_mode="r"),
                                mirror if mirrored else slice(None))
                 t += pulse.tau

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -21,15 +22,29 @@ def _dense(state: BasisState) -> DenseState:
     return DenseState.from_sparse(SparseState.from_basis(state))
 
 
+# one spin, which ChainParams rejects (it needs L >= 2)
+PARAMS1 = SimpleNamespace(L=1, J=1.0, omega0=100.0, delta_omega=20.0)
+
+
 def test_generator_diagonal_matches_energies(params5):
-    pulse = Pulse(nu=130.0, Omega=0.0, tau=1.0)
-    H = rotating_frame_generator(pulse, params5)
-    L = params5.L
-    for s in range(1 << L):
-        m_total = L / 2 - bin(s).count("1")
-        E = energy_bruteforce(s, L, params5.J, params5.omega0, params5.delta_omega)
-        assert H[s, s] == pytest.approx(E + pulse.nu * m_total)
-    assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
+    # entry by entry: E_p + nu*M_p on the diagonal, -Omega/2 on each of the
+    # L*2^L single-flip entries, +0.0 everywhere else
+    for params, Omega in itertools.product((params5, PARAMS1), (0.0, 0.3)):
+        pulse = Pulse(nu=130.0, Omega=Omega, tau=1.0)
+        H = rotating_frame_generator(pulse, params)
+        L = params.L
+        flips = np.zeros(H.shape, dtype=bool)
+        for s in range(1 << L):
+            m_total = L / 2 - bin(s).count("1")
+            E = energy_bruteforce(s, L, params.J, params.omega0, params.delta_omega)
+            assert H[s, s] == pytest.approx(E + pulse.nu * m_total)
+            for k in range(L):
+                flips[s ^ (1 << k), s] = True
+        others = ~flips & ~np.eye(1 << L, dtype=bool)
+        assert H[flips].tolist() == [-Omega / 2] * (L << L)
+        assert H[others].tolist() == [0.0] * others.sum()
+        if Omega == 0.0:
+            assert not np.signbit(H[flips | others]).any()
 
 
 def test_generator_is_symmetric(params5):
@@ -39,8 +54,7 @@ def test_generator_is_symmetric(params5):
 
 def test_generator_single_spin_rabi_eigenvalues():
     # one spin driven on resonance: dressed levels at +/- Omega/2
-    params1 = SimpleNamespace(L=1, J=1.0, omega0=100.0, delta_omega=20.0)
-    H = rotating_frame_generator(Pulse(nu=100.0, Omega=0.4, tau=1.0), params1)
+    H = rotating_frame_generator(Pulse(nu=100.0, Omega=0.4, tau=1.0), PARAMS1)
     w = np.linalg.eigvalsh(H)
     assert w == pytest.approx([-0.2, 0.2])
 
@@ -87,13 +101,12 @@ def test_norm_preserved_over_protocol(params5):
 
 def test_tdse_matches_pair_update_on_isolated_pair():
     # L=1: the amplitude equations ARE the two-level pair equations
-    params1 = SimpleNamespace(L=1, J=1.0, omega0=100.0, delta_omega=20.0)
     Omega, detuning = 0.8, 1.3
-    pulse = Pulse(nu=params1.omega0 + detuning, Omega=Omega, tau=2.9)
+    pulse = Pulse(nu=PARAMS1.omega0 + detuning, Omega=Omega, tau=2.9)
     rng = np.random.default_rng(3)
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     amps /= np.linalg.norm(amps)
-    out = chain_ode(amps, pulse, params1, t_start=0.6)
+    out = chain_ode(amps, pulse, PARAMS1, t_start=0.6)
     # E(|1>) - E(|0>) = omega_0, upper level is bit=1
     cm, cp = pair_update(amps[0], amps[1], Delta=-detuning, Omega=Omega,
                          tau=pulse.tau, t_start=0.6)
@@ -102,8 +115,7 @@ def test_tdse_matches_pair_update_on_isolated_pair():
 
 
 def _random_pulse_battery(L, n_pulses, seed):
-    params = ChainParams(L=L) if L >= 2 else SimpleNamespace(
-        L=1, J=1.0, omega0=100.0, delta_omega=20.0)
+    params = ChainParams(L=L) if L >= 2 else PARAMS1
     rng = np.random.default_rng(seed)
     pulses = []
     for _ in range(n_pulses):

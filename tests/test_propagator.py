@@ -68,6 +68,9 @@ def test_resonant_spin_lookup(params5):
         resonant_spin(params5.omega0 - 3 * params5.J, params5)
     with pytest.raises(ValueError):
         resonant_spin(params5.omega0 + 4 * params5.delta_omega + 3, params5)
+    # as delta_omega nears 4J, the top of the band rounds to index L
+    narrow = ChainParams(L=26, J=1.0, omega0=100.0, delta_omega=4.000000000000001)
+    assert resonant_spin(202.00000000000003, narrow) == 25
 
 
 def test_first_pulse_moves_control_branch(params5):
