@@ -111,10 +111,11 @@ def regime(eps: float, P0: float) -> str:
     return "above-eps3"
 
 
-def error_budget(lengths, Omega: float, J: float = 1.0, P0: float = 1e-6) -> dict[str, list]:
+def error_budget(lengths, Omega: float, J: float, P0: float) -> dict[str, list]:
     """The columns of `budgets.csv`, name to values: the analytic budget at
     Omega of each of a non-empty sequence of chain lengths, with eps and eps'
-    the `ground_branch_errors` at (Omega, J).
+    the `ground_branch_errors` at (Omega, J) and `regime` the class of eps
+    against the reporting floor P0.
 
     P1 and P1cal are the uniform-eps sums `p1_total` and `p1_target`.  P1
     differs from the protocol's per-pulse first-order total by eps - eps'

@@ -62,7 +62,7 @@ from .propagator import (
     total_variation_distance,
     unwanted_census,
 )
-from .protocol import PulseSequence, cn_remote_protocol
+from .protocol import cn_remote_protocol
 
 PRESETS: dict[str, dict[str, str]] = {
     "fig1": {"J": "1", "omega_min": "0.02", "omega_max": "0.6",
@@ -113,10 +113,12 @@ class ExperimentConfig:
             given = "" if key in self.raw else " (the default)"
             raise ValueError(f"config key {key!r} must be {rule}, got {value!r}{given}")
 
-    def get_probability(self, key: str, default: float) -> float:
-        """A probability floor, which must lie in (0, 1)."""
-        value = self.get_float(key, default)
-        self.require(key, value, 0.0 < value < 1.0, "in (0, 1)")
+    def get_P0(self) -> float:
+        """The reporting floor P0, which must lie in (0, 1); 1e-6 by default.
+        The library states no floor of its own: every census, budget regime
+        and below_P0 column takes this one."""
+        value = self.get_float("P0", 1e-6)
+        self.require("P0", value, 0.0 < value < 1.0, "in (0, 1)")
         return value
 
     def get_drop(self, default: float) -> float:
@@ -213,21 +215,6 @@ def write_csv(path, columns: dict) -> None:
             fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
-def write_protocol_csv(seq: PulseSequence, path) -> None:
-    """Export a pulse table: index,nu,Omega,tau,flip_qubit,from_state,to_state.
-
-    Pulse indices are 1-based; states render as bitstrings b_{L-1}...b_0.
-    """
-    if seq.start is None:
-        raise ValueError("sequence carries no annotations to export")
-    L = seq.start.L
-    write_csv(path, {"index": range(1, len(seq) + 1), "nu": seq.nu.tolist(),
-                     "Omega": seq.Omega.tolist(), "tau": seq.tau.tolist(),
-                     "flip_qubit": seq.flip_qubits.tolist(),
-                     "from_state": bitstrings(seq.trajectory[:-1], L),
-                     "to_state": bitstrings(seq.trajectory[1:], L)})
-
-
 def _write_states(path, keys: np.ndarray, L: int, by: np.ndarray, **columns) -> None:
     """State table: a `state` column of each key row's bitstring, then one
     column per keyword, rows by descending `by`, ties by bitstring
@@ -263,10 +250,16 @@ def _out(cfg: ExperimentConfig, name: str) -> str:
 
 
 def cmd_protocol(cfg: ExperimentConfig) -> int:
+    """Pulse table: index,nu,Omega,tau,flip_qubit,from_state,to_state, one
+    row per pulse, 1-based; states render as bitstrings b_{L-1}...b_0."""
     params = cfg.chain_params()
     seq = cn_remote_protocol(params, cfg.get_float("Omega"))
     path = _out(cfg, "protocol.csv")
-    write_protocol_csv(seq, path)
+    write_csv(path, {"index": range(1, len(seq) + 1), "nu": seq.nu.tolist(),
+                     "Omega": seq.Omega.tolist(), "tau": seq.tau.tolist(),
+                     "flip_qubit": seq.flip_qubits.tolist(),
+                     "from_state": bitstrings(seq.trajectory[:-1], params.L),
+                     "to_state": bitstrings(seq.trajectory[1:], params.L)})
     print(f"wrote {path}: {len(seq)} pulses")
     return 0
 
@@ -277,7 +270,7 @@ def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseS
     `initial` at the config's Omega and P_drop, and the census at the floor
     P0 if `initial` carries no probability off |0...0> (else None)."""
     Omega = cfg.get_float("Omega")
-    P0 = cfg.get_probability("P0", 1e-6)
+    P0 = cfg.get_P0()
     P_drop = cfg.get_drop(drop_default)
     seq = cn_remote_protocol(params, Omega)
     final, report = run_protocol(initial, seq, params, P_drop=P_drop)
@@ -299,15 +292,15 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     if census is not None:
         _write_states(_out(cfg, "census.csv"), census.keys, census.L, census.probabilities,
                       probability=census.probabilities)
-        print(f"census: {census.count} unwanted states, P1={census.p1_total:.6e}, "
-              f"P1cal={census.p1_target:.6e}")
+        print(f"census: {len(census.probabilities)} unwanted states, "
+              f"P1={census.p1_total:.6e}, P1cal={census.p1_target:.6e}")
     return 0
 
 
 def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
     J = cfg.get_float("J", 1.0)
     cfg.require("J", J, J > 0, "finite and positive")
-    P0 = cfg.get_probability("P0", 1e-6)
+    P0 = cfg.get_P0()
     lo = cfg.get_float("omega_min")
     hi = cfg.get_float("omega_max")
     steps = cfg.get_int("omega_steps")
@@ -332,7 +325,7 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
 def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     Omega = cfg.get_float("Omega")
     P_drop = cfg.get_drop(1e-6)
-    P0 = cfg.get_probability("P0", 1e-6)
+    P0 = cfg.get_P0()
     lmin = cfg.get_int("L_min", 4)
     lmax = cfg.get_int("L_max", 100)
     lstep = cfg.get_int("L_step", 1)
@@ -356,7 +349,7 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
              "P1_numeric": [census.p1_total for census in censuses],
              "P1cal_analytic": budget["P1cal"],
              "P1cal_numeric": [census.p1_target for census in censuses],
-             "N_unwanted": [census.count for census in censuses]}
+             "N_unwanted": [len(census.probabilities) for census in censuses]}
     path = _out(cfg, "sweep_length.csv")
     write_csv(path, table)
     write_error_budget_csv(budget, _out(cfg, "budgets.csv"))
@@ -383,7 +376,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     path = _out(cfg, "spectrum.csv")
     _write_states(path, census.keys, census.L, census.probabilities,
                   probability=census.probabilities)
-    print(f"wrote {path}: {census.count} unwanted states at or above P0, "
+    print(f"wrote {path}: {len(census.probabilities)} unwanted states at or above P0, "
           f"wall={report.wall_time:.3f}s")
     return 0
 

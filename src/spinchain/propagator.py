@@ -375,7 +375,7 @@ class RunReport:
 
 
 def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
-                 P_drop: float = 1e-6, snapshot_at: Collection[int] = (),
+                 P_drop: float, snapshot_at: Collection[int] = (),
                  on_snapshot: Callable[[int, SparseState], None] | None = None,
                  ) -> tuple[SparseState, RunReport]:
     """Apply every pulse of a sequence in order, collecting diagnostics: the
@@ -430,10 +430,10 @@ class Census:
     """Unwanted-state tally of a run started from the all-zeros state.
 
     `keys` and `probabilities` hold the tallied states in array order, as
-    rows of the censused state, `L` spins wide, whatever chain was tallied.
+    rows of the censused state, `L` spins wide, whatever chain was tallied;
+    the number of unwanted states is len(probabilities).
     """
 
-    count: int
     p1_total: float        # total probability of unwanted states >= threshold
     p1_target: float       # subset with the chain's target bit set and control bit clear
     keys: np.ndarray
@@ -441,20 +441,21 @@ class Census:
     L: int
 
 
-def unwanted_census(final: SparseState, threshold: float = 1e-6,
+def unwanted_census(final: SparseState, threshold: float,
                     L: int | None = None) -> Census:
     """Count and total the unwanted states of chain L, the top L spins of
     `final` (all of them by default), left behind by the protocol.
 
-    Tallies every state with probability at or above the reporting
-    threshold other than chain L's two ideal gate outputs |0...0> and
-    |10...01>, which set no bit of `final` or bits final.L - L (the target)
-    and final.L - 1 (the control): its target and control bits are equal
-    and it sets no other bit.  The keys are read where they are (see
-    the Prefix note): raises ValueError when L is outside [1, final.L] or
-    a state has one of the spins below the top L flipped.  On a run started
-    from |0...0> the target state carries no weight, so this reduces to
-    counting everything but the ground state.
+    Tallies every state with probability at or above `threshold`, the
+    caller's reporting floor (the CLI's P0; there is no default), other
+    than chain L's two ideal gate outputs |0...0> and |10...01>, which set
+    no bit of `final` or bits final.L - L (the target) and final.L - 1 (the
+    control): its target and control bits are equal and it sets no other
+    bit.  The keys are read where they are (see the Prefix note): raises
+    ValueError when L is outside [1, final.L] or a state has one of the
+    spins below the top L flipped.  On a run started from |0...0> the
+    target state carries no weight, so this reduces to counting everything
+    but the ground state.
     """
     L = final.L if L is None else L
     if not 1 <= L <= final.L:
@@ -481,7 +482,7 @@ def unwanted_census(final: SparseState, threshold: float = 1e-6,
     unwanted = above & ((others | (target ^ control)) != 0)
     flipped_target = above & (target > control)  # target bit set, control bit clear
     tallied = p[unwanted]
-    return Census(count=len(tallied), p1_total=math.fsum(tallied.tolist()),
+    return Census(p1_total=math.fsum(tallied.tolist()),
                   p1_target=math.fsum(p[flipped_target].tolist()),
                   keys=keys[unwanted], probabilities=tallied, L=final.L)
 

@@ -155,9 +155,10 @@ def test_criterion_3_unwanted_state_count():
         family_a, family_b = first_order_states(L)
         expect = {s.bits for s in family_a + family_b}
         got = {s.bits for s, _ in census_table(census)}
-        _check(failures, census.count == n1(L) and got == expect,
+        count = len(census.probabilities)
+        _check(failures, count == n1(L) and got == expect,
                f"L={L}: census = 2L-3 = {n1(L)} states, identities match",
-               f"count {census.count}, identity {'ok' if got == expect else 'MISMATCH'}")
+               f"count {count}, identity {'ok' if got == expect else 'MISMATCH'}")
     _finish("criterion 3", failures)
 
 

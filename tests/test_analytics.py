@@ -194,7 +194,7 @@ def test_ground_branch_errors_are_eps_at_2J_and_4J():
         eps, eps_prime = ground_branch_errors(grid, J)
         pointwise = [ground_branch_errors(om, J) for om in grid.tolist()]
         assert list(zip(eps.tolist(), eps_prime.tolist())) == pointwise
-    budget = error_budget([10], Omega=0.20844, J=0.7)
+    budget = error_budget([10], Omega=0.20844, J=0.7, P0=1e-6)
     assert (*budget["eps"], *budget["eps_prime"]) == ground_branch_errors(0.20844, 0.7)
 
 
@@ -239,7 +239,7 @@ def test_error_budget_columns_are_the_per_length_scalars(lengths, Omega, J, P0):
 
 
 def test_error_budget_csv(tmp_path):
-    budget = error_budget((4, 6), 0.0906)
+    budget = error_budget((4, 6), 0.0906, J=1.0, P0=1e-6)
     path = tmp_path / "budgets.csv"
     write_error_budget_csv(budget, path)
     lines = path.read_text().splitlines()

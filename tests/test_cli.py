@@ -80,7 +80,7 @@ def test_run_from_a_target_1_input_notes_it_is_no_cn(tmp_path, capsys):
         assert all("CN on target-0 inputs only" in line for line in err)
         params = ChainParams(L=5)
         final, _ = run_protocol(SparseState.from_basis(BasisState.from_string(start)),
-                                cn_remote_protocol(params, 0.0906), params)
+                                cn_remote_protocol(params, 0.0906), params, P_drop=1e-6)
         write_state_csv(final, tmp_path / f"{start}.csv")
         assert (out / "final_state.csv").read_bytes() == (tmp_path / f"{start}.csv").read_bytes()
 

@@ -56,7 +56,8 @@ def test_carrier_outside_the_band_raises_from_run_protocol(params5):
     for nu in (params5.omega0 - 3 * params5.J, params5.omega0 + 4 * params5.delta_omega + 3):
         seq = sequence(inside, Pulse(nu=nu, Omega=0.2, tau=1.0), inside)
         with pytest.raises(ValueError, match=f"pulse frequency {nu} addresses no spin"):
-            run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5)
+            run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
+                         P_drop=1e-6)
 
 
 def test_resonant_spin_lookup(params5):
@@ -393,7 +394,7 @@ def test_run_protocol_asserts_norm_ledger(params5, monkeypatch, tmp_path):
                         lambda *args: 1.001 * exact(*args))
     seq = cn_remote_protocol(params5, 0.0906)
     with pytest.raises(RuntimeError, match="norm ledger defect"):
-        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5)
+        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5, P_drop=1e-6)
     # a length sweep runs only its longest chain, and checks the ledger at
     # every length's snapshot: the first fails after chain 4's five pulses
     cfg = tmp_path / "sweep.cfg"
@@ -444,14 +445,14 @@ def test_run_protocol_rejects_snapshot_outside_the_run(params5):
     for n in (0, len(seq) + 1):
         with pytest.raises(ValueError, match="snapshot"):
             run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
-                         snapshot_at=[n], on_snapshot=lambda n, state: None)
+                         P_drop=1e-6, snapshot_at=[n], on_snapshot=lambda n, state: None)
 
 
 def test_run_protocol_rejects_snapshot_without_callback(params5):
     seq = cn_remote_protocol(params5, 0.0906)
     with pytest.raises(ValueError, match="on_snapshot"):
         run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
-                     snapshot_at=[2])
+                     P_drop=1e-6, snapshot_at=[2])
 
 
 @settings(max_examples=200, deadline=None)
@@ -474,8 +475,8 @@ def test_census_of_top_spins_reads_keys_in_place(data):
     short = SparseState.from_amplitudes(amps, L)
     census = unwanted_census(state, threshold=threshold, L=L)
     expect = unwanted_census(short, threshold=threshold)
-    assert (census.count, census.p1_total, census.p1_target) == (
-        expect.count, expect.p1_total, expect.p1_target)
+    assert (len(census.probabilities), census.p1_total, census.p1_target) == (
+        len(expect.probabilities), expect.p1_total, expect.p1_target)
     assert census.probabilities.tobytes() == expect.probabilities.tobytes()
     # the tallied rows are the big state's own, L = big spins wide
     assert census.L == big and census.keys.shape[1] == state.keys.shape[1]
@@ -562,7 +563,7 @@ def test_census_counts_and_families():
     final, _ = ground_run(L, 0.0906)
     census = unwanted_census(final, threshold=1e-6)
     table = census_table(census)
-    assert census.count == 2 * L - 3
+    assert len(census.probabilities) == 2 * L - 3
     family_a, family_b = first_order_states(L)
     assert {s.bits for s, _ in table} == {s.bits for s in family_a + family_b}
     assert census.p1_total == pytest.approx(sum(p for _, p in table))
@@ -582,11 +583,11 @@ def test_census_of_resonant_branch_is_empty(params5):
     final, _ = run_protocol(SparseState.from_basis(BasisState.from_string("10000")),
                             seq, params5, P_drop=0.0)
     census = unwanted_census(final, threshold=1e-6)
-    assert census.count == 0
+    assert len(census.probabilities) == 0
 
     ground_final, _ = ground_run(5, 0.0906, P_drop=1e-6)
     census2 = unwanted_census(ground_final, threshold=0.9)  # nothing that big
-    assert census2.count == 0
+    assert len(census2.probabilities) == 0
 
 
 @st.composite
@@ -620,7 +621,8 @@ def test_array_census_matches_bitstring_census(case):
     state, threshold = case
     count, p1, p1cal, rows = census_bitstring(state, threshold)
     census = unwanted_census(state, threshold=threshold)
-    assert (census.count, census.p1_total, census.p1_target) == (count, p1, p1cal)
+    assert (len(census.probabilities), census.p1_total, census.p1_target) == (
+        count, p1, p1cal)
     assert census_table(census) == rows
     # the written tables, rows rendered from the key arrays, in the order of
     # the bitstring census and of a sort of (-probability, bitstring)
@@ -666,6 +668,25 @@ def test_active_state_count_stays_quadratic(L):
     # eps2 < eps < eps3 regime; the paper-level bound is c*L^2
     final, report = ground_run(L, 0.20844, P_drop=1e-6)
     assert max(report.active_states) <= L * L
+
+
+@pytest.mark.parametrize("Omega", [0.0906, 0.20844])
+@pytest.mark.parametrize("L", range(3, 41))
+def test_unpruned_orbit_closes_at_two_runs(L, Omega):
+    # a resonant pulse flips with certainty (its residue, 3.7e-33, falls
+    # below AMPLITUDE_FLOOR) and an off-resonant one adds at most one flip,
+    # so from |0...0> the map reaches the ground state, the 2L - 3 one-run
+    # states and the C(L - 2, 2) two-run states, and no more
+    final, report = ground_run(L, Omega, P_drop=0.0)
+    orbit = (L * L - L + 2) // 2
+    assert len(final.amps) == max(report.active_states) == orbit
+    assert all(bin(s & ~(s << 1)).count("1") <= 2 for s in _unpack(final.keys))
+    # the control branch is one state after every pulse, ending on |10...01>
+    params = ChainParams(L=L)
+    final, report = run_protocol(SparseState.from_amplitudes({1 << (L - 1): 1.0}, L),
+                                 cn_remote_protocol(params, Omega), params, P_drop=0.0)
+    assert report.active_states == [1] * (2 * L - 3)
+    assert _unpack(final.keys) == [(1 << (L - 1)) | 1]
 
 
 def test_pulse_splitting_composes_exactly(params5):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinchain.cli import write_protocol_csv
+from spinchain.cli import main
 from spinchain.exact import DenseState, evolve_exact
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, _unpack, bitstrings, resonant_spin, run_protocol
@@ -239,9 +239,10 @@ def test_sequence_annotation_validation(params5):
 
 
 def test_protocol_csv_export(tmp_path, params5):
-    seq = cn_remote_protocol(params5, 0.0906)
+    cfg = tmp_path / "protocol.cfg"
+    cfg.write_text(f"L={params5.L}\nOmega=0.0906\n")
     path = tmp_path / "protocol.csv"
-    write_protocol_csv(seq, path)
+    assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["index", "nu", "Omega", "tau", "flip_qubit", "from_state", "to_state"]
@@ -250,6 +251,6 @@ def test_protocol_csv_export(tmp_path, params5):
     assert rows[1][5] == "10000" and rows[1][6] == "11000"
     assert float(rows[3][1]) == pytest.approx(params5.omega0 + 3 * params5.delta_omega - 2)
     # byte-identical on re-export
-    path2 = tmp_path / "protocol2.csv"
-    write_protocol_csv(seq, path2)
+    path2 = tmp_path / "again" / "protocol.csv"
+    assert main(["protocol", "--config", str(cfg), "--out", str(path2.parent)]) == 0
     assert path.read_bytes() == path2.read_bytes()
