@@ -11,12 +11,13 @@ the second-order band.  The emitted CSVs are figure-ready:
   fig3  sweep_length.csv  same sweep at relatively large eps (eps2-eps3 regime)
   fig4  spectrum.csv      per-state probabilities at L=70, two bands
 
+Each figN/ also keeps figN.cfg, the one-line config (preset=figN) that
+made it.
+
 Usage: python scripts/reproduce_figures.py [outdir]
 """
 
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from spinchain.cli import main
@@ -33,13 +34,10 @@ def run(outdir: Path) -> int:
     for preset, command in JOBS:
         target = outdir / preset
         print(f"== {preset}: spinchain {command} -> {target}")
-        with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-            fh.write(f"preset={preset}\n")
-            cfg = fh.name
-        try:
-            code = main([command, "--config", cfg, "--out", str(target)])
-        finally:
-            os.unlink(cfg)
+        target.mkdir(parents=True, exist_ok=True)
+        cfg = target / f"{preset}.cfg"
+        cfg.write_text(f"preset={preset}\n")
+        code = main([command, "--config", str(cfg), "--out", str(target)])
         if code != 0:
             print(f"{preset} failed with exit code {code}", file=sys.stderr)
             return code

@@ -18,7 +18,8 @@ whose squares do not sum to 1; the error names the key.  So is a Rabi
 frequency (Omega, omega_min, omega_max) so small that the pulse phases
 overflow; `verify` also rejects, with exit 1, an Omega at which the exact
 propagation is not finite.  The protocol is a CN on inputs with target
-bit 0 only, and `run` from an initial= with that bit set says so on stderr.
+bit 0 only, and `run` or `verify` from an initial= with that bit set says
+so on stderr.
 
 sweep-length runs the remote-CN protocol once, for the longest chain of its
 grid, and takes each length L's census from that run's state after pulse
@@ -133,6 +134,8 @@ class ExperimentConfig:
         return ChainParams(L=self.get_int("L") if L is None else L, **fields)
 
     def initial_state(self, params: ChainParams) -> SparseState:
+        """The start of `run` and `verify`: initial=, alpha=/beta= or
+        |0...0>.  An initial= that sets target bit 0 gets a note on stderr."""
         if "initial" in self.raw and ("alpha" in self.raw or "beta" in self.raw):
             raise ValueError("give either initial= or alpha=/beta=, not both")
         if "alpha" in self.raw or "beta" in self.raw:
@@ -147,6 +150,9 @@ class ExperimentConfig:
             if state.L != params.L:
                 raise ValueError(
                     f"initial state has {state.L} bits but L={params.L}")
+            if state.bits & 1:
+                print("spinchain: note: the initial state sets target bit 0; the protocol "
+                      "is a CN on target-0 inputs only", file=sys.stderr)
             return SparseState.from_basis(state)
         return SparseState.from_basis(BasisState.ground(params.L))
 
@@ -281,9 +287,6 @@ def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseS
 def cmd_run(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
     initial = cfg.initial_state(params)
-    if (initial.keys[:, 0] & 1).any():
-        print("spinchain: note: the initial state sets target bit 0; the protocol is a "
-              "CN on target-0 inputs only", file=sys.stderr)
     seq, final, report, census = _run_and_census(cfg, params, initial, drop_default=1e-6)
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
@@ -451,7 +454,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"spinchain: error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> None:
-    raise SystemExit(main())

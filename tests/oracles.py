@@ -84,6 +84,30 @@ def cn_carriers_scalar(params: ChainParams) -> tuple[list[float], list[int], lis
     return [flip_gap_scalar(a.bits, k, params) for a, k in zip(traj, flips)], flips, traj
 
 
+def classical_orbit(seq: PulseSequence, params: ChainParams, start: int) -> dict[int, int]:
+    """The states the pair map can reach from the packed state `start`,
+    each with the fewest off-resonant flips that reach it, one Python int
+    at a time.
+
+    At each pulse of `seq`, on its annotated flip qubit, a state whose
+    `flip_gap_scalar` equals the carrier must flip (a resonant pi pulse
+    flips with certainty); any other state may stay, or take one
+    off-resonant flip, which the pass counts.
+    """
+    orbit = {start: 0}
+    for nu, k in zip(seq.nu.tolist(), seq.flip_qubits.tolist()):
+        reached: dict[int, int] = {}
+        for state, flips in orbit.items():
+            if flip_gap_scalar(state, k, params) == nu:
+                moves = [(state ^ (1 << k), flips)]
+            else:
+                moves = [(state, flips), (state ^ (1 << k), flips + 1)]
+            for after, n in moves:
+                reached[after] = min(n, reached.get(after, n))
+        orbit = reached
+    return orbit
+
+
 def bits_of(state: int, L: int) -> list[int]:
     return [(state >> k) & 1 for k in range(L)]
 

@@ -1,5 +1,6 @@
 import csv
 import errno
+import importlib
 import io
 import math
 import os
@@ -25,6 +26,7 @@ from spinchain.cli import (
     write_csv,
     write_state_csv,
 )
+from spinchain.exact import DenseState, evolve_exact
 from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import SparseState, bitstrings, run_protocol
 from spinchain.protocol import cn_remote_protocol
@@ -69,20 +71,31 @@ def test_run_resonant_branch(tmp_path):
 
 
 def test_run_from_a_target_1_input_notes_it_is_no_cn(tmp_path, capsys):
-    # one stderr line, and the same exit code and tables as any run: the
-    # final state is the library's, written by the same writer
+    # `run` and `verify` build their start in one place, which notes a set
+    # target bit on one stderr line; the exit code and the tables are those
+    # of any start: the run's final state is the library's, written by the
+    # same writer, and verify's columns are the map's and the exact |C|^2
+    params = ChainParams(L=5)
+    seq = cn_remote_protocol(params, 0.0906)
     for start, notes in (("10000", 0), ("10001", 1), ("00001", 1)):
         cfg = write_cfg(tmp_path, f"L=5\nOmega=0.0906\ninitial={start}\n", f"{start}.cfg")
-        out = tmp_path / start
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == notes
-        assert all("CN on target-0 inputs only" in line for line in err)
-        params = ChainParams(L=5)
-        final, _ = run_protocol(SparseState.from_basis(BasisState.from_string(start)),
-                                cn_remote_protocol(params, 0.0906), params, P_drop=1e-6)
+        for command in ("run", "verify"):
+            out = tmp_path / command / start
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == notes
+            assert all("CN on target-0 inputs only" in line for line in err)
+        initial = SparseState.from_basis(BasisState.from_string(start))
+        final, _ = run_protocol(initial, seq, params, P_drop=1e-6)
         write_state_csv(final, tmp_path / f"{start}.csv")
-        assert (out / "final_state.csv").read_bytes() == (tmp_path / f"{start}.csv").read_bytes()
+        assert (tmp_path / "run" / start / "final_state.csv").read_bytes() == \
+            (tmp_path / f"{start}.csv").read_bytes()
+        final, _ = run_protocol(initial, seq, params, P_drop=0.0)
+        p_map = DenseState.from_sparse(final).probability_array()
+        p_exact = evolve_exact(DenseState.from_sparse(initial), seq, params).probability_array()
+        rows = {int(row[0], 2): [float(x) for x in row[1:3]]
+                for row in read_csv(tmp_path / "verify" / start / "verify.csv")[1:]}
+        assert [rows[s] for s in range(32)] == np.column_stack([p_map, p_exact]).tolist()
 
 
 def test_run_ground_branch_census(tmp_path):
@@ -621,3 +634,18 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, cwd=Path(spinchain.__file__).parents[1])
     assert proc.returncode == 0
     assert "5 pulses" in proc.stdout
+
+
+def test_console_script_is_main(tmp_path, capsys):
+    # the installed `spinchain` command: pip's wrapper exits with what the
+    # [project.scripts] target returns, so that target is `main` itself
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1]
+    module, name = re.match(r'spinchain = "([\w.]+):(\w+)"', scripts).groups()
+    script = getattr(importlib.import_module(module), name)
+    assert script is main
+    ok = write_cfg(tmp_path, "L=4\nOmega=0.0906\n")
+    unread = write_cfg(tmp_path, "L=4\nOmega=0.0906\nP0=1e-6\n", "unread.cfg")
+    assert script(["protocol", "--config", ok, "--out", str(tmp_path)]) == 0
+    assert script(["protocol", "--config", unread, "--out", str(tmp_path)]) == 1
+    assert "protocol does not read config key 'P0'" in capsys.readouterr().err

@@ -2,7 +2,8 @@
 
 Every CSV the commands write is deterministic, so a refactor that claims to
 leave the outputs unchanged can be checked byte for byte.  This test
-regenerates the four figure datasets (through scripts/reproduce_figures.py),
+regenerates the four figure datasets (through scripts/reproduce_figures.py,
+which keeps each figure's config beside its CSVs),
 a sparse `run` at L = 100 and one from the control branch, a failing
 `verify` at L = 8 and a passing one at L = 10, and two `protocol` tables
 (L = 10 and L = 100), and compares the full SHA-256 digests of all files
@@ -23,7 +24,6 @@ import os
 import runpy
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import spinchain
@@ -77,17 +77,19 @@ def _digests(root: Path, names) -> dict[str, str]:
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_outputs_are_byte_identical(tmp_path, capsys, monkeypatch):
+def test_outputs_are_byte_identical(tmp_path, capsys):
     # run from the directory holding the package under test, so the child
     # imports it whether or not it is installed
     src = Path(spinchain.__file__).parents[1]
     figures = tmp_path / "figures"
-    # the script's temporary config files must not outlive the run
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     assert runpy.run_path(str(REPRODUCE))["run"](figures) == 0
-    assert not list(scratch.iterdir())
+    # the six CSVs and, in each figure's directory, the one-line config
+    # that made it
+    configs = {f"{fig}/{fig}.cfg": f"preset={fig}\n" for fig in ("fig1", "fig2", "fig3", "fig4")}
+    written = {path.relative_to(figures).as_posix()
+               for path in figures.rglob("*") if path.is_file()}
+    assert written == {*FIGURE_DIGESTS, *configs}
+    assert {name: (figures / name).read_text() for name in configs} == configs
     # every file's digest by its path under tmp_path
     expect = {f"figures/{name}": digest for name, digest in FIGURE_DIGESTS.items()}
     for i, (command, text, code, digests) in enumerate(COMMAND_DIGESTS):

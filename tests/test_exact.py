@@ -12,7 +12,7 @@ import pytest
 import spinchain.exact
 from spinchain.exact import DenseState, _mirror, evolve_exact, rotating_frame_generator
 from spinchain.model import BasisState, ChainParams
-from spinchain.propagator import SparseState, run_protocol, total_variation_distance
+from spinchain.propagator import SparseState, _unpack, run_protocol, total_variation_distance
 from spinchain.protocol import Pulse, cn_remote_protocol
 
 from oracles import chain_ode, energy_bruteforce, pair_update, sequence
@@ -413,3 +413,22 @@ def test_tvd_to_sparse_decreases_with_rabi(params5):
             DenseState.from_sparse(sparse).probability_array(), dense.probability_array()))
     assert all(b < a for a, b in zip(tvds, tvds[1:]))
     assert tvds[-1] < 1e-4
+
+
+@pytest.mark.parametrize("Omega", [0.0906, 0.20844])
+@pytest.mark.parametrize("L", range(4, 9))
+def test_control_branch_leak_is_the_neglected_channel(L, Omega):
+    # every pulse is resonant on the control-1 branch, so the map carries
+    # |10...0> to exactly |10...01>; dense leaks off it through the drive
+    # on the neighbouring spins, which the map neglects, at order
+    # (Omega/delta_omega)^2 (measured 5-14 times it)
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, Omega)
+    start = SparseState.from_basis(BasisState(1 << (L - 1), L))
+    target = (1 << (L - 1)) | 1
+    final, _ = run_protocol(start, seq, params, P_drop=0.0)
+    assert _unpack(final.keys) == [target]
+    assert 1.0 - DenseState.from_sparse(final).probability_array()[target] == 0.0
+    exact = evolve_exact(DenseState.from_sparse(start), seq, params)
+    leak = 1.0 - exact.probability_array()[target]
+    assert 2.0 <= leak / (Omega / params.delta_omega) ** 2 <= 20.0

@@ -29,6 +29,7 @@ from oracles import (
     bit,
     census_bitstring,
     census_table,
+    classical_orbit,
     cn_trajectory,
     energy_bruteforce,
     first_order_states,
@@ -687,6 +688,19 @@ def test_unpruned_orbit_closes_at_two_runs(L, Omega):
                                  cn_remote_protocol(params, Omega), params, P_drop=0.0)
     assert report.active_states == [1] * (2 * L - 3)
     assert _unpack(final.keys) == [(1 << (L - 1)) | 1]
+
+
+@pytest.mark.parametrize("Omega", [0.0906, 0.20844])
+@pytest.mark.parametrize("L", range(3, 31))
+def test_classical_orbit_is_the_maps_key_set(L, Omega):
+    # from |0...0> the map reaches exactly the classical pass's states, and
+    # each state's count of off-resonant flips is its number of runs of 1s:
+    # every correlated error of the map is two single flips, never more
+    params = ChainParams(L=L)
+    orbit = classical_orbit(cn_remote_protocol(params, Omega), params, 0)
+    final, _ = ground_run(L, Omega, P_drop=0.0)
+    assert set(orbit) == set(_unpack(final.keys))
+    assert all(flips == bin(s & ~(s << 1)).count("1") <= 2 for s, flips in orbit.items())
 
 
 def test_pulse_splitting_composes_exactly(params5):
