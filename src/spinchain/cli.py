@@ -60,7 +60,6 @@ from .propagator import (
     SparseState,
     bitstrings,
     run_protocol,
-    total_variation_distance,
     unwanted_census,
 )
 from .protocol import cn_remote_protocol
@@ -272,7 +271,7 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
 
 def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseState,
                     drop_default: float) -> tuple:
-    """(seq, final, report, census) of run and spectrum: the protocol from
+    """(final, report, census) of run and spectrum: the protocol from
     `initial` at the config's Omega and P_drop, and the census at the floor
     P0 if `initial` carries no probability off |0...0> (else None)."""
     Omega = cfg.get_float("Omega")
@@ -281,19 +280,19 @@ def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseS
     seq = cn_remote_protocol(params, Omega)
     final, report = run_protocol(initial, seq, params, P_drop=P_drop)
     from_ground = not initial.amps[initial.keys.any(axis=1)].any()
-    return seq, final, report, unwanted_census(final, threshold=P0) if from_ground else None
+    return final, report, unwanted_census(final, threshold=P0) if from_ground else None
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
     initial = cfg.initial_state(params)
-    seq, final, report, census = _run_and_census(cfg, params, initial, drop_default=1e-6)
+    final, report, census = _run_and_census(cfg, params, initial, drop_default=1e-6)
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
-    print(f"run: {len(seq)} pulses, {len(final.amps)} active states, "
+    print(f"run: {len(report.active_states)} pulses, {len(final.amps)} active states, "
           f"dropped={final.dropped:.3e}, wall={report.wall_time:.3f}s")
     if census is not None:
-        _write_states(_out(cfg, "census.csv"), census.keys, census.L, census.probabilities,
+        _write_states(_out(cfg, "census.csv"), census.keys, params.L, census.probabilities,
                       probability=census.probabilities)
         print(f"census: {len(census.probabilities)} unwanted states, "
               f"P1={census.p1_total:.6e}, P1cal={census.p1_target:.6e}")
@@ -374,10 +373,10 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
-    _, _, report, census = _run_and_census(
+    _, report, census = _run_and_census(
         cfg, params, SparseState.from_basis(BasisState.ground(params.L)), drop_default=1e-8)
     path = _out(cfg, "spectrum.csv")
-    _write_states(path, census.keys, census.L, census.probabilities,
+    _write_states(path, census.keys, params.L, census.probabilities,
                   probability=census.probabilities)
     print(f"wrote {path}: {len(census.probabilities)} unwanted states at or above P0, "
           f"wall={report.wall_time:.3f}s")
@@ -400,7 +399,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             "so there is no finite result to verify the map against")
     p_map = DenseState.from_sparse(final).probability_array()
     gap = np.abs(p_map - p_exact)
-    tvd = total_variation_distance(p_map, p_exact)
+    tvd = 0.5 * math.fsum(gap.tolist())
     # largest gap first, ties by state
     _write_states(_out(cfg, "verify.csv"), np.arange(len(gap), dtype=np.uint64)[:, None],
                   params.L, gap, p_resonance=p_map, p_exact=p_exact, abs_gap=gap)

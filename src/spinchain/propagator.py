@@ -430,7 +430,7 @@ class Census:
     """Unwanted-state tally of a run started from the all-zeros state.
 
     `keys` and `probabilities` hold the tallied states in array order, as
-    rows of the censused state, `L` spins wide, whatever chain was tallied;
+    rows of the censused state (its key width, whatever chain was tallied);
     the number of unwanted states is len(probabilities).
     """
 
@@ -438,7 +438,6 @@ class Census:
     p1_target: float       # subset with the chain's target bit set and control bit clear
     keys: np.ndarray
     probabilities: np.ndarray
-    L: int
 
 
 def unwanted_census(final: SparseState, threshold: float,
@@ -484,10 +483,4 @@ def unwanted_census(final: SparseState, threshold: float,
     tallied = p[unwanted]
     return Census(p1_total=math.fsum(tallied.tolist()),
                   p1_target=math.fsum(p[flipped_target].tolist()),
-                  keys=keys[unwanted], probabilities=tallied, L=final.L)
-
-
-def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """TVD between two dense probability arrays over basis states,
-    1/2 sum |p - q|, summed exactly (`math.fsum`)."""
-    return 0.5 * math.fsum(np.abs(p - q).tolist())
+                  keys=keys[unwanted], probabilities=tallied)

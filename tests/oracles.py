@@ -6,10 +6,12 @@ integration), so agreement is evidence rather than tautology.
 
 The last few helpers are not oracles but views of the package under test
 that only the tests need: the suppression zeros of eps (`suppression_rabi`),
-the all-zeros branch's detuning under each pulse
-(`ground_branch_detunings`), the package's own pair map for one pulse
-(`pair_map`, `pair_update`), a one-pulse run (`run_pulse`), one basis
-state's probability (`probability`), a census as sorted rows
+the all-zeros branch's detuning under each pulse, signed and as a
+magnitude (`ground_branch_signed_detunings`, `ground_branch_detunings`),
+the package's own pair map for one pulse (`pair_map`, `pair_update`), a
+one-pulse run (`run_pulse`), one basis state's probability
+(`probability`), the total variation distance of two dense probability
+arrays (`total_variation_distance`), a census as sorted rows
 (`census_table`), the first-order state families (`first_order_states`),
 the populations after pulse 3 (`u3_table`), one bit of a basis state or
 its single flip (`bit`, `flipped`), and an unannotated sequence of `Pulse`
@@ -321,18 +323,27 @@ def suppression_rabi(Delta: float, k: int) -> float:
     return abs(Delta) / math.sqrt(4.0 * k * k - 1.0)
 
 
-def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
-    """Detuning magnitudes seen by the all-zeros state under each pulse.
+def ground_branch_signed_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
+    """Detuning Delta = E_p - E_m - nu of the all-zeros state's flip pair
+    under each pulse: the `flip_gap` of |0...0> at the pulse's annotated
+    qubit, less its carrier.
 
     The all-zeros branch never moves at leading order, so each pulse is
     compared against the spacing for flipping its annotated qubit out of
     |0...0>.  For the CN protocol this is 2J for every pulse except the
-    third, which is 4J.
+    third, which is 4J.  The gate phase is odd in Delta, so it needs the
+    sign.
     """
     if seq.flip_qubits is None:
         raise ValueError("sequence carries no flip annotations")
     ground = np.zeros((len(seq), (params.L + 63) // 64), dtype=np.uint64)  # |0...0>
-    return np.abs(flip_gap(ground, seq.flip_qubits, params) - seq.nu).tolist()
+    return (flip_gap(ground, seq.flip_qubits, params) - seq.nu).tolist()
+
+
+def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
+    """Detuning magnitudes |Delta| seen by the all-zeros state under each
+    pulse (see `ground_branch_signed_detunings`)."""
+    return [abs(delta) for delta in ground_branch_signed_detunings(seq, params)]
 
 
 def pair_map(Delta: float, Omega: float, tau: float,
@@ -366,12 +377,19 @@ def probability(state: SparseState, basis: BasisState | int) -> float:
     return dict(zip(_unpack(state.keys), state.probability_array().tolist())).get(bits, 0.0)
 
 
-def census_table(census: Census) -> list[tuple[BasisState, float]]:
-    """(state, probability) rows of a census by descending probability, ties
-    by bitstring (ascending key, most significant word first): the order of
-    the `census.csv` and `spectrum.csv` rows."""
+def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """TVD between two dense probability arrays over basis states,
+    1/2 sum |p - q|, summed exactly (`math.fsum`): the sum `verify` takes
+    over the abs_gap column it writes."""
+    return 0.5 * math.fsum(np.abs(p - q).tolist())
+
+
+def census_table(census: Census, L: int) -> list[tuple[BasisState, float]]:
+    """(state, probability) rows of a census of an L-spin state by descending
+    probability, ties by bitstring (ascending key, most significant word
+    first): the order of the `census.csv` and `spectrum.csv` rows."""
     order = np.lexsort((*census.keys.T, -census.probabilities))
-    return [(BasisState(bits, census.L), q)
+    return [(BasisState(bits, L), q)
             for bits, q in zip(_unpack(census.keys[order]),
                                census.probabilities[order].tolist())]
 

@@ -60,7 +60,6 @@ from spinchain.propagator import (
     SparseState,
     _unpack,
     run_protocol,
-    total_variation_distance,
     unwanted_census,
 )
 from spinchain.protocol import cn_remote_protocol
@@ -73,6 +72,7 @@ from oracles import (
     pair_update,
     probability,
     suppression_rabi,
+    total_variation_distance,
     two_level_ode,
 )
 
@@ -154,7 +154,7 @@ def test_criterion_3_unwanted_state_count():
         census = unwanted_census(final, threshold=P0)
         family_a, family_b = first_order_states(L)
         expect = {s.bits for s in family_a + family_b}
-        got = {s.bits for s, _ in census_table(census)}
+        got = {s.bits for s, _ in census_table(census, L)}
         count = len(census.probabilities)
         _check(failures, count == n1(L) and got == expect,
                f"L={L}: census = 2L-3 = {n1(L)} states, identities match",
@@ -248,7 +248,7 @@ def test_criterion_6_fig4_bands():
     lid = eps * (1 + n1(L) * eps_max)
     final, _ = _ground_run(L, OMEGA_FIG3, P_drop=1e-8)
     census = unwanted_census(final, threshold=1e-8)
-    table = census_table(census)
+    table = census_table(census, L)
     probs = [p for _, p in table]
     band1 = {s.bits for s, p in table if 0.2 * eps <= p <= lid}
     band2 = [p for p in probs if p < 10 * eps**2]

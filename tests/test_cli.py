@@ -260,6 +260,17 @@ def test_spectrum_two_bands(tmp_path):
     assert second_band and max(second_band) < 10 * eps * eps
 
 
+def test_spectrum_is_the_runs_census_under_fig4(tmp_path):
+    # the same run and census at the same floor: spectrum.csv and run's
+    # census.csv are one table, byte for byte
+    cfg = write_cfg(tmp_path, "preset=fig4\nL=30\n")
+    for command in ("spectrum", "run"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    spectrum = (tmp_path / "spectrum.csv").read_bytes()
+    assert spectrum.count(b"\n") > n1(30) + 1
+    assert spectrum == (tmp_path / "census.csv").read_bytes()
+
+
 def test_spectrum_band_count_grows_quadratically(tmp_path):
     # second-band count rises much faster than the linear first band
     eps = epsilon(0.20844, 2.0, math.pi / 0.20844)

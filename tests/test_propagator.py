@@ -1,3 +1,4 @@
+import cmath
 import csv
 import math
 import tempfile
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spinchain.propagator
-from spinchain.analytics import ground_branch_errors
+from spinchain.analytics import epsilon, ground_branch_errors, p1_total
 from spinchain.cli import _write_states, main, write_report_csv, write_state_csv
 from spinchain.model import BasisState, ChainParams, pack_keys
 from spinchain.propagator import (
@@ -19,7 +20,6 @@ from spinchain.propagator import (
     bitstrings,
     resonant_spin,
     run_protocol,
-    total_variation_distance,
     unwanted_census,
 )
 from spinchain.protocol import Pulse, cn_remote_protocol
@@ -33,6 +33,7 @@ from oracles import (
     cn_trajectory,
     energy_bruteforce,
     first_order_states,
+    ground_branch_signed_detunings,
     pair_coefficients_scalar,
     pair_map,
     pair_map_closed_form,
@@ -42,6 +43,7 @@ from oracles import (
     run_pulse,
     sequence,
     suppression_rabi,
+    total_variation_distance,
 )
 
 
@@ -479,8 +481,8 @@ def test_census_of_top_spins_reads_keys_in_place(data):
     assert (len(census.probabilities), census.p1_total, census.p1_target) == (
         len(expect.probabilities), expect.p1_total, expect.p1_target)
     assert census.probabilities.tobytes() == expect.probabilities.tobytes()
-    # the tallied rows are the big state's own, L = big spins wide
-    assert census.L == big and census.keys.shape[1] == state.keys.shape[1]
+    # the tallied rows are the big state's own, as wide as its keys
+    assert census.keys.shape[1] == state.keys.shape[1]
     assert [s >> shift for s in _unpack(census.keys)] == _unpack(expect.keys)
     if shift:
         low = 1 << rnd.randrange(shift)
@@ -563,7 +565,7 @@ def test_census_counts_and_families():
     L = 8
     final, _ = ground_run(L, 0.0906)
     census = unwanted_census(final, threshold=1e-6)
-    table = census_table(census)
+    table = census_table(census, L)
     assert len(census.probabilities) == 2 * L - 3
     family_a, family_b = first_order_states(L)
     assert {s.bits for s, _ in table} == {s.bits for s in family_a + family_b}
@@ -624,11 +626,11 @@ def test_array_census_matches_bitstring_census(case):
     census = unwanted_census(state, threshold=threshold)
     assert (len(census.probabilities), census.p1_total, census.p1_target) == (
         count, p1, p1cal)
-    assert census_table(census) == rows
+    assert census_table(census, state.L) == rows
     # the written tables, rows rendered from the key arrays, in the order of
     # the bitstring census and of a sort of (-probability, bitstring)
     with tempfile.TemporaryDirectory() as tmp:
-        _write_states(Path(tmp, "census.csv"), census.keys, census.L, census.probabilities,
+        _write_states(Path(tmp, "census.csv"), census.keys, state.L, census.probabilities,
                       probability=census.probabilities)
         write_state_csv(state, Path(tmp, "state.csv"))
         census_csv = Path(tmp, "census.csv").read_text()
@@ -688,6 +690,62 @@ def test_unpruned_orbit_closes_at_two_runs(L, Omega):
                                  cn_remote_protocol(params, Omega), params, P_drop=0.0)
     assert report.active_states == [1] * (2 * L - 3)
     assert _unpack(final.keys) == [(1 << (L - 1)) | 1]
+
+
+def _ground_amplitude(state: SparseState) -> complex:
+    [c0] = state.amps[~state.keys.any(axis=1)].tolist()
+    return c0
+
+
+@pytest.mark.parametrize("Omega", [0.0906, 0.20844, suppression_rabi(2.0, 11)])
+@pytest.mark.parametrize("L", [3, 4, 5, 10, 20, 50, 100])
+def test_ground_amplitude_is_the_product_of_its_rotations(L, Omega):
+    # every pulse is off-resonant on |0...0> and its partner never holds
+    # amplitude, so the map's ground amplitude is the product of the
+    # pulses' rotation factors K_mm, which carry no frame phase: its
+    # probability is the resummed prod (1 - eps_i), the third pulse's at
+    # 4J, and its phase the sum of the factors' arguments, which the k = 11
+    # zero of eps does not remove
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, Omega)
+    final, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)), seq, params,
+                            P_drop=0.0)
+    c0 = _ground_amplitude(final)
+    deltas, taus = ground_branch_signed_detunings(seq, params), seq.tau.tolist()
+    K = [pair_map(delta, Omega, tau, 0.0)[0] for delta, tau in zip(deltas, taus)]
+    eps = [epsilon(Omega, delta, tau) for delta, tau in zip(deltas, taus)]
+    assert abs(c0 - math.prod(K)) <= 1e-14
+    assert abs(abs(c0) ** 2 - math.prod(1.0 - e for e in eps)) <= 1e-12
+    phase = math.fsum(cmath.phase(k) for k in K)
+    assert abs(math.remainder(cmath.phase(c0) - phase, 2 * math.pi)) <= 1e-12
+    assert all(abs(1.0 - abs(k) ** 2 - e) <= 1e-15 for k, e in zip(K, eps))
+
+
+def test_ground_survival_leaves_first_order_behind():
+    # at L = 100, Omega = 0.20844 the resummed 1 - prod (1 - eps_i) that
+    # the map gives is 0.44397; the first-order sum stops at 0.41544
+    final, _ = ground_run(100, 0.20844, P_drop=0.0)
+    assert 1.0 - abs(_ground_amplitude(final)) ** 2 == pytest.approx(0.44397, abs=5e-6)
+    eps, _ = ground_branch_errors(0.20844, 1.0)
+    assert p1_total(100, eps) == pytest.approx(0.41544, abs=5e-6)
+
+
+def test_run_protocol_applies_each_pulse_through_the_module_kernel(monkeypatch):
+    # perfbench traces the kernel by replacing `spinchain.propagator.apply_pulse`
+    # and reads each call's pulse.nu, so run_protocol must call it by that
+    # name, once per pulse, with the pulse it plans
+    L = 10
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, 0.0906)
+    kernel, carriers = spinchain.propagator.apply_pulse, []
+
+    def traced(state, pulse, *args, **kwargs):
+        carriers.append(pulse.nu)
+        return kernel(state, pulse, *args, **kwargs)
+
+    monkeypatch.setattr(spinchain.propagator, "apply_pulse", traced)
+    run_protocol(SparseState.from_basis(BasisState.ground(L)), seq, params, P_drop=1e-6)
+    assert carriers == seq.nu.tolist()
 
 
 @pytest.mark.parametrize("Omega", [0.0906, 0.20844])
