@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the four standard experiment datasets into out/fig{1..4}/.
 
-Each preset bundles its parameters: J=1, Omega=0.0906 (fig2) or 0.20844
-(fig3, fig4), the reporting floor P0 and, for fig2-fig4, the pruning
-threshold P_drop, both 1e-6, or both 1e-8 for fig4, whose spectrum resolves
-the second-order band.  The emitted CSVs are figure-ready:
+Each preset sets only what its figure changes from the command's defaults:
+fig1's Omega grid, Omega=0.0906 (fig2) or 0.20844 (fig3, fig4), and fig4's
+L=70 and reporting floor P0=1e-8, which resolves the second-order band.  The
+pruning threshold P_drop defaults to P0, 1e-6 unless a preset lowers it.
+The emitted CSVs are figure-ready:
 
   fig1  sweep_omega.csv   single-pulse error vs Rabi frequency, both detunings
   fig2  sweep_length.csv  P1 and P1cal vs chain length in the eps1-eps2 regime

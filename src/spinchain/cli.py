@@ -30,10 +30,10 @@ Its analytic columns are truncated first-order sums; where one leaves
 [0, 1] the command warns on stderr, naming the column and the first such
 L, and writes the values unchanged.
 
-preset=fig1|fig2|fig3|fig4 bundles the standard experiment parameters
-(J=1, Omega=0.0906 or 0.20844, P0=1e-6, or 1e-8 for fig4); explicit keys
-override a preset, and preset keys that the command does not read are
-ignored.
+P_drop defaults to P0, which defaults to 1e-6.  preset=fig1|fig2|fig3|fig4
+sets only what its figure changes from the defaults (fig1's omega grid;
+Omega=0.0906 or 0.20844; fig4's L=70 and P0=1e-8); explicit keys override
+a preset, and preset keys that the command does not read are ignored.
 
 Exit codes: 0 ok, 1 bad input, 2 verification failure (two finite
 propagations that disagree).  Every command is deterministic: identical
@@ -65,15 +65,12 @@ from .propagator import (
 from .protocol import cn_remote_protocol
 
 PRESETS: dict[str, dict[str, str]] = {
-    "fig1": {"J": "1", "omega_min": "0.02", "omega_max": "0.6",
-             "omega_steps": "2901", "P0": "1e-6"},
-    "fig2": {"J": "1", "Omega": "0.0906", "P_drop": "1e-6", "P0": "1e-6",
-             "L_min": "4", "L_max": "100", "L_step": "1"},
-    "fig3": {"J": "1", "Omega": "0.20844", "P_drop": "1e-6", "P0": "1e-6",
-             "L_min": "4", "L_max": "100", "L_step": "1"},
-    # the spectrum preset resolves the second-order band, so both the
-    # pruning threshold and the reporting floor sit below eps^2
-    "fig4": {"J": "1", "L": "70", "Omega": "0.20844", "P_drop": "1e-8", "P0": "1e-8"},
+    "fig1": {"omega_min": "0.02", "omega_max": "0.6", "omega_steps": "2901"},
+    "fig2": {"Omega": "0.0906"},
+    "fig3": {"Omega": "0.20844"},
+    # the spectrum resolves the second-order band, so its reporting floor,
+    # and with it the pruning threshold, sits below eps^2
+    "fig4": {"L": "70", "Omega": "0.20844", "P0": "1e-8"},
 }
 
 # verify passes at a TVD between the sparse map and the exact propagator up to this
@@ -121,9 +118,10 @@ class ExperimentConfig:
         self.require("P0", value, 0.0 < value < 1.0, "in (0, 1)")
         return value
 
-    def get_drop(self, default: float) -> float:
-        """The pruning threshold P_drop, which must lie in [0, 1)."""
-        value = self.get_float("P_drop", default)
+    def get_drop(self) -> float:
+        """The pruning threshold P_drop, which must lie in [0, 1); P0 by
+        default, so pruning drops no state that a census would count."""
+        value = self.get_float("P_drop", self.get_P0())
         self.require("P_drop", value, 0.0 <= value < 1.0, "in [0, 1)")
         return value
 
@@ -269,14 +267,13 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseState,
-                    drop_default: float) -> tuple:
+def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseState) -> tuple:
     """(final, report, census) of run and spectrum: the protocol from
     `initial` at the config's Omega and P_drop, and the census at the floor
     P0 if `initial` carries no probability off |0...0> (else None)."""
     Omega = cfg.get_float("Omega")
     P0 = cfg.get_P0()
-    P_drop = cfg.get_drop(drop_default)
+    P_drop = cfg.get_drop()
     seq = cn_remote_protocol(params, Omega)
     final, report = run_protocol(initial, seq, params, P_drop=P_drop)
     from_ground = not initial.amps[initial.keys.any(axis=1)].any()
@@ -286,7 +283,7 @@ def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseS
 def cmd_run(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
     initial = cfg.initial_state(params)
-    final, report, census = _run_and_census(cfg, params, initial, drop_default=1e-6)
+    final, report, census = _run_and_census(cfg, params, initial)
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
     print(f"run: {len(report.active_states)} pulses, {len(final.amps)} active states, "
@@ -300,7 +297,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
-    J = cfg.get_float("J", 1.0)
+    J = cfg.get_float("J", ChainParams.J)
     cfg.require("J", J, J > 0, "finite and positive")
     P0 = cfg.get_P0()
     lo = cfg.get_float("omega_min")
@@ -326,7 +323,7 @@ def cmd_sweep_omega(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     Omega = cfg.get_float("Omega")
-    P_drop = cfg.get_drop(1e-6)
+    P_drop = cfg.get_drop()
     P0 = cfg.get_P0()
     lmin = cfg.get_int("L_min", 4)
     lmax = cfg.get_int("L_max", 100)
@@ -374,7 +371,7 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
     _, report, census = _run_and_census(
-        cfg, params, SparseState.from_basis(BasisState.ground(params.L)), drop_default=1e-8)
+        cfg, params, SparseState.from_basis(BasisState.ground(params.L)))
     path = _out(cfg, "spectrum.csv")
     _write_states(path, census.keys, params.L, census.probabilities,
                   probability=census.probabilities)

@@ -392,6 +392,8 @@ def run_protocol(initial: SparseState, seq: PulseSequence, params: ChainParams,
     """
     if not 0.0 <= P_drop < 1.0:
         raise ValueError(f"P_drop must be in [0, 1), got {P_drop}")
+    if initial.L != params.L:
+        raise ValueError(f"state has L={initial.L}, params have L={params.L}")
     snapshot_at = frozenset(snapshot_at)
     if snapshot_at and on_snapshot is None:
         raise ValueError(f"snapshot pulse counts {sorted(snapshot_at)} given without "

@@ -8,18 +8,20 @@ The last few helpers are not oracles but views of the package under test
 that only the tests need: the suppression zeros of eps (`suppression_rabi`),
 the all-zeros branch's detuning under each pulse, signed and as a
 magnitude (`ground_branch_signed_detunings`, `ground_branch_detunings`),
-the package's own pair map for one pulse (`pair_map`, `pair_update`), a
-one-pulse run (`run_pulse`), one basis state's probability
-(`probability`), the total variation distance of two dense probability
-arrays (`total_variation_distance`), a census as sorted rows
-(`census_table`), the first-order state families (`first_order_states`),
-the populations after pulse 3 (`u3_table`), one bit of a basis state or
-its single flip (`bit`, `flipped`), and an unannotated sequence of `Pulse`
-records (`sequence`).
+the package's own pair map for one pulse (`pair_map`, `pair_update`), its
+rotation factor of |0...0> under each pulse and their summed phase
+(`ground_branch_rotations`, `ground_branch_phase`), a one-pulse run
+(`run_pulse`), one basis state's probability (`probability`), the total
+variation distance of two dense probability arrays
+(`total_variation_distance`), a census as sorted rows (`census_table`), the
+first-order state families (`first_order_states`), the populations after
+pulse 3 (`u3_table`), one bit of a basis state or its single flip (`bit`,
+`flipped`), and an unannotated sequence of `Pulse` records (`sequence`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -353,6 +355,20 @@ def pair_map(Delta: float, Omega: float, tau: float,
     pulse."""
     K = _pair_maps(np.array([Delta]), Omega, tau, t_start, t_start + tau)
     return tuple(K[0].tolist())
+
+
+def ground_branch_rotations(seq: PulseSequence, params: ChainParams) -> list[complex]:
+    """K_mm of each pulse at its signed ground-branch detuning: the factor
+    that pulse gives the |0...0> amplitude, whose partner never holds any."""
+    return [pair_map(delta, Omega, tau, 0.0)[0] for delta, Omega, tau in
+            zip(ground_branch_signed_detunings(seq, params), seq.Omega.tolist(),
+                seq.tau.tolist())]
+
+
+def ground_branch_phase(seq: PulseSequence, params: ChainParams) -> float:
+    """Sum of arg K_mm over the pulses, unwrapped: the map's phase of the
+    |0...0> amplitude from |0...0>, the gate phase that no census sees."""
+    return math.fsum(cmath.phase(k) for k in ground_branch_rotations(seq, params))
 
 
 def pair_update(C_m: complex, C_p: complex, Delta: float, Omega: float,

@@ -69,6 +69,7 @@ from oracles import (
     cn_trajectory,
     first_order_states,
     ground_branch_detunings,
+    ground_branch_phase,
     pair_update,
     probability,
     suppression_rabi,
@@ -345,6 +346,16 @@ def test_criterion_8_gate_correctness():
             _check(failures, gap_g <= 1e-8,
                    f"L={L}: P(|0...0>) = |alpha|^2 within 1e-8 inside the window",
                    f"gap {gap_g:.2e}")
+        # the ideal output is alpha|0...0> + beta i^(2L-3)|10...01>; the
+        # window removes the leak but not the ground branch's rotation phase
+        amps = dict(zip(_unpack(final.keys), final.amps.tolist()))
+        ideal = beta * 1j ** (2 * L - 3)
+        phase = cmath.phase((amps[target.bits] / ideal) / (amps[0] / alpha))
+        fidelity = abs(alpha * amps[0] + ideal.conjugate() * amps[target.bits]) ** 2
+        gap_phi = abs(math.remainder(phase + ground_branch_phase(seq, params), 2 * math.pi))
+        _check(failures, gap_phi <= 1e-12,
+               f"L={L}: relative phase of the outputs = -sum arg K_mm mod 2pi within 1e-12",
+               f"phase {phase:.4f} rad, gap {gap_phi:.1e}, gate fidelity {fidelity:.4f}")
     _finish("criterion 8", failures)
 
 

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import runpy
 import tempfile
 import subprocess
 import sys
@@ -269,6 +270,44 @@ def test_spectrum_is_the_runs_census_under_fig4(tmp_path):
     spectrum = (tmp_path / "spectrum.csv").read_bytes()
     assert spectrum.count(b"\n") > n1(30) + 1
     assert spectrum == (tmp_path / "census.csv").read_bytes()
+
+
+def test_p_drop_defaults_to_the_reporting_floor(tmp_path):
+    # with no P_drop, run prunes at its own P0, so a floor below the 1e-6
+    # default finds fig4's second-order band: 203 states at L = 30, where
+    # pruning at 1e-6 would leave 84
+    run_cfg = write_cfg(tmp_path, "L=30\nOmega=0.20844\nP0=1e-8\n", "run.cfg")
+    assert main(["run", "--config", run_cfg, "--out", str(tmp_path)]) == 0
+    fig4 = write_cfg(tmp_path, "preset=fig4\nL=30\n", "fig4.cfg")
+    assert main(["spectrum", "--config", fig4, "--out", str(tmp_path)]) == 0
+    census = (tmp_path / "census.csv").read_bytes()
+    assert census.count(b"\n") == 1 + 203
+    assert census == (tmp_path / "spectrum.csv").read_bytes()
+
+
+def _figure_outputs(command, preset, out):
+    """Exit code and CSV bytes of one figure command on preset=`preset`."""
+    out.mkdir()
+    cfg = write_cfg(out, f"preset={preset}\n")
+    code = main([command, "--config", cfg, "--out", str(out)])
+    return code, {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+
+def test_every_preset_entry_changes_its_figure(tmp_path, capsys, monkeypatch):
+    # a preset states only what its figure changes: without any one of its
+    # entries, the figure script's command on it exits otherwise or writes
+    # other bytes
+    jobs = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"))
+    inert = []
+    for preset, command in jobs["JOBS"]:
+        full = _figure_outputs(command, preset, tmp_path / preset)
+        for key in list(spinchain.cli.PRESETS[preset]):
+            with monkeypatch.context() as patch:
+                patch.delitem(spinchain.cli.PRESETS[preset], key)
+                if _figure_outputs(command, preset, tmp_path / f"{preset}-{key}") == full:
+                    inert.append(f"{preset} {key}")
+    capsys.readouterr()
+    assert inert == []
 
 
 def test_spectrum_band_count_grows_quadratically(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import tempfile
@@ -20,6 +21,7 @@ from oracles import (
     chain_ode,
     energy_bruteforce,
     ground_branch_detunings,
+    ground_branch_phase,
     pair_update,
     sequence,
     total_variation_distance,
@@ -457,3 +459,29 @@ def test_ground_branch_leak_exceeds_the_resummed_closed_form(L, Omega):
     exact = evolve_exact(_dense(BasisState.ground(L)), seq, params)
     excess = 1.0 - exact.probability_array()[0] - closed
     assert 2.0 <= excess / (Omega / params.delta_omega) ** 2 <= 50.0
+
+
+@pytest.mark.parametrize("Omega", [0.0906, 0.20844])
+@pytest.mark.parametrize("L", range(4, 9))
+def test_gate_phase_of_map_and_dense(L, Omega):
+    # the ideal output from alpha|0...0> + beta|10...0> is
+    # alpha|0...0> + beta i^(2L-3)|10...01>.  Every pulse is resonant on the
+    # control-1 branch, so the map gives it exactly that phase.  Dense lags
+    # it: the drive shifts the undriven neighbours' levels (an AC Stark
+    # shift, -0.0308 rad at L = 10, Omega = 0.0906), by a fraction of
+    # (2L - 3) Omega/delta_omega (measured 0.456-0.711).  The ground branch
+    # keeps the map's sum of arg K_mm in dense too (measured within 1.7%)
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, Omega)
+    alpha = beta = 1 / math.sqrt(2)
+    start = SparseState.from_amplitudes({0: alpha, 1 << (L - 1): beta}, L)
+    target = (1 << (L - 1)) | 1
+    final, _ = run_protocol(start, seq, params, P_drop=0.0)
+    mapped = DenseState.from_sparse(final).amplitudes
+    exact = evolve_exact(DenseState.from_sparse(start), seq, params).amplitudes
+    ideal = beta * 1j ** (2 * L - 3)
+    assert abs(cmath.phase(mapped[target] / ideal)) <= 1e-12
+    shift = cmath.phase(exact[target] / ideal) / ((2 * L - 3) * Omega / params.delta_omega)
+    assert -1.0 <= shift <= -0.25
+    phase = ground_branch_phase(seq, params)
+    assert abs(cmath.phase(exact[0]) - phase) <= 0.05 * abs(phase)

@@ -33,6 +33,8 @@ from oracles import (
     cn_trajectory,
     energy_bruteforce,
     first_order_states,
+    ground_branch_phase,
+    ground_branch_rotations,
     ground_branch_signed_detunings,
     pair_coefficients_scalar,
     pair_map,
@@ -47,11 +49,28 @@ from oracles import (
 )
 
 
+def bounded_run(initial, seq, params, P_drop, most):
+    """run_protocol, failed after the first pulse that leaves more than
+    `most` active states.  At P_drop = 0 only the closed orbit of a correct
+    kernel bounds the active set, so a defective one would grow it until
+    the process is killed; this stops it at once."""
+    def check(n, state):
+        assert len(state.amps) <= most, f"{len(state.amps)} active states after pulse {n}"
+
+    return run_protocol(initial, seq, params, P_drop=P_drop,
+                        snapshot_at=range(1, len(seq) + 1), on_snapshot=check)
+
+
+def ground_orbit(L):
+    """Size of the map's closed orbit from |0...0> (the orbit test says why)."""
+    return (L * L - L + 2) // 2
+
+
 def ground_run(L, Omega, P_drop=1e-6):
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, Omega)
-    return run_protocol(SparseState.from_basis(BasisState.ground(L)), seq,
-                        params, P_drop=P_drop)
+    return bounded_run(SparseState.from_basis(BasisState.ground(L)), seq,
+                       params, P_drop, ground_orbit(L))
 
 
 def test_carrier_outside_the_band_raises_from_run_protocol(params5):
@@ -501,6 +520,16 @@ def test_p_drop_validation(params5):
                      sequence(pulse), params5, P_drop=1.0)
 
 
+@pytest.mark.parametrize("L", [8, 70])
+def test_run_protocol_rejects_a_state_of_another_length(L):
+    # a 5-spin state under a longer chain's protocol would be read as that
+    # chain's low spins, or index past its key columns
+    params = ChainParams(L=L)
+    seq = cn_remote_protocol(params, 0.0906)
+    with pytest.raises(ValueError, match=f"state has L=5, params have L={L}"):
+        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params, P_drop=1e-6)
+
+
 def test_run_of_no_pulses_returns_its_input(params5):
     # the plan of an empty sequence is empty, and nothing is applied
     initial = SparseState(keys=SparseState.from_amplitudes({0b10000: 0, 0b00110: 0}, 5).keys,
@@ -681,13 +710,12 @@ def test_unpruned_orbit_closes_at_two_runs(L, Omega):
     # so from |0...0> the map reaches the ground state, the 2L - 3 one-run
     # states and the C(L - 2, 2) two-run states, and no more
     final, report = ground_run(L, Omega, P_drop=0.0)
-    orbit = (L * L - L + 2) // 2
-    assert len(final.amps) == max(report.active_states) == orbit
+    assert len(final.amps) == max(report.active_states) == ground_orbit(L)
     assert all(bin(s & ~(s << 1)).count("1") <= 2 for s in _unpack(final.keys))
     # the control branch is one state after every pulse, ending on |10...01>
     params = ChainParams(L=L)
-    final, report = run_protocol(SparseState.from_amplitudes({1 << (L - 1): 1.0}, L),
-                                 cn_remote_protocol(params, Omega), params, P_drop=0.0)
+    final, report = bounded_run(SparseState.from_amplitudes({1 << (L - 1): 1.0}, L),
+                                cn_remote_protocol(params, Omega), params, 0.0, 1)
     assert report.active_states == [1] * (2 * L - 3)
     assert _unpack(final.keys) == [(1 << (L - 1)) | 1]
 
@@ -708,15 +736,14 @@ def test_ground_amplitude_is_the_product_of_its_rotations(L, Omega):
     # zero of eps does not remove
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, Omega)
-    final, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)), seq, params,
-                            P_drop=0.0)
+    final, _ = ground_run(L, Omega, P_drop=0.0)
     c0 = _ground_amplitude(final)
-    deltas, taus = ground_branch_signed_detunings(seq, params), seq.tau.tolist()
-    K = [pair_map(delta, Omega, tau, 0.0)[0] for delta, tau in zip(deltas, taus)]
-    eps = [epsilon(Omega, delta, tau) for delta, tau in zip(deltas, taus)]
+    K = ground_branch_rotations(seq, params)
+    eps = [epsilon(Omega, delta, tau) for delta, tau in
+           zip(ground_branch_signed_detunings(seq, params), seq.tau.tolist())]
     assert abs(c0 - math.prod(K)) <= 1e-14
     assert abs(abs(c0) ** 2 - math.prod(1.0 - e for e in eps)) <= 1e-12
-    phase = math.fsum(cmath.phase(k) for k in K)
+    phase = ground_branch_phase(seq, params)
     assert abs(math.remainder(cmath.phase(c0) - phase, 2 * math.pi)) <= 1e-12
     assert all(abs(1.0 - abs(k) ** 2 - e) <= 1e-15 for k, e in zip(K, eps))
 
