@@ -62,7 +62,7 @@ from .propagator import (
     run_protocol,
     unwanted_census,
 )
-from .protocol import cn_remote_protocol
+from .protocol import cn_remote_protocol, control_branch
 
 PRESETS: dict[str, dict[str, str]] = {
     "fig1": {"omega_min": "0.02", "omega_max": "0.6", "omega_steps": "2901"},
@@ -80,7 +80,7 @@ VERIFY_TVD_BOUND = 1e-3
 @dataclass
 class ExperimentConfig:
     raw: ChainMap[str, str]  # the keys given in the file, over the preset's
-    outdir: str = "."
+    outdir: str  # where the CSVs go, --out's value
 
     def get(self, key: str, parse, default):
         """Value of `key` read by `parse`; a default of None makes the key
@@ -257,12 +257,13 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     row per pulse, 1-based; states render as bitstrings b_{L-1}...b_0."""
     params = cfg.chain_params()
     seq = cn_remote_protocol(params, cfg.get_float("Omega"))
+    flips, branch = control_branch(params.L)
     path = _out(cfg, "protocol.csv")
     write_csv(path, {"index": range(1, len(seq) + 1), "nu": seq.nu.tolist(),
                      "Omega": seq.Omega.tolist(), "tau": seq.tau.tolist(),
-                     "flip_qubit": seq.flip_qubits.tolist(),
-                     "from_state": bitstrings(seq.trajectory[:-1], params.L),
-                     "to_state": bitstrings(seq.trajectory[1:], params.L)})
+                     "flip_qubit": flips.tolist(),
+                     "from_state": bitstrings(branch[:-1], params.L),
+                     "to_state": bitstrings(branch[1:], params.L)})
     print(f"wrote {path}: {len(seq)} pulses")
     return 0
 

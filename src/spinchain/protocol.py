@@ -15,9 +15,12 @@ every transition is resonant; on the all-zeros branch the same pulses are
 detuned by 2J (4J for the third pulse), which is the source of all the
 error analytics in this package.
 
-Carrier frequencies are synthesised from the flip gap `model.flip_gap`, an
-energy difference of the chain Hamiltonian, rather than hardcoded, which
-pins them unambiguously to the Hamiltonian conventions (one array call).
+`control_branch` is the branch's one home: the qubit each pulse flips and
+the key rows of the states it walks, which depend on L alone.  A
+`PulseSequence` is just its three arrays.  Carrier frequencies are
+synthesised from the flip gap `model.flip_gap`, an energy difference of the
+chain Hamiltonian, rather than hardcoded, which pins them unambiguously to
+the Hamiltonian conventions (one array call on the branch).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import BasisState, ChainParams, flip_gap, pack_keys
+from .model import ChainParams, flip_gap
 
 
 class Pulse(NamedTuple):
@@ -42,25 +45,19 @@ class Pulse(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PulseSequence:
-    """Ordered pulses as float64 arrays `nu`, `Omega` and `tau`, optionally
-    annotated with the control branch: the qubit each pulse flips and the
-    branch's `start` state.  Checked once, in array form: 1-D arrays of one
-    length, finite, Omega and tau >= 0 (0 is degenerate but legal), flip
-    qubits in [0, L); errors name the field and the first bad pulse (from 0).
+    """Ordered pulses as float64 arrays `nu`, `Omega` and `tau`.  Checked
+    once, in array form: 1-D arrays of one length, finite, Omega and
+    tau >= 0 (0 is degenerate but legal); errors name the field and the
+    first bad pulse (from 0).
     """
 
     nu: np.ndarray
     Omega: np.ndarray
     tau: np.ndarray
-    flip_qubits: np.ndarray | None = None
-    start: BasisState | None = None
 
     def __post_init__(self):
-        if (self.flip_qubits is None) != (self.start is None):
-            raise ValueError("give flip_qubits and start together, or neither")
-        for name in ("nu", "Omega", "tau") + (() if self.start is None else ("flip_qubits",)):
-            values = np.array(getattr(self, name),
-                              dtype=np.int64 if name == "flip_qubits" else np.float64)
+        for name in ("nu", "Omega", "tau"):
+            values = np.array(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, values)
             if values.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D array, got shape {values.shape}")
@@ -70,9 +67,6 @@ class PulseSequence:
         checks = [("nu", "finite", np.isfinite(self.nu)),
                   ("Omega", "finite and >= 0", np.isfinite(self.Omega) & (self.Omega >= 0)),
                   ("tau", "finite and >= 0", np.isfinite(self.tau) & (self.tau >= 0))]
-        if self.start is not None:
-            flips, L = self.flip_qubits, self.start.L
-            checks.append(("flip_qubits", f"in [0, {L})", (flips >= 0) & (flips < L)))
         for name, rule, ok in checks:
             if not ok.all():
                 i = int(np.argmin(ok))
@@ -85,22 +79,24 @@ class PulseSequence:
         rows = zip(self.nu.tolist(), self.Omega.tolist(), self.tau.tolist())
         return tuple(map(tuple.__new__, [Pulse] * len(self), rows))
 
-    @property
-    def trajectory(self) -> np.ndarray | None:
-        """(len + 1, ceil(L/64)) uint64 key rows of the annotated branch:
-        the start state, then the state after each pulse."""
-        return None if self.start is None else _trajectory(self.start, self.flip_qubits)
-
     def __len__(self) -> int:
         return len(self.nu)
 
 
-def _trajectory(start: BasisState, flips: np.ndarray) -> np.ndarray:
-    """Key rows of `start` and of each state after it, one flip per row."""
-    rows = np.zeros((len(flips) + 1, (start.L + 63) // 64), dtype=np.uint64)
-    rows[0] = pack_keys([start.bits], start.L)
-    rows[np.arange(1, len(rows)), flips >> 6] = np.uint64(1) << (flips & 63).astype(np.uint64)
-    return np.bitwise_xor.accumulate(rows, axis=0)
+def control_branch(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flips, rows) of the remote CN's control branch of chain L: the qubit
+    each of the 2L-3 pulses flips, and the (2L-2, ceil(L/64)) uint64 key
+    rows of |10...0> and of each state after it."""
+    if L < 3:
+        raise ValueError(f"remote-CN protocol needs L >= 3 (for L=2 the gate is a "
+                         f"single resonant pulse), got L={L}")
+    # qubit L-1 sets |10...0> from |0...0>; the pulses flip qubit L-2, then
+    # qubit j and qubit j+1 for j = L-3 down to 0
+    j = np.arange(L - 3, -1, -1)
+    bits = np.concatenate(([L - 1, L - 2], np.stack((j, j + 1), axis=1).ravel()))
+    rows = np.zeros((len(bits), (L + 63) // 64), dtype=np.uint64)
+    rows[np.arange(len(bits)), bits >> 6] = np.uint64(1) << (bits & 63).astype(np.uint64)
+    return bits[1:], np.bitwise_xor.accumulate(rows, axis=0)
 
 
 def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
@@ -114,21 +110,12 @@ def cn_remote_protocol(params: ChainParams, Omega: float) -> PulseSequence:
     """
     if not (math.isfinite(Omega) and Omega > 0):
         raise ValueError(f"Rabi frequency Omega must be finite and positive, got {Omega}")
-    L = params.L
-    if L < 3:
-        raise ValueError(f"remote-CN protocol needs L >= 3 (for L=2 the gate is a "
-                         f"single resonant pulse), got L={L}")
-    n = 2 * L - 3
+    flips, branch = control_branch(params.L)
+    n = len(flips)
     tau = math.pi / Omega
     if not math.isfinite(8.0 * params.J * n * tau):
         raise ValueError(
-            f"Rabi frequency Omega={Omega} is too small for L={L}, J={params.J}: "
+            f"Rabi frequency Omega={Omega} is too small for L={params.L}, J={params.J}: "
             "the frame phases 4J (2L-3) pi/Omega of the protocol overflow")
-    # qubit L-2, then qubit j and qubit j+1 for j = L-3 down to 0
-    j = np.arange(L - 3, -1, -1)
-    flips = np.concatenate(([L - 2], np.stack((j, j + 1), axis=1).ravel()))
-    start = BasisState(1 << (L - 1), L)
-    nu = flip_gap(_trajectory(start, flips)[:-1], flips, params)
-    return PulseSequence(nu=nu, Omega=np.full(n, Omega), tau=np.full(n, tau),
-                         flip_qubits=flips, start=start)
-
+    nu = flip_gap(branch[:-1], flips, params)
+    return PulseSequence(nu=nu, Omega=np.full(n, Omega), tau=np.full(n, tau))

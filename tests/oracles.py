@@ -16,7 +16,7 @@ variation distance of two dense probability arrays
 (`total_variation_distance`), a census as sorted rows (`census_table`), the
 first-order state families (`first_order_states`), the populations after
 pulse 3 (`u3_table`), one bit of a basis state or its single flip (`bit`,
-`flipped`), and an unannotated sequence of `Pulse` records (`sequence`).
+`flipped`), and a sequence of `Pulse` records (`sequence`).
 """
 
 from __future__ import annotations
@@ -93,13 +93,14 @@ def classical_orbit(seq: PulseSequence, params: ChainParams, start: int) -> dict
     each with the fewest off-resonant flips that reach it, one Python int
     at a time.
 
-    At each pulse of `seq`, on its annotated flip qubit, a state whose
+    At each pulse of `seq`, a remote-CN sequence, on the qubit that the
+    reference `cn_carriers_scalar` flips there, a state whose
     `flip_gap_scalar` equals the carrier must flip (a resonant pi pulse
     flips with certainty); any other state may stay, or take one
     off-resonant flip, which the pass counts.
     """
     orbit = {start: 0}
-    for nu, k in zip(seq.nu.tolist(), seq.flip_qubits.tolist()):
+    for nu, k in zip(seq.nu.tolist(), cn_carriers_scalar(params)[1], strict=True):
         reached: dict[int, int] = {}
         for state, flips in orbit.items():
             if flip_gap_scalar(state, k, params) == nu:
@@ -327,19 +328,21 @@ def suppression_rabi(Delta: float, k: int) -> float:
 
 def ground_branch_signed_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
     """Detuning Delta = E_p - E_m - nu of the all-zeros state's flip pair
-    under each pulse: the `flip_gap` of |0...0> at the pulse's annotated
-    qubit, less its carrier.
+    under each pulse of `seq`, a remote-CN sequence: the `flip_gap` of
+    |0...0> at the qubit that the reference `cn_carriers_scalar` flips
+    there, less the pulse's carrier.
 
     The all-zeros branch never moves at leading order, so each pulse is
-    compared against the spacing for flipping its annotated qubit out of
-    |0...0>.  For the CN protocol this is 2J for every pulse except the
-    third, which is 4J.  The gate phase is odd in Delta, so it needs the
-    sign.
+    compared against the spacing for flipping its qubit out of |0...0>.
+    For the CN protocol this is 2J for every pulse except the third, which
+    is 4J.  The gate phase is odd in Delta, so it needs the sign.
     """
-    if seq.flip_qubits is None:
-        raise ValueError("sequence carries no flip annotations")
+    if len(seq) != 2 * params.L - 3:
+        raise ValueError(f"sequence has {len(seq)} pulses, the remote CN of "
+                         f"L={params.L} has 2L-3 pulses")
+    flips = np.array(cn_carriers_scalar(params)[1])
     ground = np.zeros((len(seq), (params.L + 63) // 64), dtype=np.uint64)  # |0...0>
-    return (flip_gap(ground, seq.flip_qubits, params) - seq.nu).tolist()
+    return (flip_gap(ground, flips, params) - seq.nu).tolist()
 
 
 def ground_branch_detunings(seq: PulseSequence, params: ChainParams) -> list[float]:
@@ -456,5 +459,5 @@ def flipped(state: BasisState, k: int) -> BasisState:
 
 
 def sequence(*pulses: Pulse) -> PulseSequence:
-    """An unannotated `PulseSequence` of `Pulse` records, in order."""
+    """A `PulseSequence` of `Pulse` records, in order."""
     return PulseSequence(*np.array(pulses, dtype=np.float64).reshape(-1, 3).T)

@@ -8,7 +8,7 @@ from spinchain.cli import main
 from spinchain.exact import DenseState, evolve_exact
 from spinchain.model import BasisState, ChainParams
 from spinchain.propagator import SparseState, _unpack, bitstrings, resonant_spin, run_protocol
-from spinchain.protocol import PulseSequence, cn_remote_protocol
+from spinchain.protocol import PulseSequence, cn_remote_protocol, control_branch
 
 from oracles import (
     cn_carriers_scalar,
@@ -22,17 +22,15 @@ from oracles import (
 
 def trajectory(L):
     """The package's control-branch path of chain L, as packed ints."""
-    return _unpack(cn_remote_protocol(ChainParams(L=L), 0.1).trajectory)
+    return _unpack(control_branch(L)[1])
 
 
 def test_trajectory_L3():
-    seq = cn_remote_protocol(ChainParams(L=3), 0.1)
-    assert bitstrings(seq.trajectory, 3)[:] == ["100", "110", "111", "101"]
+    assert bitstrings(control_branch(3)[1], 3)[:] == ["100", "110", "111", "101"]
 
 
 def test_trajectory_L4():
-    seq = cn_remote_protocol(ChainParams(L=4), 0.1)
-    assert bitstrings(seq.trajectory, 4)[:] == [
+    assert bitstrings(control_branch(4)[1], 4)[:] == [
         "1000", "1100", "1110", "1010", "1011", "1001"]
 
 
@@ -50,6 +48,8 @@ def test_trajectory_structure(L):
 def test_trajectory_rejects_two_qubits():
     with pytest.raises(ValueError, match="L >= 3"):
         cn_remote_protocol(ChainParams(L=2), 0.1)
+    with pytest.raises(ValueError, match="L >= 3"):
+        control_branch(2)
 
 
 FIELDS = [{}, {"J": 0.7, "omega0": 100.1, "delta_omega": 20.3}]
@@ -62,11 +62,11 @@ def test_array_synthesis_equals_scalar_bit_for_bit(L, fields):
     # words; the reference builds every state and carrier one at a time
     params = ChainParams(L=L, **fields)
     seq = cn_remote_protocol(params, 0.20844)
+    branch_flips, branch = control_branch(L)
     nus, flips, traj = cn_carriers_scalar(params)
     assert seq.nu.view(np.uint64).tolist() == np.array(nus).view(np.uint64).tolist()
-    assert seq.flip_qubits.tolist() == flips
-    assert bitstrings(seq.trajectory, L)[:] == [format(s.bits, f"0{L}b") for s in traj]
-    assert seq.start == traj[0]
+    assert branch_flips.tolist() == flips
+    assert bitstrings(branch, L)[:] == [format(s.bits, f"0{L}b") for s in traj]
 
 
 def test_protocol_is_pi_pulses_with_zero_phase(params5):
@@ -97,8 +97,8 @@ def test_ground_branch_detunings_frozen_values():
         cn_remote_protocol(ChainParams(L=3), 0.1), ChainParams(L=3)) == pytest.approx([2, 2, 4])
     assert ground_branch_detunings(
         cn_remote_protocol(ChainParams(L=5), 0.1), ChainParams(L=5)) == pytest.approx([2, 2, 4, 2, 2, 2, 2])
-    with pytest.raises(ValueError, match="no flip annotations"):
-        ground_branch_detunings(sequence(*cn_remote_protocol(ChainParams(L=3), 0.1).pulses),
+    with pytest.raises(ValueError, match="2L-3 pulses"):
+        ground_branch_detunings(sequence(*cn_remote_protocol(ChainParams(L=3), 0.1).pulses[:2]),
                                 ChainParams(L=3))
 
 
@@ -110,7 +110,7 @@ def test_ground_branch_detunings_against_energy_oracle(params5):
         return energy_bruteforce(s, params5.L, params5.J, params5.omega0, params5.delta_omega)
 
     for det, pulse, k in zip(ground_branch_detunings(seq, params5),
-                             seq.pulses, seq.flip_qubits):
+                             seq.pulses, control_branch(params5.L)[0]):
         gap = abs(energy(1 << k) - energy(0))
         assert det == pytest.approx(abs(gap - pulse.nu), abs=1e-10)
 
@@ -124,7 +124,7 @@ def test_third_pulse_detuning_ratio_is_two(params5):
 def test_every_pulse_addresses_its_annotated_spin(L):
     p = ChainParams(L=L)
     seq = cn_remote_protocol(p, Omega=0.0906)
-    for pulse, k in zip(seq.pulses, seq.flip_qubits):
+    for pulse, k in zip(seq.pulses, control_branch(L)[0]):
         assert abs(pulse.nu - (p.omega0 + k * p.delta_omega)) <= 2 * p.J
         assert resonant_spin(pulse.nu, p) == k
 
@@ -216,26 +216,6 @@ def test_sequence_lengths_must_agree():
     for shaped in ({"nu": 100.0}, {"tau": [[1.0]]}):
         with pytest.raises(ValueError, match=f"^{next(iter(shaped))} must be a 1-D array"):
             PulseSequence(**{**pulses(1), **shaped})
-
-
-def test_sequence_annotation_validation(params5):
-    seq = cn_remote_protocol(params5, 0.1)
-    fields = {"nu": seq.nu, "Omega": seq.Omega, "tau": seq.tau}
-    # one flip qubit short of the pulses
-    with pytest.raises(ValueError, match=r"^pulse 6: flip_qubits has 6 entries, nu has 7$"):
-        PulseSequence(**fields, flip_qubits=seq.flip_qubits[:-1], start=seq.start)
-    # a flip outside the chain, on either side
-    for bad in (-1, params5.L):
-        flips = seq.flip_qubits.copy()
-        flips[1] = bad
-        with pytest.raises(ValueError,
-                           match=rf"^pulse 1: flip_qubits must be in \[0, 5\), got {bad}$"):
-            PulseSequence(**fields, flip_qubits=flips, start=seq.start)
-    # a flip annotation needs its start state, and a start state its flips
-    with pytest.raises(ValueError, match="together"):
-        PulseSequence(**fields, flip_qubits=seq.flip_qubits)
-    with pytest.raises(ValueError, match="together"):
-        PulseSequence(**fields, start=BasisState.ground(5))
 
 
 def test_protocol_csv_export(tmp_path, params5):
