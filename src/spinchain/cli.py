@@ -7,16 +7,19 @@ Configs are plain key=value text.  Chain keys: L, J, omega0, delta_omega.
 Drive and accounting keys: Omega, P_drop, and P0, the reporting floor of
 every census and of sweep-omega's below_P0 column.  Initial state: either
 initial=<bitstring>, or alpha=/beta= for the superposition
-alpha|0...0> + beta|10...0> on the control qubit.  Sweep keys:
-omega_min/omega_max/omega_steps (sweep-omega; eps and eps' from
-`ground_branch_errors`); L_min/L_max/L_step (sweep-length).  Each command
-reads only its own keys (`COMMANDS`) and rejects any other, naming it and
-the command; it also rejects a key given twice, a value that does not
-parse, a float that is not finite, an unphysical sweep grid (L_min below 3
-included), a P0 outside (0, 1), a P_drop outside [0, 1), or alpha and beta
-whose squares do not sum to 1; the error names the key.  So is a Rabi
-frequency (Omega, omega_min, omega_max) so small that the pulse phases
-overflow; `verify` also rejects, with exit 1, an Omega at which the exact
+alpha|0...0> + beta|10...0> on the control qubit, read by `run` and
+`verify`; `spectrum` and `sweep-length` start from |0...0>.  Every
+propagating command takes its start from `ExperimentConfig.initial_state`.
+Sweep keys: omega_min/omega_max/omega_steps (sweep-omega; eps and eps'
+from `ground_branch_errors`); L_min/L_max/L_step (sweep-length).  Each
+command reads only its own keys (`COMMANDS`) and rejects any other, naming
+it and the command; it also rejects a key given twice, a value that does
+not parse, a float that is not finite, an unphysical sweep grid (L_min
+below 3 included), a P0 outside (0, 1), a P_drop outside [0, 1), an
+initial= that is not a bitstring of L bits, or alpha and beta whose
+squares do not sum to 1; the error names the key.  So is a Rabi frequency
+(Omega, omega_min, omega_max) so small that the pulse phases overflow;
+`verify` also rejects, with exit 1, an Omega at which the exact
 propagation is not finite.  The protocol is a CN on inputs with target
 bit 0 only, and `run` or `verify` from an initial= with that bit set says
 so on stderr.
@@ -25,10 +28,11 @@ sweep-length runs the remote-CN protocol once, for the longest chain of its
 grid, and takes each length L's census from that run's state after pulse
 2L - 3, read in place as its top L spins (the propagator's Prefix note
 says why they are chain L's own final state).  The ledger is checked at
-each of those snapshots.  An empty grid (L_max below L_min) is rejected.
-Its analytic columns are truncated first-order sums; where one leaves
-[0, 1] the command warns on stderr, naming the column and the first such
-L, and writes the values unchanged.
+each of those snapshots, and the run keeps three numbers of each length's
+census (P1, P1cal and the count), not the census.  An empty grid (L_max
+below L_min) is rejected.  Its analytic columns are truncated first-order
+sums; where one leaves [0, 1] the command warns on stderr, naming the
+column and the first such L, and writes the values unchanged.
 
 P_drop defaults to P0, which defaults to 1e-6.  preset=fig1|fig2|fig3|fig4
 sets only what its figure changes from the defaults (fig1's omega grid;
@@ -54,7 +58,7 @@ import numpy as np
 
 from .analytics import error_budget, ground_branch_errors
 from .exact import DenseState, check_dense_cap, evolve_exact
-from .model import BasisState, ChainParams
+from .model import ChainParams
 from .propagator import (
     RunReport,
     SparseState,
@@ -131,8 +135,10 @@ class ExperimentConfig:
         return ChainParams(L=self.get_int("L") if L is None else L, **fields)
 
     def initial_state(self, params: ChainParams) -> SparseState:
-        """The start of `run` and `verify`: initial=, alpha=/beta= or
-        |0...0>.  An initial= that sets target bit 0 gets a note on stderr."""
+        """The start of every propagating command (`run`, `spectrum`,
+        `sweep-length`, `verify`): initial=, alpha=/beta= or |0...0>, which
+        is the start of the two that read neither.  An initial= that sets
+        target bit 0 gets a note on stderr."""
         if "initial" in self.raw and ("alpha" in self.raw or "beta" in self.raw):
             raise ValueError("give either initial= or alpha=/beta=, not both")
         if "alpha" in self.raw or "beta" in self.raw:
@@ -142,16 +148,23 @@ class ExperimentConfig:
                          f"such that alpha^2 + beta^2 = 1 (to 1e-9) with beta = {beta!r}")
             return SparseState.from_amplitudes(
                 {0: complex(alpha), 1 << (params.L - 1): complex(beta)}, params.L)
+        bits = 0  # |0...0>
         if "initial" in self.raw:
-            state = self.get("initial", BasisState.from_string, None)
-            if state.L != params.L:
-                raise ValueError(
-                    f"initial state has {state.L} bits but L={params.L}")
-            if state.bits & 1:
+            bits = self.get("initial", _bitstring, None)
+            text = self.raw["initial"]
+            self.require("initial", text, len(text) == params.L,
+                         f"{params.L} bits long, one per qubit of L={params.L}")
+            if bits & 1:
                 print("spinchain: note: the initial state sets target bit 0; the protocol "
                       "is a CN on target-0 inputs only", file=sys.stderr)
-            return SparseState.from_basis(state)
-        return SparseState.from_basis(BasisState.ground(params.L))
+        return SparseState.from_amplitudes({bits: 1.0 + 0.0j}, params.L)
+
+
+def _bitstring(text: str) -> int:
+    """The packed state of a bitstring b_{L-1}...b_0, most significant qubit first."""
+    if not text or text.strip("01"):
+        raise ValueError(f"not a bitstring: {text!r}")
+    return int(text, 2)
 
 
 def parse_keyval_file(path) -> dict[str, str]:
@@ -268,10 +281,11 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseState) -> tuple:
-    """(final, report, census) of run and spectrum: the protocol from
-    `initial` at the config's Omega and P_drop, and the census at the floor
-    P0 if `initial` carries no probability off |0...0> (else None)."""
+def _run_and_census(cfg: ExperimentConfig, params: ChainParams) -> tuple:
+    """(final, report, census) of run and spectrum: the protocol from the
+    config's start at its Omega and P_drop, and the census at the floor P0
+    if the start carries no probability off |0...0> (else None)."""
+    initial = cfg.initial_state(params)
     Omega = cfg.get_float("Omega")
     P0 = cfg.get_P0()
     P_drop = cfg.get_drop()
@@ -283,8 +297,7 @@ def _run_and_census(cfg: ExperimentConfig, params: ChainParams, initial: SparseS
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
-    initial = cfg.initial_state(params)
-    final, report, census = _run_and_census(cfg, params, initial)
+    final, report, census = _run_and_census(cfg, params)
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
     print(f"run: {len(report.active_states)} pulses, {len(final.amps)} active states, "
@@ -337,19 +350,22 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
     # pulse 2L-3 (see the propagator's Prefix note)
     longest = cfg.chain_params(L=lengths[-1])
     last_pulse = {2 * L - 3: L for L in lengths}
-    censuses = []
-    _, report = run_protocol(
-        SparseState.from_basis(BasisState.ground(longest.L)),
-        cn_remote_protocol(longest, Omega), longest, P_drop=P_drop,
-        snapshot_at=last_pulse,
-        on_snapshot=lambda n, state: censuses.append(
-            unwanted_census(state, threshold=P0, L=last_pulse[n])))
+    # the three numbers of each length's census that the table reads; the
+    # census itself, with its key rows, is dropped once they are taken
+    p1, p1cal, count = [], [], []
+
+    def keep(n: int, state: SparseState) -> None:
+        census = unwanted_census(state, threshold=P0, L=last_pulse[n])
+        p1.append(census.p1_total)
+        p1cal.append(census.p1_target)
+        count.append(len(census.probabilities))
+
+    _, report = run_protocol(cfg.initial_state(longest), cn_remote_protocol(longest, Omega),
+                             longest, P_drop=P_drop, snapshot_at=last_pulse,
+                             on_snapshot=keep)
     budget = error_budget(lengths, Omega, J=longest.J, P0=P0)
-    table = {"L": budget["L"], "P1_analytic": budget["P1"],
-             "P1_numeric": [census.p1_total for census in censuses],
-             "P1cal_analytic": budget["P1cal"],
-             "P1cal_numeric": [census.p1_target for census in censuses],
-             "N_unwanted": [len(census.probabilities) for census in censuses]}
+    table = {"L": budget["L"], "P1_analytic": budget["P1"], "P1_numeric": p1,
+             "P1cal_analytic": budget["P1cal"], "P1cal_numeric": p1cal, "N_unwanted": count}
     path = _out(cfg, "sweep_length.csv")
     write_csv(path, table)
     write_error_budget_csv(budget, _out(cfg, "budgets.csv"))
@@ -371,8 +387,7 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     params = cfg.chain_params()
-    _, report, census = _run_and_census(
-        cfg, params, SparseState.from_basis(BasisState.ground(params.L)))
+    _, report, census = _run_and_census(cfg, params)
     path = _out(cfg, "spectrum.csv")
     _write_states(path, census.keys, params.L, census.probabilities,
                   probability=census.probabilities)

@@ -70,34 +70,6 @@ class ChainParams:
                 "J*2^-20: the +-J neighbour terms of the flip gaps would round away")
 
 
-@dataclass(frozen=True)
-class BasisState:
-    """Computational basis state of L spins, packed little-endian in `bits`.
-
-    Bit k of `bits` is the state of qubit k (0 = up, 1 = down).
-    """
-
-    bits: int
-    L: int
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"need at least one qubit, got L={self.L}")
-        if not 0 <= self.bits < (1 << self.L):
-            raise ValueError(f"bits={self.bits} out of range for L={self.L}")
-
-    @classmethod
-    def from_string(cls, s: str) -> "BasisState":
-        """Parse a |b_{L-1} ... b_0> bitstring, most-significant qubit first."""
-        if not s or any(c not in "01" for c in s):
-            raise ValueError(f"not a bitstring: {s!r}")
-        return cls(bits=int(s, 2), L=len(s))
-
-    @classmethod
-    def ground(cls, L: int) -> "BasisState":
-        return cls(bits=0, L=L)
-
-
 def pack_keys(states, L: int) -> np.ndarray:
     """(n, ceil(L/64)) uint64 rows of packed states, bit k at bit k % 64 of word k // 64."""
     W = (L + 63) // 64

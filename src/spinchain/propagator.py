@@ -100,7 +100,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BasisState, ChainParams, neighbour_gap, pack_keys
+from .model import ChainParams, neighbour_gap, pack_keys
 from .protocol import Pulse, PulseSequence
 
 # Amplitudes with |C|^2 below this floor are discarded even when pruning is
@@ -170,16 +170,14 @@ class SparseState:
     @classmethod
     def from_amplitudes(cls, amplitudes: dict[int, complex], L: int) -> "SparseState":
         """State at t = 0 from a {packed basis state: amplitude} map."""
+        if L < 1:
+            raise ValueError(f"need at least one qubit, got L={L}")
         for s in amplitudes:
             if not 0 <= s < (1 << L):
                 raise ValueError(f"state {s} out of range for L={L}")
         return cls(keys=pack_keys(amplitudes, L),
                    amps=np.array(list(amplitudes.values()), dtype=np.complex128),
                    L=L)
-
-    @classmethod
-    def from_basis(cls, state: BasisState) -> "SparseState":
-        return cls.from_amplitudes({state.bits: 1.0 + 0.0j}, state.L)
 
     def probability_array(self) -> np.ndarray:
         """|C|^2 of every active state, in array order."""

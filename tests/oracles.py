@@ -11,12 +11,14 @@ magnitude (`ground_branch_signed_detunings`, `ground_branch_detunings`),
 the package's own pair map for one pulse (`pair_map`, `pair_update`), its
 rotation factor of |0...0> under each pulse and their summed phase
 (`ground_branch_rotations`, `ground_branch_phase`), a one-pulse run
-(`run_pulse`), one basis state's probability (`probability`), the total
-variation distance of two dense probability arrays
-(`total_variation_distance`), a census as sorted rows (`census_table`), the
-first-order state families (`first_order_states`), the populations after
-pulse 3 (`u3_table`), one bit of a basis state or its single flip (`bit`,
-`flipped`), and a sequence of `Pulse` records (`sequence`).
+(`run_pulse`), a sparse state on one basis state (`basis_state`), one
+basis state's probability (`probability`), the total variation distance
+of two dense probability arrays (`total_variation_distance`), a census as
+sorted rows (`census_table`), the first-order state families
+(`first_order_states`), the populations after pulse 3 (`u3_table`), one
+bit of a basis state or its single flip (`bit`, `flipped`), and a
+sequence of `Pulse` records (`sequence`).  Basis states here are packed
+ints, bit k the state of qubit k.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from spinchain.analytics import error_budget, n1
-from spinchain.model import BasisState, ChainParams, flip_gap
+from spinchain.model import ChainParams, flip_gap
 from spinchain.propagator import (
     AMPLITUDE_FLOOR,
     Census,
@@ -56,9 +58,9 @@ def flip_gap_scalar(bits: int, k: int, params: ChainParams) -> float:
     return g + 2.0 * params.J * (0.5 - above) * (k < params.L - 1)
 
 
-def cn_trajectory(params: ChainParams) -> list[BasisState]:
-    """Control-branch state path of the remote-CN protocol, 2L-2 states,
-    one Python int at a time.
+def cn_trajectory(params: ChainParams) -> list[int]:
+    """Control-branch state path of the remote-CN protocol, 2L-2 packed
+    states, one Python int at a time.
 
     Starts at |10...0>, ends at |10...01>; adjacent states differ in
     exactly one bit: first qubit L-2, then for j = L-3 down to 0 qubit j
@@ -76,16 +78,16 @@ def cn_trajectory(params: ChainParams) -> list[BasisState]:
         path.append(bits)
         bits ^= 1 << (j + 1)
         path.append(bits)
-    return [BasisState(b, L) for b in path]
+    return path
 
 
-def cn_carriers_scalar(params: ChainParams) -> tuple[list[float], list[int], list[BasisState]]:
+def cn_carriers_scalar(params: ChainParams) -> tuple[list[float], list[int], list[int]]:
     """(carriers, flip qubits, trajectory) of the remote-CN protocol, one
     pulse at a time: each carrier the `flip_gap_scalar` of its flip on the
     branch state before it, each flip qubit read off two adjacent states."""
     traj = cn_trajectory(params)
-    flips = [(a.bits ^ b.bits).bit_length() - 1 for a, b in zip(traj, traj[1:])]
-    return [flip_gap_scalar(a.bits, k, params) for a, k in zip(traj, flips)], flips, traj
+    flips = [(a ^ b).bit_length() - 1 for a, b in zip(traj, traj[1:])]
+    return [flip_gap_scalar(a, k, params) for a, k in zip(traj, flips)], flips, traj
 
 
 def classical_orbit(seq: PulseSequence, params: ChainParams, start: int) -> dict[int, int]:
@@ -285,14 +287,13 @@ def census_bitstring(final, threshold: float):
     L = final.L
     control_mask = 1 << (L - 1)
     target_bits = control_mask | 1
-    rows = [(BasisState(bits, L), q)
+    rows = [(bits, q)
             for bits, q in zip(_unpack(final.keys), final.probability_array().tolist())
             if q >= threshold and bits != 0 and bits != target_bits]
     # ties by bitstring, which at one L is by packed value
-    rows.sort(key=lambda item: (-item[1], item[0].bits))
+    rows.sort(key=lambda item: (-item[1], item[0]))
     p1 = math.fsum(q for _, q in rows)
-    p1cal = math.fsum(q for state, q in rows
-                      if (state.bits & 1) and not (state.bits & control_mask))
+    p1cal = math.fsum(q for bits, q in rows if (bits & 1) and not (bits & control_mask))
     return len(rows), p1, p1cal, rows
 
 
@@ -304,8 +305,8 @@ def sweep_length_per_run(lengths, Omega: float, P_drop: float, P0: float,
     rows = []
     for L in lengths:
         params = ChainParams(L=L, **fields)
-        final, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
-                                cn_remote_protocol(params, Omega), params, P_drop=P_drop)
+        final, _ = run_protocol(basis_state(0, L), cn_remote_protocol(params, Omega), params,
+                                P_drop=P_drop)
         count, p1, p1cal, _ = census_bitstring(final, P0)
         budget = error_budget([L], Omega, J=params.J, P0=P0)
         [P1], [P1cal] = budget["P1"], budget["P1cal"]
@@ -389,10 +390,14 @@ def run_pulse(state: SparseState, pulse, params, P_drop: float) -> SparseState:
     return final
 
 
-def probability(state: SparseState, basis: BasisState | int) -> float:
-    """|C|^2 of one basis state (a BasisState or a packed int) of a sparse
-    state, 0 where it is not active."""
-    bits = basis.bits if isinstance(basis, BasisState) else basis
+def basis_state(bits: int, L: int) -> SparseState:
+    """The sparse state of L spins on the one packed basis state `bits`."""
+    return SparseState.from_amplitudes({bits: 1.0 + 0.0j}, L)
+
+
+def probability(state: SparseState, bits: int) -> float:
+    """|C|^2 of one packed basis state of a sparse state, 0 where it is not
+    active."""
     return dict(zip(_unpack(state.keys), state.probability_array().tolist())).get(bits, 0.0)
 
 
@@ -403,26 +408,24 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * math.fsum(np.abs(p - q).tolist())
 
 
-def census_table(census: Census, L: int) -> list[tuple[BasisState, float]]:
-    """(state, probability) rows of a census of an L-spin state by descending
+def census_table(census: Census) -> list[tuple[int, float]]:
+    """(packed state, probability) rows of a census by descending
     probability, ties by bitstring (ascending key, most significant word
     first): the order of the `census.csv` and `spectrum.csv` rows."""
     order = np.lexsort((*census.keys.T, -census.probabilities))
-    return [(BasisState(bits, L), q)
-            for bits, q in zip(_unpack(census.keys[order]),
-                               census.probabilities[order].tolist())]
+    return list(zip(_unpack(census.keys[order]), census.probabilities[order].tolist()))
 
 
-def first_order_states(L: int) -> tuple[list[BasisState], list[BasisState]]:
-    """The two terminal families of first-order unwanted states.
+def first_order_states(L: int) -> tuple[list[int], list[int]]:
+    """The two terminal families of first-order unwanted states, packed.
 
     Family A (target bit 0 flipped): a single run of 1s extending down to
     bit 0, run length 1..L-1.  Family B (target unflipped): a run of 1s
     ending at bit 1, run length 1..L-2.  Sizes L-1 and L-2, totalling 2L-3.
     """
     n1(L)  # the protocol's L >= 3 rule
-    family_a = [BasisState((1 << r) - 1, L) for r in range(1, L)]
-    family_b = [BasisState(((1 << r) - 1) << 1, L) for r in range(1, L - 1)]
+    family_a = [(1 << r) - 1 for r in range(1, L)]
+    family_b = [((1 << r) - 1) << 1 for r in range(1, L - 1)]
     return family_a, family_b
 
 
@@ -444,18 +447,19 @@ def u3_table(eps: float, eps_prime: float) -> list[tuple[str, float]]:
     ]
 
 
-def bit(state: BasisState, k: int) -> int:
-    """Bit k of a basis state; IndexError outside the chain."""
-    if not 0 <= k < state.L:
-        raise IndexError(f"qubit {k} out of range for L={state.L}")
-    return (state.bits >> k) & 1
+def bit(state: int, k: int, L: int) -> int:
+    """Bit k of a packed basis state of L spins; IndexError outside the chain."""
+    if not 0 <= k < L:
+        raise IndexError(f"qubit {k} out of range for L={L}")
+    return (state >> k) & 1
 
 
-def flipped(state: BasisState, k: int) -> BasisState:
-    """The basis state with bit k flipped; IndexError outside the chain."""
-    if not 0 <= k < state.L:
-        raise IndexError(f"qubit {k} out of range for L={state.L}")
-    return BasisState(bits=state.bits ^ (1 << k), L=state.L)
+def flipped(state: int, k: int, L: int) -> int:
+    """The packed basis state of L spins with bit k flipped; IndexError
+    outside the chain."""
+    if not 0 <= k < L:
+        raise IndexError(f"qubit {k} out of range for L={L}")
+    return state ^ (1 << k)
 
 
 def sequence(*pulses: Pulse) -> PulseSequence:

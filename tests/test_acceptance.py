@@ -55,7 +55,7 @@ from spinchain.analytics import (
     p1_target,
 )
 from spinchain.exact import DenseState, evolve_exact
-from spinchain.model import BasisState, ChainParams
+from spinchain.model import ChainParams
 from spinchain.propagator import (
     SparseState,
     _unpack,
@@ -65,6 +65,7 @@ from spinchain.propagator import (
 from spinchain.protocol import cn_remote_protocol
 
 from oracles import (
+    basis_state,
     census_table,
     cn_trajectory,
     first_order_states,
@@ -96,8 +97,7 @@ def _finish(criterion: str, failures: list) -> None:
 def _ground_run(L: int, Omega: float, P_drop: float):
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, Omega)
-    return run_protocol(SparseState.from_basis(BasisState.ground(L)), seq,
-                        params, P_drop=P_drop)
+    return run_protocol(basis_state(0, L), seq, params, P_drop=P_drop)
 
 
 def test_criterion_1_epsilon_anchors():
@@ -154,8 +154,8 @@ def test_criterion_3_unwanted_state_count():
         final, _ = _ground_run(L, OMEGA_FIG2, P_drop=1e-6)
         census = unwanted_census(final, threshold=P0)
         family_a, family_b = first_order_states(L)
-        expect = {s.bits for s in family_a + family_b}
-        got = {s.bits for s, _ in census_table(census, L)}
+        expect = set(family_a + family_b)
+        got = {s for s, _ in census_table(census)}
         count = len(census.probabilities)
         _check(failures, count == n1(L) and got == expect,
                f"L={L}: census = 2L-3 = {n1(L)} states, identities match",
@@ -249,13 +249,13 @@ def test_criterion_6_fig4_bands():
     lid = eps * (1 + n1(L) * eps_max)
     final, _ = _ground_run(L, OMEGA_FIG3, P_drop=1e-8)
     census = unwanted_census(final, threshold=1e-8)
-    table = census_table(census, L)
+    table = census_table(census)
     probs = [p for _, p in table]
-    band1 = {s.bits for s, p in table if 0.2 * eps <= p <= lid}
+    band1 = {s for s, p in table if 0.2 * eps <= p <= lid}
     band2 = [p for p in probs if p < 10 * eps**2]
     between = [p for p in probs if 10 * eps**2 <= p < 0.2 * eps]
     family_a, family_b = first_order_states(L)
-    expect = {s.bits for s in family_a + family_b}
+    expect = set(family_a + family_b)
     _check(failures, band1 == expect,
            f"band within [0.2*eps, {lid / eps:.3f}*eps] holds exactly the "
            f"2L-3 = {n1(L)} first-order states",
@@ -279,10 +279,8 @@ def test_criterion_7_oracle_equivalence():
     for L in (3, 4, 5, 6):
         params = ChainParams(L=L)
         seq = cn_remote_protocol(params, OMEGA_FIG2)
-        sparse, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
-                                 seq, params, P_drop=0.0)
-        dense = evolve_exact(DenseState.from_sparse(SparseState.from_basis(BasisState.ground(L))),
-                             seq, params)
+        sparse, _ = run_protocol(basis_state(0, L), seq, params, P_drop=0.0)
+        dense = evolve_exact(DenseState.from_sparse(basis_state(0, L)), seq, params)
         tvd = total_variation_distance(DenseState.from_sparse(sparse).probability_array(),
                                        dense.probability_array())
         _check(failures, tvd <= 1e-3,
@@ -314,7 +312,7 @@ def test_criterion_8_gate_correctness():
         params = ChainParams(L=L)
         seq = cn_remote_protocol(params, OMEGA_FIG2)
         traj = cn_trajectory(params)
-        final, _ = run_protocol(SparseState.from_basis(traj[0]), seq, params, P_drop=0.0)
+        final, _ = run_protocol(basis_state(traj[0], L), seq, params, P_drop=0.0)
         p = probability(final, traj[-1])
         if p <= worst_p:
             worst_p, arg = p, L
@@ -331,7 +329,7 @@ def test_criterion_8_gate_correctness():
         seq = cn_remote_protocol(params, omega)
         initial = SparseState.from_amplitudes({0: alpha, 1 << (L - 1): beta}, L)
         final, _ = run_protocol(initial, seq, params, P_drop=0.0)
-        target = BasisState((1 << (L - 1)) | 1, L)
+        target = (1 << (L - 1)) | 1
         gap_t = abs(probability(final, target) - beta**2)
         _check(failures, gap_t <= 1e-8,
                f"L={L}: P(target) = |beta|^2 within 1e-8", f"gap {gap_t:.2e}")
@@ -342,7 +340,7 @@ def test_criterion_8_gate_correctness():
                f"L={L}: control-1 sector total = |beta|^2 within 1e-8",
                f"gap {gap_s:.2e}")
         if check_ground:
-            gap_g = abs(probability(final, BasisState.ground(L)) - alpha**2)
+            gap_g = abs(probability(final, 0) - alpha**2)
             _check(failures, gap_g <= 1e-8,
                    f"L={L}: P(|0...0>) = |alpha|^2 within 1e-8 inside the window",
                    f"gap {gap_g:.2e}")
@@ -350,8 +348,8 @@ def test_criterion_8_gate_correctness():
         # window removes the leak but not the ground branch's rotation phase
         amps = dict(zip(_unpack(final.keys), final.amps.tolist()))
         ideal = beta * 1j ** (2 * L - 3)
-        phase = cmath.phase((amps[target.bits] / ideal) / (amps[0] / alpha))
-        fidelity = abs(alpha * amps[0] + ideal.conjugate() * amps[target.bits]) ** 2
+        phase = cmath.phase((amps[target] / ideal) / (amps[0] / alpha))
+        fidelity = abs(alpha * amps[0] + ideal.conjugate() * amps[target]) ** 2
         gap_phi = abs(math.remainder(phase + ground_branch_phase(seq, params), 2 * math.pi))
         _check(failures, gap_phi <= 1e-12,
                f"L={L}: relative phase of the outputs = -sum arg K_mm mod 2pi within 1e-12",
@@ -365,7 +363,7 @@ def test_criterion_9_unitarity_at_scale():
     L = 100
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, OMEGA_FIG2)
-    final, _ = run_protocol(SparseState.from_basis(BasisState(1 << (L - 1), L)),
+    final, _ = run_protocol(basis_state(1 << (L - 1), L),
                             seq, params, P_drop=0.0)
     total = final.total_probability()
     _check(failures, abs(total - 1.0) <= 1e-10,

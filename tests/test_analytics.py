@@ -14,11 +14,11 @@ from spinchain.analytics import (
     regime,
 )
 from spinchain.cli import write_error_budget_csv
-from spinchain.model import BasisState, ChainParams
-from spinchain.propagator import SparseState, run_protocol
+from spinchain.model import ChainParams
+from spinchain.propagator import run_protocol
 from spinchain.protocol import cn_remote_protocol
 
-from oracles import bit, first_order_states, probability, sequence, suppression_rabi, u3_table
+from oracles import basis_state, bit, first_order_states, probability, sequence, suppression_rabi, u3_table
 
 
 def test_epsilon_published_anchors():
@@ -79,9 +79,8 @@ def test_short_chain_rejected_with_one_message(call):
 
 def test_first_order_families_L4():
     family_a, family_b = first_order_states(4)
-    assert [s.bits for s in family_a] == [0b0001, 0b0011, 0b0111]
-    assert [s.bits for s in family_b] == [0b0010, 0b0110]
-    assert {s.L for s in family_a + family_b} == {4}
+    assert family_a == [0b0001, 0b0011, 0b0111]
+    assert family_b == [0b0010, 0b0110]
 
 
 @given(L=st.integers(3, 60))
@@ -90,12 +89,12 @@ def test_first_order_families_cover_n1(L):
     assert len(family_a) == L - 1
     assert len(family_b) == L - 2
     assert len(family_a) + len(family_b) == n1(L)
-    states = {s.bits for s in family_a + family_b}
+    states = set(family_a + family_b)
     assert len(states) == n1(L)
     for s in family_a:
-        assert bit(s, 0) == 1 and bit(s, L - 1) == 0
+        assert bit(s, 0, L) == 1 and bit(s, L - 1, L) == 0
     for s in family_b:
-        assert bit(s, 0) == 0 and bit(s, 1) == 1 and bit(s, L - 1) == 0
+        assert bit(s, 0, L) == 0 and bit(s, 1, L) == 1 and bit(s, L - 1, L) == 0
 
 
 def test_p1_total_hand_sum():
@@ -167,7 +166,7 @@ def test_u3_table_describes_the_first_three_pulses(L):
     for Omega in [0.02 + 0.01 * i for i in range(59)]:
         seq = cn_remote_protocol(params, Omega)
         eps, eps_prime = ground_branch_errors(Omega, params.J)
-        state, _ = run_protocol(SparseState.from_basis(BasisState.ground(L)),
+        state, _ = run_protocol(basis_state(0, L),
                                 sequence(*seq.pulses[:3]), params, P_drop=0.0)
         table = dict(u3_table(eps, eps_prime))
         # patterns are control-first with trailing zeros elided

@@ -9,6 +9,7 @@ import runpy
 import tempfile
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,11 @@ from spinchain.cli import (
     write_state_csv,
 )
 from spinchain.exact import DenseState, evolve_exact
-from spinchain.model import BasisState, ChainParams, pack_keys
-from spinchain.propagator import SparseState, bitstrings, run_protocol
+from spinchain.model import ChainParams, pack_keys
+from spinchain.propagator import bitstrings, run_protocol
 from spinchain.protocol import cn_remote_protocol
 
-from oracles import suppression_rabi, sweep_length_per_run
+from oracles import basis_state, suppression_rabi, sweep_length_per_run
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -86,7 +87,7 @@ def test_run_from_a_target_1_input_notes_it_is_no_cn(tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert len(err) == notes
             assert all("CN on target-0 inputs only" in line for line in err)
-        initial = SparseState.from_basis(BasisState.from_string(start))
+        initial = basis_state(int(start, 2), 5)
         final, _ = run_protocol(initial, seq, params, P_drop=1e-6)
         write_state_csv(final, tmp_path / f"{start}.csv")
         assert (tmp_path / "run" / start / "final_state.csv").read_bytes() == \
@@ -189,6 +190,48 @@ def test_sweep_length_matches_analytics(tmp_path):
         assert float(r[4]) == pytest.approx(float(r[3]), rel=0.05)
     budgets = read_csv(tmp_path / "budgets.csv")
     assert len(budgets) - 1 == 4
+
+
+def test_sweep_length_keeps_no_census(tmp_path, monkeypatch):
+    # a long sweep holds three numbers per length, not each length's census
+    # with its key rows: every census is gone before the next one is taken
+    taken = []
+    census = spinchain.cli.unwanted_census
+
+    def recording(*args, **kwargs):
+        assert all(ref() is None for ref in taken), f"{len(taken)} censuses taken, some held"
+        result = census(*args, **kwargs)
+        taken.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(spinchain.cli, "unwanted_census", recording)
+    cfg = write_cfg(tmp_path, "preset=fig3\nL_min=3\nL_max=12\n")
+    assert main(["sweep-length", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(taken) == 10 and all(ref() is None for ref in taken)
+
+
+def test_every_propagating_command_starts_from_initial_state(tmp_path, capsys, monkeypatch):
+    # run, spectrum, sweep-length and verify take their start from one
+    # place, once, for the chain they propagate
+    starts = []
+    initial_state = ExperimentConfig.initial_state
+
+    def recording(self, params):
+        start = initial_state(self, params)
+        starts.append((params.L, start.amplitudes))
+        return start
+
+    monkeypatch.setattr(ExperimentConfig, "initial_state", recording)
+    for command, text, L, start in (
+            ("run", "L=5\nOmega=0.0906\ninitial=10000\n", 5, {0b10000: 1.0}),
+            ("spectrum", "L=6\nOmega=0.20844\n", 6, {0: 1.0}),
+            ("sweep-length", "Omega=0.0906\nL_min=3\nL_max=7\nL_step=2\n", 7, {0: 1.0}),
+            ("verify", "L=4\nOmega=0.0906\n", 4, {0: 1.0})):
+        starts.clear()
+        cfg = write_cfg(tmp_path, text, f"{command}.cfg")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert starts == [(L, start)], command
+    capsys.readouterr()
 
 
 def test_sweep_length_flags_budgets_that_are_not_probabilities(tmp_path, capsys):
@@ -439,6 +482,14 @@ BAD_CONFIGS = [
     # a superposition start whose norm is off names both amplitudes
     ("run", "L=5\nOmega=0.1\nalpha=2\nbeta=0\n", "alpha"),
     ("run", "L=5\nOmega=0.1\nalpha=2\nbeta=0\n", "beta"),
+    # an initial= that is not a bitstring of L bits: the parser takes no
+    # prefix, separator or sign that int(..., 2) would
+    ("run", "L=5\nOmega=0.1\ninitial=10a1\n", "'initial'"),
+    ("run", "L=5\nOmega=0.1\ninitial=\n", "'initial'"),
+    ("run", "L=5\nOmega=0.1\ninitial=0b101\n", "'initial'"),
+    ("run", "L=5\nOmega=0.1\ninitial=1_001\n", "'initial'"),
+    ("run", "L=5\nOmega=0.1\ninitial=01\n", "'initial'"),
+    ("verify", "L=5\nOmega=0.1\ninitial=100000\n", "'initial'"),
     # P_drop outside [0, 1), and a sweep starting below the protocol's three spins
     ("run", "L=5\nOmega=0.1\nP_drop=1\n", "P_drop"),
     ("sweep-length", "preset=fig2\nL_min=4\nL_max=6\nP_drop=-1e-6\n", "P_drop"),

@@ -13,11 +13,12 @@ import pytest
 import spinchain.exact
 from spinchain.analytics import epsilon
 from spinchain.exact import DenseState, _mirror, evolve_exact, rotating_frame_generator
-from spinchain.model import BasisState, ChainParams
+from spinchain.model import ChainParams
 from spinchain.propagator import SparseState, _unpack, run_protocol
 from spinchain.protocol import Pulse, cn_remote_protocol
 
 from oracles import (
+    basis_state,
     chain_ode,
     energy_bruteforce,
     ground_branch_detunings,
@@ -28,8 +29,8 @@ from oracles import (
 )
 
 
-def _dense(state: BasisState) -> DenseState:
-    return DenseState.from_sparse(SparseState.from_basis(state))
+def _dense(bits: int, L: int) -> DenseState:
+    return DenseState.from_sparse(basis_state(bits, L))
 
 
 # one spin, which ChainParams rejects (it needs L >= 2)
@@ -74,7 +75,7 @@ def test_generator_respects_cap():
     with pytest.raises(ValueError):
         rotating_frame_generator(Pulse(nu=150.0, Omega=0.1, tau=1.0), params)
     with pytest.raises(ValueError):
-        evolve_exact(_dense(BasisState.ground(13)),
+        evolve_exact(_dense(0, 13),
                      sequence(), params)
 
 
@@ -82,7 +83,7 @@ def test_resonant_pi_pulse_on_two_qubits():
     params = ChainParams(L=2)
     pulse = Pulse(nu=params.omega0 - params.J, Omega=0.0906,
                   tau=math.pi / 0.0906)
-    initial = _dense(BasisState.from_string("10"))
+    initial = _dense(0b10, 2)
     final = evolve_exact(initial, sequence(pulse), params)
     p = np.abs(final.amplitudes) ** 2
     assert p[0b11] >= 1 - 1e-4  # leakage is O((Omega/delta_omega)^2)
@@ -105,7 +106,7 @@ def test_zero_rabi_pulses_only_rotate_phases(params5):
 
 def test_norm_preserved_over_protocol(params5):
     seq = cn_remote_protocol(params5, 0.0906)
-    final = evolve_exact(_dense(BasisState.ground(5)), seq, params5)
+    final = evolve_exact(_dense(0, 5), seq, params5)
     assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -228,7 +229,7 @@ def test_protocol_decomposes_each_mirror_pair_once(monkeypatch):
     params = ChainParams(L=L)
     mirror = _mirror_of(L)
     seq = cn_remote_protocol(params, 0.0906)
-    initial = _dense(BasisState.from_string("100000"))
+    initial = _dense(0b100000, 6)
     chained, decomposed = initial, []
     for pulse in seq.pulses:
         nu = _mirror_carrier(pulse.nu, params)
@@ -295,7 +296,7 @@ def test_protocol_decomposition_count(monkeypatch, tmp_path, L, decompositions):
         log, "eigh", lambda pulse: (np.zeros(1), np.ones((1 << L, 1)))))
     monkeypatch.setattr(np, "save", _counting(log, "save", np.save))
     monkeypatch.setattr(np, "load", _counting(log, "load", np.load))
-    evolve_exact(_dense(BasisState.ground(L)), cn_remote_protocol(params, 0.0906), params)
+    evolve_exact(_dense(0, L), cn_remote_protocol(params, 0.0906), params)
     calls = [name for name, _ in log]
     assert [calls.count(name) for name in ("generator", "eigh", "save", "load")] == [
         decompositions, decompositions, decompositions, 2 * L - 3]
@@ -309,7 +310,7 @@ def test_block_rows_match_one_row_runs(monkeypatch):
     L = 8
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, 0.0906)
-    inputs = [_dense(BasisState.from_string(s))
+    inputs = [_dense(int(s, 2), L)
               for s in ("00000000", "00000001", "10000000", "10000001")]
     eigh_calls = _record_eigh(monkeypatch)
     block = evolve_exact(DenseState(np.stack([d.amplitudes for d in inputs]), L=L),
@@ -331,7 +332,7 @@ def test_protocol_frees_each_spectrum_after_its_last_pulse(monkeypatch):
     matrix = 8 * 4 ** L
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, 0.0906)
-    initial = _dense(BasisState.ground(L))
+    initial = _dense(0, L)
     alive_at_eigh = _record_eigh(monkeypatch)
     tracemalloc.start()
     try:
@@ -347,7 +348,7 @@ def test_spill_directory_is_removed_on_return_and_on_error(monkeypatch, tmp_path
     L = 6
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, 0.0906)
-    initial = _dense(BasisState.ground(L))
+    initial = _dense(0, L)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     evolve_exact(initial, seq, params)
     assert not list(tmp_path.iterdir())
@@ -391,7 +392,7 @@ def test_no_spill_file_outlives_its_spectrum(monkeypatch, tmp_path):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(np.linalg, "eigh", _counting(log, "eigh", np.linalg.eigh))
     monkeypatch.setattr(np, "load", _counting(log, "load", np.load))
-    evolve_exact(_dense(BasisState.ground(L)), seq, params)
+    evolve_exact(_dense(0, L), seq, params)
     assert log == expected
     assert not list(tmp_path.iterdir())
 
@@ -408,7 +409,7 @@ def test_dense_state_from_sparse():
 
 
 def test_dense_state_from_sparse_respects_cap():
-    sparse = SparseState.from_basis(BasisState.ground(13))
+    sparse = basis_state(0, 13)
     with pytest.raises(ValueError, match="L=13 exceeds the dense-propagation cap 12"):
         DenseState.from_sparse(sparse)
 
@@ -418,9 +419,9 @@ def test_tvd_to_sparse_decreases_with_rabi(params5):
     tvds = []
     for Omega in (0.2, 0.1, 0.05, 0.02):
         seq = cn_remote_protocol(params5, Omega)
-        sparse, _ = run_protocol(SparseState.from_basis(BasisState.ground(5)),
+        sparse, _ = run_protocol(basis_state(0, 5),
                                  seq, params5, P_drop=0.0)
-        dense = evolve_exact(_dense(BasisState.ground(5)), seq, params5)
+        dense = evolve_exact(_dense(0, 5), seq, params5)
         tvds.append(total_variation_distance(
             DenseState.from_sparse(sparse).probability_array(), dense.probability_array()))
     assert all(b < a for a, b in zip(tvds, tvds[1:]))
@@ -436,7 +437,7 @@ def test_control_branch_leak_is_the_neglected_channel(L, Omega):
     # (Omega/delta_omega)^2 (measured 5-14 times it)
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, Omega)
-    start = SparseState.from_basis(BasisState(1 << (L - 1), L))
+    start = basis_state(1 << (L - 1), L)
     target = (1 << (L - 1)) | 1
     final, _ = run_protocol(start, seq, params, P_drop=0.0)
     assert _unpack(final.keys) == [target]
@@ -456,7 +457,7 @@ def test_ground_branch_leak_exceeds_the_resummed_closed_form(L, Omega):
     seq = cn_remote_protocol(params, Omega)
     closed = 1.0 - math.prod(1.0 - epsilon(Omega, delta, tau) for delta, tau in
                              zip(ground_branch_detunings(seq, params), seq.tau.tolist()))
-    exact = evolve_exact(_dense(BasisState.ground(L)), seq, params)
+    exact = evolve_exact(_dense(0, L), seq, params)
     excess = 1.0 - exact.probability_array()[0] - closed
     assert 2.0 <= excess / (Omega / params.delta_omega) ** 2 <= 50.0
 

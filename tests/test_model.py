@@ -1,13 +1,15 @@
 import math
+from collections import ChainMap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinchain.cli import ExperimentConfig
 from spinchain.exact import _diagonal_terms
-from spinchain.model import BasisState, ChainParams, flip_gap, pack_keys
-from spinchain.propagator import bitstrings
+from spinchain.model import ChainParams, flip_gap, pack_keys
+from spinchain.propagator import SparseState, bitstrings
 from oracles import bit, energy_bruteforce, flip_gap_scalar, flipped
 
 
@@ -163,14 +165,21 @@ def test_chain_params_defaults_scale_with_J():
 
 
 def test_basis_state_parsing_and_rendering():
-    s = BasisState.from_string("10010")
-    assert s.L == 5 and s.bits == 0b10010
-    assert bitstrings(pack_keys([s.bits], s.L), s.L)[:] == ["10010"]
-    assert bit(s, 1) == 1 and bit(s, 0) == 0 and bit(s, 4) == 1
-    assert flipped(s, 0) == BasisState.from_string("10011")
-    with pytest.raises(ValueError):
-        BasisState.from_string("10a1")
-    with pytest.raises(ValueError):
-        BasisState(bits=4, L=2)
+    # a basis state is parsed once, from the config's initial=, most
+    # significant qubit first, and rendered back by `bitstrings`
+    def start(text, L):
+        return ExperimentConfig(raw=ChainMap({"initial": text}), outdir=".").initial_state(
+            ChainParams(L=L))
+
+    state = start("10010", 5)
+    assert state.L == 5 and state.amplitudes == {0b10010: 1.0}
+    assert bitstrings(state.keys, 5)[:] == bitstrings(pack_keys([0b10010], 5), 5)[:] == ["10010"]
+    s = 0b10010
+    assert bit(s, 1, 5) == 1 and bit(s, 0, 5) == 0 and bit(s, 4, 5) == 1
+    assert flipped(s, 0, 5) == 0b10011
+    with pytest.raises(ValueError, match="'initial'.*not a bitstring: '10a1'"):
+        start("10a1", 4)
+    with pytest.raises(ValueError, match="out of range for L=2"):
+        SparseState.from_amplitudes({4: 1.0}, 2)
     with pytest.raises(IndexError):
-        bit(s, 5)
+        bit(s, 5, 5)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import spinchain.propagator
 from spinchain.analytics import epsilon, ground_branch_errors, p1_total
 from spinchain.cli import _write_states, main, write_report_csv, write_state_csv
-from spinchain.model import BasisState, ChainParams, pack_keys
+from spinchain.model import ChainParams, pack_keys
 from spinchain.propagator import (
     SparseState,
     _starts,
@@ -26,6 +26,7 @@ from spinchain.protocol import Pulse, cn_remote_protocol
 
 from oracles import (
     apply_pulse_dict,
+    basis_state,
     bit,
     census_bitstring,
     census_table,
@@ -69,7 +70,7 @@ def ground_orbit(L):
 def ground_run(L, Omega, P_drop=1e-6):
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, Omega)
-    return bounded_run(SparseState.from_basis(BasisState.ground(L)), seq,
+    return bounded_run(basis_state(0, L), seq,
                        params, P_drop, ground_orbit(L))
 
 
@@ -78,7 +79,7 @@ def test_carrier_outside_the_band_raises_from_run_protocol(params5):
     for nu in (params5.omega0 - 3 * params5.J, params5.omega0 + 4 * params5.delta_omega + 3):
         seq = sequence(inside, Pulse(nu=nu, Omega=0.2, tau=1.0), inside)
         with pytest.raises(ValueError, match=f"pulse frequency {nu} addresses no spin"):
-            run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
+            run_protocol(basis_state(0, 5), seq, params5,
                          P_drop=1e-6)
 
 
@@ -98,27 +99,26 @@ def test_resonant_spin_lookup(params5):
 
 def test_first_pulse_moves_control_branch(params5):
     seq = cn_remote_protocol(params5, 0.0906)
-    state = SparseState.from_basis(BasisState.from_string("10000"))
+    state = basis_state(0b10000, 5)
     out = run_pulse(state, seq.pulses[0], params5, P_drop=0.0)
-    assert probability(out, BasisState.from_string("11000")) == pytest.approx(1.0, abs=1e-12)
+    assert probability(out, 0b11000) == pytest.approx(1.0, abs=1e-12)
     assert out.t == pytest.approx(seq.pulses[0].tau)
 
 
 def test_first_pulse_leak_from_ground_matches_eps(params5):
     seq = cn_remote_protocol(params5, 0.0906)
-    state = SparseState.from_basis(BasisState.ground(5))
+    state = basis_state(0, 5)
     out = run_pulse(state, seq.pulses[0], params5, P_drop=0.0)
-    leaked = probability(out, BasisState.from_string("01000"))  # qubit L-2 flipped
+    leaked = probability(out, 0b01000)  # qubit L-2 flipped
     assert leaked == pytest.approx(4.78e-5, rel=0.01)
-    assert probability(out, BasisState.ground(5)) == pytest.approx(1 - leaked, abs=1e-10)
+    assert probability(out, 0) == pytest.approx(1 - leaked, abs=1e-10)
 
 
 def test_absent_partner_enters_with_zero_amplitude(params5):
     # a lone upper state must feed its lower partner, not be rescaled
     seq = cn_remote_protocol(params5, 0.0906)
-    upper = BasisState.from_string("11000")
-    out = run_pulse(SparseState.from_basis(upper), seq.pulses[0], params5, P_drop=0.0)
-    assert probability(out, BasisState.from_string("10000")) == pytest.approx(1.0, abs=1e-12)
+    out = run_pulse(basis_state(0b11000, 5), seq.pulses[0], params5, P_drop=0.0)
+    assert probability(out, 0b10000) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pulse_without_pairs_keeps_the_table_products():
@@ -416,7 +416,7 @@ def test_run_protocol_asserts_norm_ledger(params5, monkeypatch, tmp_path):
                         lambda *args: 1.001 * exact(*args))
     seq = cn_remote_protocol(params5, 0.0906)
     with pytest.raises(RuntimeError, match="norm ledger defect"):
-        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5, P_drop=1e-6)
+        run_protocol(basis_state(0, 5), seq, params5, P_drop=1e-6)
     # a length sweep runs only its longest chain, and checks the ledger at
     # every length's snapshot: the first fails after chain 4's five pulses
     cfg = tmp_path / "sweep.cfg"
@@ -445,7 +445,7 @@ def test_shorter_chain_is_a_prefix_of_the_longest(Omega):
     longest = ChainParams(L=70)
     seq = cn_remote_protocol(longest, Omega)
     snapshots = {}
-    final, _ = run_protocol(SparseState.from_basis(BasisState.ground(70)), seq, longest,
+    final, _ = run_protocol(basis_state(0, 70), seq, longest,
                             P_drop=1e-6, snapshot_at=range(1, len(seq) + 1),
                             on_snapshot=snapshots.__setitem__)
     assert sorted(snapshots) == list(range(1, len(seq) + 1))
@@ -453,7 +453,7 @@ def test_shorter_chain_is_a_prefix_of_the_longest(Omega):
     for L in (3, 4, 6, 10, 63, 64, 65):
         params = ChainParams(L=L)
         shift = 70 - L
-        state = SparseState.from_basis(BasisState.ground(L))
+        state = basis_state(0, L)
         for n, pulse in enumerate(cn_remote_protocol(params, Omega).pulses, start=1):
             state = run_pulse(state, pulse, params, P_drop=1e-6)
             big = snapshots[n]
@@ -466,14 +466,14 @@ def test_run_protocol_rejects_snapshot_outside_the_run(params5):
     seq = cn_remote_protocol(params5, 0.0906)
     for n in (0, len(seq) + 1):
         with pytest.raises(ValueError, match="snapshot"):
-            run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
+            run_protocol(basis_state(0, 5), seq, params5,
                          P_drop=1e-6, snapshot_at=[n], on_snapshot=lambda n, state: None)
 
 
 def test_run_protocol_rejects_snapshot_without_callback(params5):
     seq = cn_remote_protocol(params5, 0.0906)
     with pytest.raises(ValueError, match="on_snapshot"):
-        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params5,
+        run_protocol(basis_state(0, 5), seq, params5,
                      P_drop=1e-6, snapshot_at=[2])
 
 
@@ -516,7 +516,7 @@ def test_census_of_top_spins_reads_keys_in_place(data):
 def test_p_drop_validation(params5):
     pulse = Pulse(nu=params5.omega0, Omega=0.1, tau=1.0)
     with pytest.raises(ValueError):
-        run_protocol(SparseState.from_basis(BasisState.ground(5)),
+        run_protocol(basis_state(0, 5),
                      sequence(pulse), params5, P_drop=1.0)
 
 
@@ -527,7 +527,7 @@ def test_run_protocol_rejects_a_state_of_another_length(L):
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, 0.0906)
     with pytest.raises(ValueError, match=f"state has L=5, params have L={L}"):
-        run_protocol(SparseState.from_basis(BasisState.ground(5)), seq, params, P_drop=1e-6)
+        run_protocol(basis_state(0, 5), seq, params, P_drop=1e-6)
 
 
 def test_run_of_no_pulses_returns_its_input(params5):
@@ -555,11 +555,24 @@ def test_dropped_ledger_monotone_and_exact():
     assert final.total_probability() + final.dropped == pytest.approx(1.0, abs=1e-12)
 
 
+def test_from_amplitudes_checks_its_states_and_chain():
+    # the one constructor of a sparse state: every state within L >= 1 spins
+    with pytest.raises(ValueError, match="state 32 out of range for L=5"):
+        SparseState.from_amplitudes({0: 0.6, 1 << 5: 0.8}, 5)
+    with pytest.raises(ValueError, match="state -1 out of range for L=5"):
+        SparseState.from_amplitudes({-1: 1.0}, 5)
+    for L in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one qubit, got L={L}"):
+            SparseState.from_amplitudes({0: 1.0}, L)
+    one = SparseState.from_amplitudes({1: 1.0}, 1)
+    assert one.keys.tolist() == [[1]] and one.amplitudes == {1: 1.0}
+
+
 def test_run_protocol_resonant_branch(params5):
     params = params5
     seq = cn_remote_protocol(params, 0.0906)
     traj = cn_trajectory(params)
-    final, report = run_protocol(SparseState.from_basis(traj[0]), seq, params, P_drop=0.0)
+    final, report = run_protocol(basis_state(traj[0], params.L), seq, params, P_drop=0.0)
     assert probability(final, traj[-1]) >= 1 - 1e-10
     assert len(report.active_states) == len(seq)
     assert report.wall_time > 0
@@ -571,7 +584,7 @@ def test_run_protocol_splits_superposition(params5):
     initial = SparseState.from_amplitudes({0b00000: alpha, 0b10000: beta}, 5)
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     # no pulse addresses the control spin, so the two sectors never mix
-    assert probability(final, BasisState.from_string("10001")) == pytest.approx(beta**2, abs=1e-8)
+    assert probability(final, 0b10001) == pytest.approx(beta**2, abs=1e-8)
     control_sector = sum(p for s, p in zip(_unpack(final.keys),
                                            final.probability_array().tolist())
                          if s >> 4)
@@ -594,13 +607,13 @@ def test_census_counts_and_families():
     L = 8
     final, _ = ground_run(L, 0.0906)
     census = unwanted_census(final, threshold=1e-6)
-    table = census_table(census, L)
+    table = census_table(census)
     assert len(census.probabilities) == 2 * L - 3
     family_a, family_b = first_order_states(L)
-    assert {s.bits for s, _ in table} == {s.bits for s in family_a + family_b}
+    assert {s for s, _ in table} == set(family_a + family_b)
     assert census.p1_total == pytest.approx(sum(p for _, p in table))
     # target-flipped subset is exactly family A
-    expect_cal = sum(p for s, p in table if bit(s, 0) == 1 and bit(s, L - 1) == 0)
+    expect_cal = sum(p for s, p in table if bit(s, 0, L) == 1 and bit(s, L - 1, L) == 0)
     assert census.p1_target == pytest.approx(expect_cal)
     assert census.p1_target < census.p1_total
     # table sorted by descending probability
@@ -612,7 +625,7 @@ def test_census_of_resonant_branch_is_empty(params5):
     # the resonant branch parks everything on the gate target, which is a
     # wanted state
     seq = cn_remote_protocol(params5, 0.0906)
-    final, _ = run_protocol(SparseState.from_basis(BasisState.from_string("10000")),
+    final, _ = run_protocol(basis_state(0b10000, 5),
                             seq, params5, P_drop=0.0)
     census = unwanted_census(final, threshold=1e-6)
     assert len(census.probabilities) == 0
@@ -655,7 +668,7 @@ def test_array_census_matches_bitstring_census(case):
     census = unwanted_census(state, threshold=threshold)
     assert (len(census.probabilities), census.p1_total, census.p1_target) == (
         count, p1, p1cal)
-    assert census_table(census, state.L) == rows
+    assert census_table(census) == rows
     # the written tables, rows rendered from the key arrays, in the order of
     # the bitstring census and of a sort of (-probability, bitstring)
     with tempfile.TemporaryDirectory() as tmp:
@@ -665,7 +678,7 @@ def test_array_census_matches_bitstring_census(case):
         census_csv = Path(tmp, "census.csv").read_text()
         state_csv = Path(tmp, "state.csv").read_text()
     assert census_csv == "".join(f"{row}\n" for row in ["state,probability"] + [
-        f"{s.bits:0{state.L}b},{p!r}" for s, p in rows])
+        f"{s:0{state.L}b},{p!r}" for s, p in rows])
     labels = [format(s, f"0{state.L}b") for s in _unpack(state.keys)]
     expect = sorted(zip(labels, state.probability_array().tolist(), state.amps.tolist()),
                     key=lambda r: (-r[1], r[0]))
@@ -771,7 +784,7 @@ def test_run_protocol_applies_each_pulse_through_the_module_kernel(monkeypatch):
         return kernel(state, pulse, *args, **kwargs)
 
     monkeypatch.setattr(spinchain.propagator, "apply_pulse", traced)
-    run_protocol(SparseState.from_basis(BasisState.ground(L)), seq, params, P_drop=1e-6)
+    run_protocol(basis_state(0, L), seq, params, P_drop=1e-6)
     assert carriers == seq.nu.tolist()
 
 

@@ -6,11 +6,12 @@ import pytest
 
 from spinchain.cli import main
 from spinchain.exact import DenseState, evolve_exact
-from spinchain.model import BasisState, ChainParams
-from spinchain.propagator import SparseState, _unpack, bitstrings, resonant_spin, run_protocol
+from spinchain.model import ChainParams
+from spinchain.propagator import _unpack, bitstrings, resonant_spin, run_protocol
 from spinchain.protocol import PulseSequence, cn_remote_protocol, control_branch
 
 from oracles import (
+    basis_state,
     cn_carriers_scalar,
     cn_trajectory,
     energy_bruteforce,
@@ -66,7 +67,7 @@ def test_array_synthesis_equals_scalar_bit_for_bit(L, fields):
     nus, flips, traj = cn_carriers_scalar(params)
     assert seq.nu.view(np.uint64).tolist() == np.array(nus).view(np.uint64).tolist()
     assert branch_flips.tolist() == flips
-    assert bitstrings(branch, L)[:] == [format(s.bits, f"0{L}b") for s in traj]
+    assert bitstrings(branch, L)[:] == [format(s, f"0{L}b") for s in traj]
 
 
 def test_protocol_is_pi_pulses_with_zero_phase(params5):
@@ -131,7 +132,7 @@ def test_every_pulse_addresses_its_annotated_spin(L):
 
 def test_resonant_run_reaches_target(params5):
     seq = cn_remote_protocol(params5, Omega=0.0906)
-    initial = SparseState.from_basis(cn_trajectory(params5)[0])
+    initial = basis_state(cn_trajectory(params5)[0], params5.L)
     final, _ = run_protocol(initial, seq, params5, P_drop=0.0)
     target = cn_trajectory(params5)[-1]
     assert probability(final, target) >= 1 - 1e-10
@@ -157,7 +158,7 @@ def test_protocol_is_not_a_cn_on_target_1_inputs(monkeypatch, L):
     # decomposition per spectrum: 3/4/5/6 eigh at L = 4/6/8/10, not twice that
     params = ChainParams(L=L)
     seq = cn_remote_protocol(params, 0.0906)
-    initials = [SparseState.from_basis(BasisState.from_string(start))
+    initials = [basis_state(int(start, 2), L)
                 for start, *_ in TARGET_1_OUTPUTS[L]]
     eigh, eigh_calls = np.linalg.eigh, []
 
