@@ -281,30 +281,32 @@ def cmd_protocol(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_and_census(cfg: ExperimentConfig, params: ChainParams) -> tuple:
+def _run_and_census(cfg: ExperimentConfig, table: str) -> tuple:
     """(final, report, census) of run and spectrum: the protocol from the
-    config's start at its Omega and P_drop, and the census at the floor P0
-    if the start carries no probability off |0...0> (else None)."""
+    config's start at its Omega and P_drop, and the census at the floor P0,
+    written to `table`, if the start carries no probability off |0...0> (else None)."""
+    params = cfg.chain_params()
     initial = cfg.initial_state(params)
     Omega = cfg.get_float("Omega")
     P0 = cfg.get_P0()
     P_drop = cfg.get_drop()
     seq = cn_remote_protocol(params, Omega)
     final, report = run_protocol(initial, seq, params, P_drop=P_drop)
-    from_ground = not initial.amps[initial.keys.any(axis=1)].any()
-    return final, report, unwanted_census(final, threshold=P0) if from_ground else None
+    if initial.amps[initial.keys.any(axis=1)].any():
+        return final, report, None
+    census = unwanted_census(final, threshold=P0)
+    _write_states(_out(cfg, table), census.keys, params.L, census.probabilities,
+                  probability=census.probabilities)
+    return final, report, census
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    params = cfg.chain_params()
-    final, report, census = _run_and_census(cfg, params)
+    final, report, census = _run_and_census(cfg, "census.csv")
     write_state_csv(final, _out(cfg, "final_state.csv"))
     write_report_csv(report, _out(cfg, "report.csv"))
     print(f"run: {len(report.active_states)} pulses, {len(final.amps)} active states, "
           f"dropped={final.dropped:.3e}, wall={report.wall_time:.3f}s")
     if census is not None:
-        _write_states(_out(cfg, "census.csv"), census.keys, params.L, census.probabilities,
-                      probability=census.probabilities)
         print(f"census: {len(census.probabilities)} unwanted states, "
               f"P1={census.p1_total:.6e}, P1cal={census.p1_target:.6e}")
     return 0
@@ -386,13 +388,9 @@ def cmd_sweep_length(cfg: ExperimentConfig) -> int:
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
-    params = cfg.chain_params()
-    _, report, census = _run_and_census(cfg, params)
-    path = _out(cfg, "spectrum.csv")
-    _write_states(path, census.keys, params.L, census.probabilities,
-                  probability=census.probabilities)
-    print(f"wrote {path}: {len(census.probabilities)} unwanted states at or above P0, "
-          f"wall={report.wall_time:.3f}s")
+    _, report, census = _run_and_census(cfg, "spectrum.csv")
+    print(f"wrote {_out(cfg, 'spectrum.csv')}: {len(census.probabilities)} unwanted states "
+          f"at or above P0, wall={report.wall_time:.3f}s")
     return 0
 
 

@@ -47,12 +47,11 @@ def check_dense_cap(L: int) -> None:
 
 @dataclass
 class DenseState:
-    """All 2^L interaction-picture amplitudes, indexed by packed basis state:
-    one (2^L,) row, or an (m, 2^L) block of m states that `evolve_exact`
+    """All 2^L interaction-picture amplitudes at time t, indexed by packed basis
+    state: one (2^L,) row, or an (m, 2^L) block of m states that `evolve_exact`
     carries through every pulse together, on one decomposition per spectrum."""
 
     amplitudes: np.ndarray
-    L: int
     t: float = 0.0
 
     @classmethod
@@ -62,7 +61,7 @@ class DenseState:
         check_dense_cap(state.L)
         amps = np.zeros(1 << state.L, dtype=complex)
         amps[state.keys[:, 0]] = state.amps
-        return cls(amplitudes=amps, L=state.L, t=state.t)
+        return cls(amplitudes=amps, t=state.t)
 
     def probability_array(self) -> np.ndarray:
         """|C|^2 of every basis state, indexed by packed basis state, as
@@ -171,16 +170,17 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
     directory cannot be made or written.  For the remote-CN protocol it is
     4/5/6/7 decompositions at L = 6/8/10/12, where its L distinct carriers
     would need L, with at most 3/3/4/5 files at once; at odd L the centre
-    spin's carrier is its own mirror and gets no saving.
+    spin's carrier is its own mirror and gets no saving.  A state whose rows
+    are not 2^L amplitudes long, L = params.L, is a ValueError.
     """
-    L = initial.L
-    if L != params.L:
-        raise ValueError(f"state has L={L}, params have L={params.L}")
+    L = params.L
     check_dense_cap(L)
+    C = np.asarray(initial.amplitudes, dtype=complex)
+    if C.shape[-1] != 1 << L:
+        raise ValueError(f"state has {C.shape[-1]} amplitudes a row, not 2^L = {1 << L} for L={L}")
     E, M = _diagonal_terms(params)
     diagonals = E + seq.nu[:, None] * M  # row i: pulse i's diagonal E + nu M
     mirror = _mirror(L)
-    C = np.asarray(initial.amplitudes, dtype=complex)
     t = initial.t
     sources = _spectrum_sources(diagonals, seq.Omega, mirror)
     last = {root: i for i, (root, _) in enumerate(sources)}
@@ -205,4 +205,4 @@ def evolve_exact(initial: DenseState, seq: PulseSequence, params: ChainParams) -
             f"the exact propagation needs up to {len(last) * 8 * 4 ** L} bytes ({len(last)} "
             f"spectra x {8 * 4 ** L}) of temporary space in {tempfile.gettempdir()} "
             f"(TMPDIR sets the directory): {exc}") from exc
-    return DenseState(amplitudes=C, L=L, t=t)
+    return DenseState(amplitudes=C, t=t)

@@ -77,6 +77,13 @@ def test_short_chain_rejected_with_one_message(call):
         call(2)
 
 
+@pytest.mark.parametrize("call", [p1_total, p1_target])
+@pytest.mark.parametrize("eps", [-1e-3, 1.5])
+def test_first_order_sums_reject_eps_off_probabilities(call, eps):
+    with pytest.raises(ValueError, match=rf"^eps must be a probability, got {eps}$"):
+        call(5, eps)
+
+
 def test_first_order_families_L4():
     family_a, family_b = first_order_states(4)
     assert family_a == [0b0001, 0b0011, 0b0111]

@@ -461,6 +461,8 @@ BAD_CONFIGS = [
     ("run", "L=5\nOmega=abc\n", "Omega"),
     ("run", "preset=fig3\nL=5\nOmgea=0.1\n", "Omgea"),
     ("run", "preset=fig4\nOmega=0.1\nOmega=0.20844\n", "Omega"),
+    # a line that is no key=value names its number and text
+    ("run", "L=5\nOmega 0.1\n", ":2: expected key=value, got 'Omega 0.1'"),
     # eps and eps' are fixed at detunings 2J and 4J, the verify cap and bound
     # are constants: these keys are unknown
     ("sweep-omega", "preset=fig1\ndeltas=2,nan\n", "deltas"),
@@ -482,6 +484,8 @@ BAD_CONFIGS = [
     # a superposition start whose norm is off names both amplitudes
     ("run", "L=5\nOmega=0.1\nalpha=2\nbeta=0\n", "alpha"),
     ("run", "L=5\nOmega=0.1\nalpha=2\nbeta=0\n", "beta"),
+    # a start given twice, as a bitstring and as amplitudes
+    ("run", "L=5\nOmega=0.1\ninitial=00000\nalpha=1\n", "initial= or alpha=/beta="),
     # an initial= that is not a bitstring of L bits: the parser takes no
     # prefix, separator or sign that int(..., 2) would
     ("run", "L=5\nOmega=0.1\ninitial=10a1\n", "'initial'"),

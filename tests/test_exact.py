@@ -74,9 +74,20 @@ def test_generator_respects_cap():
     params = ChainParams(L=13)
     with pytest.raises(ValueError):
         rotating_frame_generator(Pulse(nu=150.0, Omega=0.1, tau=1.0), params)
-    with pytest.raises(ValueError):
-        evolve_exact(_dense(0, 13),
-                     sequence(), params)
+    # a state of 2^13 amplitudes, so that the cap is evolve_exact's own
+    # check and not from_sparse's
+    with pytest.raises(ValueError, match="L=13 exceeds the dense-propagation cap 12"):
+        evolve_exact(DenseState(np.zeros(1 << 13, dtype=complex)), sequence(), params)
+
+
+@pytest.mark.parametrize("shape", [(8,), (32,), (2, 8), (2, 32)])
+def test_evolve_rejects_amplitude_count_off_the_chain(shape):
+    # a row, or each row of a block, holds 2^L amplitudes of L = params.L
+    params = ChainParams(L=4)
+    seq = cn_remote_protocol(params, 0.0906)
+    with pytest.raises(ValueError, match=rf"^state has {shape[-1]} amplitudes a row, "
+                                         r"not 2\^L = 16 for L=4$"):
+        evolve_exact(DenseState(np.zeros(shape, dtype=complex)), seq, params)
 
 
 def test_resonant_pi_pulse_on_two_qubits():
@@ -96,7 +107,7 @@ def test_zero_rabi_pulses_only_rotate_phases(params5):
     rng = np.random.default_rng(7)
     amps = rng.normal(size=32) + 1j * rng.normal(size=32)
     amps /= np.linalg.norm(amps)
-    initial = DenseState(amplitudes=amps.copy(), L=5)
+    initial = DenseState(amplitudes=amps.copy())
     seq = sequence(Pulse(nu=110.0, Omega=0.0, tau=3.7),
                    Pulse(nu=150.0, Omega=0.0, tau=1.1))
     final = evolve_exact(initial, seq, params5)
@@ -143,7 +154,7 @@ def _random_pulse_battery(L, n_pulses, seed):
 def test_exact_agrees_with_tdse_battery(L, n_pulses, seed):
     # >= 20 random pulses across L <= 3, componentwise 1e-7
     params, pulses, amps = _random_pulse_battery(L, n_pulses, seed)
-    rotating = DenseState(amplitudes=amps.copy(), L=L)
+    rotating = DenseState(amplitudes=amps.copy())
     integrated = amps.copy()
     for pulse in pulses:
         integrated = chain_ode(integrated, pulse, params, t_start=rotating.t)
@@ -177,7 +188,7 @@ def test_battery_reuses_spectra_by_carrier_and_rabi(monkeypatch):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
     eigh_calls = _record_eigh(monkeypatch)
-    final = evolve_exact(DenseState(amplitudes=amps.copy(), L=3, t=0.2),
+    final = evolve_exact(DenseState(amplitudes=amps.copy(), t=0.2),
                          sequence(*pulses), params)
     assert len(eigh_calls) == 3
     integrated, t = amps.copy(), 0.2
@@ -234,9 +245,9 @@ def test_protocol_decomposes_each_mirror_pair_once(monkeypatch):
     for pulse in seq.pulses:
         nu = _mirror_carrier(pulse.nu, params)
         if pulse.nu not in decomposed and nu in decomposed:
-            mirrored = DenseState(chained.amplitudes[mirror], L, chained.t)
+            mirrored = DenseState(chained.amplitudes[mirror], chained.t)
             out = evolve_exact(mirrored, sequence(pulse._replace(nu=nu)), params)
-            chained = DenseState(out.amplitudes[mirror], L, out.t)
+            chained = DenseState(out.amplitudes[mirror], out.t)
         else:
             if pulse.nu not in decomposed:
                 decomposed.append(pulse.nu)
@@ -262,7 +273,7 @@ def test_mirrored_carrier_shares_a_spectrum_only_at_equal_rabi(monkeypatch):
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
     eigh_calls = _record_eigh(monkeypatch)
-    final = evolve_exact(DenseState(amplitudes=amps.copy(), L=3, t=0.4),
+    final = evolve_exact(DenseState(amplitudes=amps.copy(), t=0.4),
                          sequence(*pulses), params)
     assert len(eigh_calls) == 2
     integrated, t = amps.copy(), 0.4
@@ -313,7 +324,7 @@ def test_block_rows_match_one_row_runs(monkeypatch):
     inputs = [_dense(int(s, 2), L)
               for s in ("00000000", "00000001", "10000000", "10000001")]
     eigh_calls = _record_eigh(monkeypatch)
-    block = evolve_exact(DenseState(np.stack([d.amplitudes for d in inputs]), L=L),
+    block = evolve_exact(DenseState(np.stack([d.amplitudes for d in inputs])),
                          seq, params)
     assert len(eigh_calls) == 5
     assert block.amplitudes.shape == (4, 1 << L)
@@ -405,7 +416,7 @@ def test_dense_state_from_sparse():
     expect[0b00110] = 0.6
     expect[0b10001] = 0.8j
     assert np.array_equal(dense.amplitudes, expect)
-    assert dense.L == 5 and dense.t == 3.7
+    assert dense.amplitudes.shape == (1 << 5,) and dense.t == 3.7
 
 
 def test_dense_state_from_sparse_respects_cap():

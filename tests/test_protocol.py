@@ -167,7 +167,7 @@ def test_protocol_is_not_a_cn_on_target_1_inputs(monkeypatch, L):
         return eigh(H)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    block = DenseState(np.stack([DenseState.from_sparse(s).amplitudes for s in initials]), L=L)
+    block = DenseState(np.stack([DenseState.from_sparse(s).amplitudes for s in initials]))
     dense = evolve_exact(block, seq, params).probability_array()
     assert len(eigh_calls) == {4: 3, 6: 4, 8: 5, 10: 6}[L]
     for initial, row, (_, end, p_map, p_dense) in zip(initials, dense, TARGET_1_OUTPUTS[L]):
